@@ -23,8 +23,6 @@ from repro.backend.fusion import (
     FusedBlockExecutor,
     FusionUnsupported,
     SuperblockExecutor,
-    compile_block_executors,
-    run_fused,
 )
 from repro.backend.kernels import KernelLibrary
 from repro.backend.regions import RegionTable, select_regions
@@ -36,8 +34,6 @@ __all__ = [
     "FusedBlockExecutor",
     "FusionUnsupported",
     "SuperblockExecutor",
-    "compile_block_executors",
-    "run_fused",
     "KernelLibrary",
     "RegionTable",
     "select_regions",

@@ -13,9 +13,9 @@ Since the executor refactor this is just one implementation of the
 :class:`FusedBlockExecutor`, selected with ``executor="fused"`` on
 ``run_pc``, :class:`~repro.serve.engine.Engine`, or
 :meth:`~repro.frontend.api.AutobatchFunction.execution_plan`.  There is no
-separate fused driver loop: :func:`run_fused` survives only as a thin
-wrapper that compiles an :class:`~repro.vm.executors.ExecutionPlan` and
-hands it to the ordinary machine.
+separate fused driver loop: the fused machine *is* the ordinary
+program-counter machine bound to a fused
+:class:`~repro.vm.executors.ExecutionPlan`.
 
 Generated blocks are *observationally identical* to interpretation: they
 run their arithmetic under ``np.errstate(all="ignore")`` (masked-off lanes
@@ -61,11 +61,7 @@ from repro.ir.instructions import (
     StackProgram,
     VarKind,
 )
-from repro.vm.executors import (
-    BlockExecutor,
-    ExecutionPlan,
-    register_executor,
-)
+from repro.vm.executors import BlockExecutor, register_executor
 from repro.vm.instrumentation import Instrumentation, elements_per_lane
 from repro.vm.local_static import _const_array
 
@@ -349,7 +345,7 @@ class FusedBlockExecutor(BlockExecutor):
         # program population (plans already pin their programs anyway).
         self._compiled: Dict[int, Tuple[StackProgram, List[_CompiledBlock]]] = {}
         #: Per-program codegen events this instance has performed (the
-        #: compile-once counter the cluster bench/tests assert on).
+        #: compile-once counter the cluster tests assert on).
         self.compile_count = 0
 
     def _compiled_blocks(self, program: StackProgram) -> List[_CompiledBlock]:
@@ -498,43 +494,3 @@ class SuperblockExecutor(FusedBlockExecutor):
 
 
 register_executor(SuperblockExecutor.name, SuperblockExecutor)
-
-
-def compile_block_executors(
-    vm: Any,
-    registry: Optional[PrimitiveRegistry] = None,
-) -> List[Callable]:
-    """Compile fused executors for every block of ``vm``'s program.
-
-    Legacy entry point kept for the ``vm.block_executors`` override API;
-    new code selects ``executor="fused"`` and lets the plan bind itself.
-    """
-    return FusedBlockExecutor(registry).bind(vm)
-
-
-def run_fused(
-    program: StackProgram,
-    inputs: Sequence[np.ndarray],
-    registry: Optional[PrimitiveRegistry] = None,
-    max_stack_depth: int = 32,
-    scheduler="earliest",
-    max_steps: int = 10 ** 9,
-):
-    """Run a stack program with every block fused (the ``pc_xla`` strategy).
-
-    Thin wrapper over :class:`~repro.vm.executors.ExecutionPlan`: the fused
-    machine *is* the ordinary program-counter machine with a fused plan —
-    there is no separate driver loop.
-    """
-    from repro.vm.program_counter import run_program_counter
-
-    plan = ExecutionPlan.compile(program, executor=FusedBlockExecutor(registry))
-    return run_program_counter(
-        plan,
-        inputs,
-        registry=registry,
-        mode="mask",
-        scheduler=scheduler,
-        max_stack_depth=max_stack_depth,
-        max_steps=max_steps,
-    )

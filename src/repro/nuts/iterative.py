@@ -87,7 +87,12 @@ class IterativeNuts:
             n_steps=self.n_leapfrog,
         )
         self.grad_evals += self.n_leapfrog + 1
-        joint = float(self.target.log_prob(q) - 0.5 * np.dot(p, p))
+        # A divergent leaf (|p| ~ 1e170+) overflows the kinetic term; that
+        # is a legitimate -inf joint (never slice-accepted), not a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            joint = float(self.target.log_prob(q) - 0.5 * np.dot(p, p))
+        if not np.isfinite(joint):
+            joint = -np.inf
         # Acceptance statistic for dual-averaging adaptation (H&G §3.2):
         # mean over leaves of min(1, exp(joint - joint0)).
         self._alpha_sum += min(1.0, float(np.exp(min(joint - self._joint0, 0.0))))

@@ -24,8 +24,8 @@ The cluster also realizes the code-cache-sharing item from the roadmap:
 the :class:`~repro.vm.executors.ExecutionPlan` is compiled **once** (or
 taken from the function's plan cache) and bound to every shard's machine,
 so N fused engines share one generated-code cache — the fused executor's
-``compile_count`` stays at 1 no matter the fleet size, which the cluster
-benchmark asserts.
+``compile_count`` stays at 1 no matter the fleet size, which
+``tests/test_cluster.py`` asserts.
 
 Routing alone cannot fix load *skew*: a mispredicted or adversarial
 arrival pattern leaves one shard backlogged while neighbors idle, and a
@@ -456,9 +456,9 @@ class Cluster:
         shard (grown ones included) — spilled stubs rehydrate wherever
         stealing carries them, and one journal replays the whole fleet's
         schedule through :func:`~repro.serve.durability.recover`.
-    executor / optimize / engine options:
-        As on :class:`~repro.serve.engine.Engine`; forwarded to every
-        shard (they share the compiled plan, not per-machine state).
+    executor / optimize / verify / engine options:
+        As on :class:`~repro.serve.engine.Engine`; the first three shape
+        the one shared plan, the rest are forwarded to every shard.
     """
 
     def __init__(
@@ -503,7 +503,10 @@ class Cluster:
             # Compile once here; every shard binds this same plan (the
             # code-cache-sharing contract the compile counter verifies).
             plan = ExecutionPlan.compile(
-                program, executor=executor, optimize=optimize
+                program,
+                executor=executor,
+                optimize=optimize,
+                verify=engine_options.pop("verify", True),
             )
         if registry is None:
             registry = getattr(program, "registry", None)

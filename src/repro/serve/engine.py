@@ -13,7 +13,7 @@ one engine step (one machine block execution, or an idle step), and all
 scheduling — lane assignment, queue order, step budgets — is a pure
 function of the submission sequence.  ``refill="drain"`` degrades the same
 machinery to the static drain-then-refill discipline (admit only into an
-empty machine), which is the baseline the serving benchmark compares
+empty machine), which is the baseline ``tests/test_serve.py`` compares
 against.
 """
 
@@ -635,8 +635,8 @@ class Engine:
         The four ring buffers are resolved once, on the first sample (by
         which point a cluster has assigned ``shard_id``, fixing the series
         prefix), so the per-tick cost is four tuple appends — cheap enough
-        that metrics stay within the tracing overhead budget the ``trace``
-        benchmark asserts.
+        that metrics stay within the tracing overhead that
+        ``ladder.engine_trace_us`` in ``benchmarks/e2e`` measures.
         """
         bufs = self._metric_bufs
         if bufs is None:

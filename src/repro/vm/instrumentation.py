@@ -98,7 +98,7 @@ class Instrumentation:
         one basic block, so ``host_dispatches == steps``.  A superblock
         executor runs several blocks per dispatch, pushing
         ``host_dispatches / steps`` strictly below one — the amortization
-        the superblock benchmark asserts on.
+        ``tests/test_superblock.py`` asserts on.
         """
         self.host_dispatches += 1
 

@@ -17,7 +17,7 @@ trajectory in tandem with the 8th gradient of another's 2nd).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -159,7 +159,6 @@ class ProgramCounterVM:
         top_cache: bool = True,
         instrumentation: Optional[Instrumentation] = None,
         max_steps: int = 10 ** 9,
-        block_executors: Optional[Sequence[Optional[Callable]]] = None,
         executor: Any = None,
     ):
         if mode not in ("mask", "gather"):
@@ -191,9 +190,6 @@ class ProgramCounterVM:
         self.instr.batch_size = self.batch_size
         self.max_steps = max_steps
         self.exit_index = program.exit_index
-        # Optional per-block executor overrides (legacy API); entries may be
-        # None to fall back to the plan's executor for that block.
-        self.block_executors = list(block_executors) if block_executors else None
         # Lane-occupancy accounting costs an O(Z) scan per step; only the
         # serving engine consumes it, so it opts in.
         self.track_occupancy = False
@@ -342,10 +338,7 @@ class ProgramCounterVM:
             hook = self._bound.block_hook
             if hook is not None:
                 hook(self, i, idx)
-        if self.block_executors is not None and self.block_executors[i] is not None:
-            self.block_executors[i](self, mask, idx)
-        else:
-            self._block_fns[i](self, mask, idx)
+        self._block_fns[i](self, mask, idx)
         stepped = self._stepped_override
         if stepped is not None:
             # A superblock executed several member blocks in this one
@@ -548,7 +541,6 @@ def run_program_counter(
     top_cache: bool = True,
     instrumentation: Optional[Instrumentation] = None,
     max_steps: int = 10 ** 9,
-    block_executors: Optional[Sequence[Optional[Callable]]] = None,
     executor: Any = None,
 ):
     """Run a stack program on a batch of inputs under Algorithm 2.
@@ -571,7 +563,6 @@ def run_program_counter(
         top_cache=top_cache,
         instrumentation=instrumentation,
         max_steps=max_steps,
-        block_executors=block_executors,
         executor=executor,
     )
     outputs = vm.run(arrays)

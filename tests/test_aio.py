@@ -182,8 +182,13 @@ class TestArrivalReplay:
         assert fresh.telemetry.deadline_misses == engine.telemetry.deadline_misses
 
     @pytest.mark.asyncio
-    async def test_replay_event_stream_identical(self):
+    async def test_replay_event_stream_identical(self, tmp_path):
         from repro.observe import Trace
+
+        def chrome_bytes(server_engine, name):
+            path = tmp_path / name
+            server_engine.trace.export_chrome_trace(path)
+            return path.read_bytes()
 
         def build():
             return fib.serve(
@@ -201,12 +206,15 @@ class TestArrivalReplay:
                 await h.wait()
         live_events = [e.as_dict() for e in engine.trace.tracer.events]
         assert engine.trace.tracer.count("arrive") == len(server.arrivals)
+        live_bytes = chrome_bytes(engine, "live.json")
 
-        for _ in range(2):
+        for i in range(2):
             fresh = build()
             replay_arrivals(fresh, server.arrivals)
             replay_events = [e.as_dict() for e in fresh.trace.tracer.events]
             assert replay_events == live_events
+            # The exported Chrome trace is the same file, byte for byte.
+            assert chrome_bytes(fresh, f"replay{i}.json") == live_bytes
 
     def test_replay_rejects_past_arrivals(self):
         engine = fib.serve(num_lanes=1, max_stack_depth=64)

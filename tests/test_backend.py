@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.backend.device import CPU_DEVICE, GPU_DEVICE, DeviceModel
-from repro.backend.fusion import FusionUnsupported, compile_block_executors, run_fused
+from repro.backend.fusion import FusionUnsupported
 from repro.backend.kernels import KernelLibrary
 from repro.frontend.registry import default_registry
+from repro.vm.executors import ExecutionPlan
 from repro.vm.instrumentation import Instrumentation
 from repro.vm.program_counter import ProgramCounterVM
 
@@ -19,55 +20,37 @@ class TestFusion:
     def test_fused_matches_reference(self, name):
         fn, inputs = ALL_EXAMPLES[name]
         expected = fn.run_reference(*inputs)
-        actual = run_fused(fn.stack_program(), list(inputs), max_stack_depth=64)
+        actual = fn.run_pc(*inputs, executor="fused", max_stack_depth=64)
         assert_results_equal(expected, actual, context=f"fused {name}")
 
     def test_fused_source_attached(self):
         sp = fib.stack_program()
-        vm = ProgramCounterVM(sp, batch_size=2, max_stack_depth=8)
-        executors = compile_block_executors(vm)
+        plan = ExecutionPlan.compile(sp, executor="fused")
+        vm = ProgramCounterVM(plan, batch_size=2, max_stack_depth=8)
+        executors = vm._block_fns
         assert len(executors) == len(sp.blocks)
         assert "def _fused_block_0" in executors[0].__fused_source__
         # The generated code is straight-line: no interpreter loop artifacts.
         assert "for " not in executors[0].__fused_source__
 
     def test_gather_mode_rejected(self):
-        sp = fib.stack_program()
-        vm = ProgramCounterVM(sp, batch_size=2, mode="gather")
+        plan = ExecutionPlan.compile(fib.stack_program(), executor="fused")
         with pytest.raises(FusionUnsupported, match="masking"):
-            compile_block_executors(vm)
+            ProgramCounterVM(plan, batch_size=2, mode="gather")
 
     def test_fused_fewer_python_dispatches(self):
         """Fusion's whole point: fewer per-op Python-level dispatches."""
         lib_eager = KernelLibrary(default_registry)
         lib_fused = KernelLibrary(default_registry)
         batch = np.array([6, 9, 3])
-
-        from repro.lowering.pipeline import lower_program
-        from repro.vm.program_counter import run_program_counter
-
-        sp = lower_program(fib.program)
-        run_program_counter(sp, [batch], registry=lib_eager.registry, max_stack_depth=32)
-
-        vm = ProgramCounterVM(
-            sp, batch_size=3, registry=lib_fused.registry, max_stack_depth=32
+        fib.run_pc(batch, registry=lib_eager.registry, max_stack_depth=32)
+        fib.run_pc(
+            batch, executor="fused", registry=lib_fused.registry, max_stack_depth=32
         )
-        vm.block_executors = compile_block_executors(vm, lib_fused.registry)
-        vm.run([batch])
         # Same kernel-level calls happen inside fused blocks (they wrap the
         # same primitives), so kernel counts match; the savings are in the
         # plan-loop overhead, which test_benchmarks covers with timing.
         assert lib_fused.stats.calls == lib_eager.stats.calls
-
-    def test_fused_partial_executors(self):
-        """None entries fall back to interpretation per block."""
-        sp = fib.stack_program()
-        vm = ProgramCounterVM(sp, batch_size=4, max_stack_depth=16)
-        executors = compile_block_executors(vm)
-        executors[0] = None  # interpret the entry block
-        vm.block_executors = executors
-        out = vm.run([np.array([3, 7, 4, 5])])
-        np.testing.assert_array_equal(out[0], [3, 21, 5, 8])
 
 
 class TestDeviceModel:

@@ -173,6 +173,23 @@ class TestRoutingPolicies:
             assert telem[policy].completed == len(ns)
             assert telem[policy].submitted == len(ns)
 
+    def test_four_shards_scale_requests_per_fleet_tick(self):
+        """Tick clock (deterministic): the same closed-load trace through
+        4 shards completes >= 2.5x the requests per *fleet tick* of one
+        shard at equal lane width.  Shards step serially in one process,
+        so this is not a wall-clock claim — ``ladder.cluster_4x4_us`` in
+        ``benchmarks/e2e`` is (a 4x4 fleet tick costs 3.5x a 16-lane
+        engine tick)."""
+        ns = np.random.RandomState(0).randint(3, 13, size=48).astype(np.int64)
+        throughput = {}
+        for shards in (1, 4):
+            cluster = fib.serve_cluster(shards, num_lanes=2, policy="least_loaded")
+            np.testing.assert_array_equal(
+                np.stack(cluster.map(rows_of((ns,)))), fib.run_pc(ns)
+            )
+            throughput[shards] = cluster.telemetry.aggregate_throughput()
+        assert throughput[4] >= 2.5 * throughput[1]
+
     def test_round_robin_cycles_shards(self):
         cluster = fib.serve_cluster(3, num_lanes=1, policy="round_robin")
         handles = [cluster.submit(np.int64(5)) for _ in range(6)]
@@ -483,18 +500,27 @@ class TestWorkStealing:
         assert cluster.telemetry.steals > 0
 
     def test_steal_beats_no_steal_on_a_pinned_trace(self):
+        """Tick clock (deterministic): under total skew stealing drains
+        the burst in <= 1/1.8 of the no-steal ticks, and so does an
+        elastic fleet that starts at one shard and grows into it."""
         ns = np.arange(15, dtype=np.int64)
 
-        def makespan(steal):
+        def drain(num_engines, **options):
             cluster = fib.serve_cluster(
-                4, num_lanes=2, policy=PinnedPolicy(), steal=steal
+                num_engines, num_lanes=2, policy=PinnedPolicy(), **options
             )
             handles = [cluster.submit(np.int64(n)) for n in ns]
             cluster.run_until_idle()
             assert [int(h.result()) for h in handles] == [FIB_REF[int(n)] for n in ns]
-            return cluster.now
+            return cluster
 
-        assert makespan(True) * 1.5 <= makespan(None)
+        no_steal = drain(4).now
+        assert drain(4, steal=True).now * 1.8 <= no_steal
+        elastic = drain(
+            1, steal=True, autoscale=AutoscalePolicy(max_engines=4, grow_patience=1)
+        )
+        assert elastic.now * 1.8 <= no_steal
+        assert elastic.telemetry.grow_events >= 1
 
     def test_stolen_request_keeps_step_budget_and_priority(self):
         cluster = fib.serve_cluster(

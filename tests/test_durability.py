@@ -531,7 +531,8 @@ class TestJournalRecovery:
         baseline_journal = Journal()
         _, baseline = self._run(baseline_journal)
         expected = {
-            h.request_id: (int(h.result()), h.finish_tick) for h in baseline
+            h.request_id: (int(h.result()), h.finish_tick, h.steps_used)
+            for h in baseline
         }
 
         crash_journal = Journal()
@@ -545,7 +546,8 @@ class TestJournalRecovery:
             preempt=PreemptPolicy(),
         )
         recovered = {
-            rid: (int(h.result()), h.finish_tick) for rid, h in run.handles.items()
+            rid: (int(h.result()), h.finish_tick, h.steps_used)
+            for rid, h in run.handles.items()
         }
         assert recovered == expected
         assert run.failures() == {}

@@ -317,7 +317,10 @@ class TestServingDifferential:
         assert_instrumentation_identical(
             engines["eager"].vm.instr, engines["fused"].vm.instr
         )
-        assert engines["fused"].dispatch_count() < engines["eager"].dispatch_count()
+        # Equal throughput on the tick clock, at no more than a third of
+        # the host dispatches (one per block instead of one per primitive).
+        assert engines["fused"].telemetry.ticks == engines["eager"].telemetry.ticks
+        assert 3 * engines["fused"].dispatch_count() <= engines["eager"].dispatch_count()
 
     def test_fused_lane_recycling_multi_input(self):
         pairs = [(48, 36), (7, 0), (12, 18), (27, 6), (9, 9), (100, 8)]

@@ -588,6 +588,13 @@ class TestPlanVerification:
             ExecutionPlan.compile(sp, executor="eager")
         plan = ExecutionPlan.compile(sp, executor="eager", verify=False)
         assert plan.facts is None  # escape hatch for negative tests
+        # A cluster compiles its one shared plan under the same switch
+        # (it used to drop verify=False and verify anyway).
+        from repro.serve import Cluster
+
+        with pytest.raises(VerificationError):
+            Cluster(sp, 2, num_lanes=2)
+        assert Cluster(sp, 2, num_lanes=2, verify=False).plan.facts is None
 
     def test_run_pc_verify_opt_out_still_correct(self):
         ns = np.array([3, 8, 5], dtype=np.int64)
