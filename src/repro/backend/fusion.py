@@ -19,10 +19,25 @@ program-counter machine bound to a fused
 
 Generated blocks are *observationally identical* to interpretation: they
 run their arithmetic under ``np.errstate(all="ignore")`` (masked-off lanes
-must never raise spurious floating-point warnings) and record the same
-:class:`~repro.vm.instrumentation.Instrumentation` counters the interpreter
-does, so eager and fused runs produce bit-identical outputs **and** op
-counts — the property the differential tests pin down.
+must never raise spurious floating-point warnings), and a reader of
+:class:`~repro.vm.instrumentation.Instrumentation` sees the counts the
+interpreter records op by op.  A block's operation list is static, so the
+generated code does not record operations at all: each execution bumps one
+per-(machine, block) :class:`~repro.vm.instrumentation.BlockTally`
+(``executions`` and the active-lane total), and ``Instrumentation`` expands
+pending tallies through the block's primitive, push, pop and storage-access
+sites whenever one of those counters is read.  Eager and fused runs thus
+produce bit-identical outputs **and** op counts at every step boundary —
+the property the differential tests pin down — from one variant of the
+generated code.  (A block that raises part-way is not tallied, where the
+interpreter has recorded the operations before the raise; a raise reaches
+no step boundary, and the machine is not stepped again.)
+
+The step's ``idx`` is the one active-lane set a block uses: kernels and
+masked storage writes run at full width ``Z`` (the paper's accounting), but
+everything that moves per-lane state — stack pushes and pops, the
+return-address stack, the program-counter update — indexes with ``idx``
+directly instead of re-deriving it from ``mask``.
 
 That identity extends to lane checkpoint/resume (the serving engine's
 preemption): generated namespaces capture *storage objects* — never the
@@ -62,7 +77,13 @@ from repro.ir.instructions import (
     VarKind,
 )
 from repro.vm.executors import BlockExecutor, register_executor
-from repro.vm.instrumentation import Instrumentation, elements_per_lane
+from repro.vm.instrumentation import (
+    BlockOps,
+    BlockTally,
+    Instrumentation,
+    TallyTable,
+    elements_per_lane,
+)
 from repro.vm.local_static import _const_array
 
 
@@ -87,19 +108,25 @@ class _CompiledBlock:
     Machine-independent: the expensive work (source generation plus
     ``compile()``) happens once per plan; :meth:`bind` only resolves the
     spec's names against one VM (storage handles, kernel functions,
-    batch-width constants) and ``exec``s the pre-compiled code object into
-    that namespace.
+    batch-width constants, block tallies) and ``exec``s the pre-compiled
+    code object into that namespace.  ``ops`` is the entry block's static
+    operation list, from which the executor builds each machine's tallies.
     """
 
-    __slots__ = ("index", "source", "code", "spec")
+    __slots__ = ("index", "source", "code", "spec", "ops")
 
-    def __init__(self, index: int, source: str, spec: List[tuple]):
+    def __init__(
+        self, index: int, source: str, spec: List[tuple], ops: BlockOps
+    ):
         self.index = index
         self.source = source
         self.code = compile(source, f"<fused block {index}>", "exec")
         self.spec = spec
+        self.ops = ops
 
-    def bind(self, vm: Any, registry: PrimitiveRegistry) -> Callable:
+    def bind(
+        self, vm: Any, registry: PrimitiveRegistry, tallies: TallyTable
+    ) -> Callable:
         namespace: Dict[str, object] = {
             "np": np,
             "_el": elements_per_lane,
@@ -110,13 +137,10 @@ class _CompiledBlock:
                 namespace[name] = vm.storage(payload)
             elif kind == "prim_fn":
                 namespace[name] = registry.get(payload).fn
-            elif kind == "prim":
-                namespace[name] = registry.get(payload)
             elif kind == "const":
                 namespace[name] = _const_array(payload, vm.batch_size)
-            else:  # "ret": a PushJump return-target row
-                namespace[name] = np.full(vm.batch_size, payload, dtype=np.int64)
-        namespace["_z"] = vm.batch_size
+            else:  # "tally": the machine's BlockTally for block ``payload``
+                namespace[name] = tallies.blocks[payload]
         exec(self.code, namespace)
         fn = namespace[f"_fused_block_{self.index}"]
         fn.__fused_source__ = self.source  # type: ignore[attr-defined]
@@ -145,6 +169,8 @@ class _BlockCompiler:
     def __init__(self, program: StackProgram):
         self.program = program
         self.spec: List[tuple] = []
+        #: Static operation list of every block emitted so far, by index.
+        self.ops: Dict[int, BlockOps] = {}
         self._mangle: Dict[str, str] = {}
         self._n = 0
 
@@ -159,48 +185,52 @@ class _BlockCompiler:
             self._mangle[var] = f"t{len(self._mangle)}"
         return self._mangle[var]
 
-    def _read_expr(self, var: str, lines: List[str]) -> str:
-        """Expression reading ``var``, emitting the interpreter's read record."""
+    def _read_expr(self, var: str, ops: BlockOps) -> str:
+        """Expression reading ``var``, counting the interpreter's read record."""
         kind = self.program.kind(var)
         if kind is VarKind.TEMP:
             return self._temp_local(var)
         if kind is VarKind.STACKED:
-            lines.append("_i.stacked_reads += 1")
+            ops.stacked_reads += 1
         storage_name = self._bind("s", "storage", var)
         return f"{storage_name}.read()"
 
-    def _write_lines(self, var: str, expr: str, lines: List[str]) -> None:
-        """Statements writing ``expr`` to ``var`` with the interpreter's
+    def _write_lines(
+        self, var: str, expr: str, lines: List[str], ops: BlockOps
+    ) -> None:
+        """Statements writing ``expr`` to ``var``, counting the interpreter's
         storage-write record."""
         kind = self.program.kind(var)
         if kind is VarKind.TEMP:
             lines.append(f"{self._temp_local(var)} = {expr}")
             return
         if kind is VarKind.STACKED:
-            lines.append("_i.stacked_writes += 1")
+            ops.stacked_writes += 1
         else:
-            lines.append("_i.register_writes += 1")
+            ops.register_writes += 1
         s = self._bind("s", "storage", var)
         lines.append(f"{s}.write(mask, np.asarray({expr}))")
 
     def emit_block(self, block_index: int, lines: List[str]) -> None:
-        """Append block ``block_index``'s body and terminator statements.
+        """Append block ``block_index``'s body, terminator and tally statements.
 
         Emitted statements are flat (no multi-line constructs), reading the
-        conventional locals ``vm``/``mask``/``idx``/``_na``/``_i``/``_z`` —
-        so a caller can splice several blocks into one function body
-        (superblocks) by re-deriving ``mask``/``idx`` between members.
+        conventional locals ``vm``/``mask``/``idx``/``_na`` — so a caller
+        can splice several blocks into one function body (superblocks) by
+        re-deriving ``mask``/``idx``/``_na`` between members.  Nothing below
+        derives a second lane set: per-lane state moves through ``idx``.
         """
         block = self.program.blocks[block_index]
+        ops = self.ops[block_index] = BlockOps()
+        firsts: List[str] = []  # each primitive site's first output
 
         for j, op in enumerate(block.ops):
             if isinstance(op, ConstOp):
                 const = self._bind("c", "const", op.value)
-                self._write_lines(op.output, const, lines)
+                self._write_lines(op.output, const, lines, ops)
             elif isinstance(op, PrimOp):
                 k = self._bind("k", "prim_fn", op.fn)
-                p = self._bind("p", "prim", op.fn)
-                args = ", ".join(self._read_expr(v, lines) for v in op.inputs)
+                args = ", ".join(self._read_expr(v, ops) for v in op.inputs)
                 if len(op.outputs) == 1:
                     out = op.outputs[0]
                     if self.program.kind(out) is VarKind.TEMP:
@@ -209,62 +239,67 @@ class _BlockCompiler:
                     else:
                         first = f"v{block_index}_{j}"
                         lines.append(f"{first} = {k}({args})")
-                        self._write_lines(out, first, lines)
+                        self._write_lines(out, first, lines, ops)
                 else:
                     tmps = [
                         f"o{block_index}_{j}_{i}" for i in range(len(op.outputs))
                     ]
                     lines.append(f"{', '.join(tmps)} = {k}({args})")
                     for tmp, out in zip(tmps, op.outputs):
-                        self._write_lines(out, tmp, lines)
+                        self._write_lines(out, tmp, lines, ops)
                     first = tmps[0]
-                lines.append(
-                    f"_i.record_prim({p}.name, {p}.tags, _na, _z, "
-                    f"elements=_el({first}), weight={p}.cost_weight)"
-                )
+                ops.prim_fns.append(op.fn)
+                firsts.append(first)
             elif isinstance(op, PushOp):
                 k = self._bind("k", "prim_fn", op.fn)
-                args = ", ".join(self._read_expr(v, lines) for v in op.inputs)
+                args = ", ".join(self._read_expr(v, ops) for v in op.inputs)
                 s = self._bind("s", "storage", op.output)
-                lines.append(f"{s}.push(mask, np.asarray({k}({args})))")
-                lines.append("_i.record_push(_na)")
+                lines.append(f"{s}.push_at(idx, np.asarray({k}({args}))[idx])")
+                ops.pushes += 1
             elif isinstance(op, PopOp):
                 s = self._bind("s", "storage", op.var)
-                lines.append(f"{s}.pop(mask)")
-                lines.append("_i.record_pop(_na)")
+                lines.append(f"{s}.pop_at(idx)")
+                ops.pops += 1
             else:
                 raise FusionUnsupported(f"cannot fuse op {op!r}")
 
         term = block.terminator
         if isinstance(term, Jump):
-            lines.append(f"vm.pcreg[mask] = {term.target}")
+            lines.append(f"vm.pcreg[idx] = {term.target}")
         elif isinstance(term, Branch):
-            cond = self._read_expr(term.cond, lines)
+            cond = self._read_expr(term.cond, ops)
             lines.append(f"_c = np.asarray({cond}, dtype=bool)")
             lines.append(
-                f"vm.pcreg[mask] = np.where(_c, {term.true_target}, "
-                f"{term.false_target})[mask]"
+                f"vm.pcreg[idx] = np.where(_c[idx], {term.true_target}, "
+                f"{term.false_target})"
             )
         elif isinstance(term, PushJump):
-            ret = self._bind("r", "ret", term.return_target)
-            lines.append(f"vm.addr_stack.push(mask, {ret})")
-            lines.append(f"vm.pcreg[mask] = {term.jump_target}")
+            lines.append(f"vm.addr_stack.push_at(idx, {term.return_target})")
+            lines.append(f"vm.pcreg[idx] = {term.jump_target}")
         elif isinstance(term, Return):
-            lines.append("_p = vm.addr_stack.pop(mask)")
-            lines.append("vm.pcreg[mask] = _p[mask]")
+            lines.append("vm.pcreg[idx] = vm.addr_stack.pop_at(idx)")
         else:
             raise FusionUnsupported(f"cannot fuse terminator {term!r}")
+
+        # One tally per executed block stands for every record the
+        # interpreter makes; the per-site element counts are shape facts,
+        # captured the first time the block has values to measure.
+        t = self._bind("n", "tally", block_index)
+        if firsts:
+            els = ", ".join(f"_el({first})" for first in firsts)
+            lines.append(f"if {t}.elements is None: {t}.elements = ({els},)")
+        lines.append(f"{t}.executions += 1")
+        lines.append(f"{t}.active += _na")
 
     def _wrap(self, entry_index: int, lines: List[str]) -> _CompiledBlock:
         body = textwrap.indent("\n".join(lines) or "pass", "        ")
         source = (
             f"def _fused_block_{entry_index}(vm, mask, idx):\n"
-            f"    _i = vm.instr\n"
-            f"    _na = int(idx.size)\n"
+            f"    _na = idx.size\n"
             f"    with np.errstate(all='ignore'):\n"
             f"{body}\n"
         )
-        return _CompiledBlock(entry_index, source, self.spec)
+        return _CompiledBlock(entry_index, source, self.spec, self.ops[entry_index])
 
     def compile(self, block_index: int) -> _CompiledBlock:
         """Generate and compile block ``block_index``'s fused source."""
@@ -286,8 +321,8 @@ class _BlockCompiler:
           sound because masked execution makes each lane's results
           independent of its dispatch companions.
 
-        Per-member instrumentation matches the machine loop: one
-        ``record_step`` per member that ran, profiling via ``_sbp`` when
+        Per-member instrumentation matches the machine loop: one step and
+        one block tally per member that ran, profiling via ``_sbp`` when
         armed, and the active-lane sets of every member concatenated into
         ``vm._stepped_override`` so serving step budgets charge the same
         per-block rate as the single-block executors.
@@ -295,18 +330,18 @@ class _BlockCompiler:
         start = chain[0]
         if len(chain) == 1:
             return self.compile(start)
-        lines: List[str] = []
+        lines: List[str] = ["_i = vm.instr"]
         self.emit_block(start, lines)
         lines.append("_stepped = [idx]")
         for member in chain[1:]:
             body: List[str] = []
             self.emit_block(member, body)
             lines.append(f"mask = np.equal(vm.pcreg, {member})")
-            lines.append("idx = np.flatnonzero(mask)")
+            lines.append("idx = mask.nonzero()[0]")
             lines.append("if idx.size:")
             inner = [
-                "_na = int(idx.size)",
-                "_i.record_step()",
+                "_na = idx.size",
+                "_i.steps += 1",
                 "_stepped.append(idx)",
                 "if _i.track_blocks:",
                 f"    _sbp(vm, {member}, idx)",
@@ -368,9 +403,17 @@ class FusedBlockExecutor(BlockExecutor):
                 "statically indeterminate intermediate shapes)"
             )
         registry = self.registry or vm.registry
-        return [
-            blk.bind(vm, registry) for blk in self._compiled_blocks(vm.program)
-        ]
+        compiled = self._compiled_blocks(vm.program)
+        # Every block fronts its own compiled entry (a superblock chain
+        # starts at it), so the entries' operation lists cover the program.
+        tallies = vm._tallies = TallyTable(
+            [
+                BlockTally(blk.ops, [registry.get(fn) for fn in blk.ops.prim_fns])
+                for blk in compiled
+            ],
+            vm.batch_size,
+        )
+        return [blk.bind(vm, registry, tallies) for blk in compiled]
 
     def dispatch_count(self, instr: Instrumentation) -> int:
         """One host→device launch per basic-block execution."""

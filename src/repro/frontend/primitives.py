@@ -63,8 +63,10 @@ def _register(name, fn, n_inputs, n_outputs=1, cost_weight=1.0, tags=()):
 
 
 def _binary(name, np_fn, cost_weight=1.0):
-    def fn(x, y, _np_fn=np_fn):
-        x, y = _align(x, y)
+    def fn(x, y, _np_fn=np_fn, _ndarray=np.ndarray):
+        # Equal-rank arrays (every scalar-event program) need no padding.
+        if type(x) is not _ndarray or type(y) is not _ndarray or x.ndim != y.ndim:
+            x, y = _align(x, y)
         return _np_fn(x, y)
 
     fn.__name__ = name

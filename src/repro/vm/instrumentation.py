@@ -13,8 +13,8 @@ any class of primitives — Figure 6 uses the target-density gradient.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class OpCounter:
         return self.active / self.slots if self.slots else 1.0
 
 
-@dataclass(slots=True)
 class BlockCounter:
     """Per-basic-block lane accounting (profiling only, off by default).
 
@@ -51,10 +50,21 @@ class BlockCounter:
     profiling is armed.
     """
 
-    executions: int = 0
-    active: int = 0    # lanes whose pc sat at this block (useful work)
-    live: int = 0      # lanes live anywhere in the machine at those steps
-    slots: int = 0     # lane-slots the platform offered (Z per execution)
+    __slots__ = ("executions", "active", "live", "slots")
+
+    def __init__(
+        self, executions: int = 0, active: int = 0, live: int = 0, slots: int = 0
+    ):
+        self.executions = executions
+        self.active = active    # lanes whose pc sat at this block (useful work)
+        self.live = live        # lanes live anywhere in the machine at those steps
+        self.slots = slots      # lane-slots the platform offered (Z per execution)
+
+    def __repr__(self) -> str:
+        return (
+            f"BlockCounter(executions={self.executions}, active={self.active}, "
+            f"live={self.live}, slots={self.slots})"
+        )
 
     def waste(self) -> int:
         """Offered lane-slots that did no useful work at this block."""
@@ -65,42 +75,120 @@ class BlockCounter:
         return self.active / self.slots if self.slots else 1.0
 
 
-@dataclass
-class Instrumentation:
-    """Mutable counters, shared across nested interpreter activations."""
+class BlockOps:
+    """What one execution of a basic block counts: its static operation list."""
 
-    batch_size: int = 0
-    steps: int = 0                      # basic-block executions
-    host_dispatches: int = 0            # machine dispatches (step_lanes calls)
-    kernel_calls: int = 0               # primitive dispatches
-    pushes: int = 0                     # stack frames pushed (all variables)
-    pops: int = 0
-    push_lanes: int = 0                 # per-lane stack traffic
-    pop_lanes: int = 0
-    stacked_reads: int = 0              # reads hitting a stack-backed variable
-    stacked_writes: int = 0             # writes scattering into a stack array
-    register_writes: int = 0            # masked updates of stack-free variables
-    lane_slots: int = 0                 # machine lanes offered (Z per step)
-    lane_live: int = 0                  # lanes holding a live (unhalted) member
-    by_prim: Dict[str, OpCounter] = field(default_factory=lambda: defaultdict(OpCounter))
-    by_tag: Dict[str, OpCounter] = field(default_factory=lambda: defaultdict(OpCounter))
-    track_blocks: bool = False          # arm per-block profiling (O(Z) scan/step)
-    by_block: Dict[int, BlockCounter] = field(default_factory=dict)
+    __slots__ = (
+        "prim_fns", "pushes", "pops", "stacked_reads", "stacked_writes",
+        "register_writes",
+    )
+
+    def __init__(self) -> None:
+        self.prim_fns: List[str] = []  # one per PrimOp site, in block order
+        self.pushes = 0
+        self.pops = 0
+        self.stacked_reads = 0
+        self.stacked_writes = 0
+        self.register_writes = 0
+
+
+class BlockTally:
+    """One basic block's executions on one machine, not yet counted per op.
+
+    Generated block code (:mod:`repro.backend.fusion`) does not record its
+    operations one by one: a block's operation list is static, so it bumps
+    ``executions`` and ``active`` once per execution, and
+    :class:`Instrumentation` multiplies them through ``ops`` when a counter
+    is read.  ``prims`` resolves ``ops.prim_fns`` in the machine's registry;
+    ``elements`` holds the per-lane element count of each of those sites'
+    first output, captured on the block's first execution (an allocated
+    storage's event shape never changes, so neither do these).
+    """
+
+    __slots__ = ("ops", "prims", "executions", "active", "elements")
+
+    def __init__(self, ops: BlockOps, prims: Sequence[Any]):
+        self.ops = ops
+        self.prims = prims
+        self.executions = 0
+        self.active = 0
+        self.elements: Optional[Sequence[int]] = None
+
+
+class TallyTable:
+    """One machine's :class:`BlockTally` per block, at batch width ``slots``.
+
+    ``attached`` is true while the machine's :class:`Instrumentation` lists
+    the table as holding uncounted executions; the machine re-attaches it on
+    its next step after every expansion.
+    """
+
+    __slots__ = ("blocks", "slots", "attached")
+
+    def __init__(self, blocks: List[BlockTally], slots: int):
+        self.blocks = blocks
+        self.slots = slots
+        self.attached = False
+
+
+def _tallied(name: str) -> property:
+    """A counter that folds pending block tallies in before it is read."""
+
+    def read(self):
+        if self._tables:
+            self.expand_tallies()
+        return getattr(self, name)
+
+    return property(read)
+
+
+class Instrumentation:
+    """Mutable counters, shared across nested interpreter activations.
+
+    The per-operation counters (``kernel_calls`` … ``by_tag``) are written
+    directly by the interpreters and lazily by generated code: reading any
+    of them first expands every attached :class:`TallyTable`, so a reader
+    cannot tell which executor produced the counts.
+    """
+
+    kernel_calls = _tallied("_kernel_calls")    # primitive dispatches
+    pushes = _tallied("_pushes")                # stack frames pushed (all variables)
+    pops = _tallied("_pops")
+    push_lanes = _tallied("_push_lanes")        # per-lane stack traffic
+    pop_lanes = _tallied("_pop_lanes")
+    stacked_reads = _tallied("_stacked_reads")      # reads of stack-backed variables
+    stacked_writes = _tallied("_stacked_writes")    # writes into a stack array
+    register_writes = _tallied("_register_writes")  # masked updates of registers
+    by_prim = _tallied("_by_prim")
+    by_tag = _tallied("_by_tag")
+
+    def __init__(self, batch_size: int = 0, track_blocks: bool = False):
+        self.batch_size = batch_size
+        self.steps = 0              # basic-block executions
+        #: Machine dispatches (``step_lanes`` calls).  The eager and fused
+        #: executors run one block per dispatch, so it equals ``steps``; a
+        #: superblock runs several, pushing ``host_dispatches / steps``
+        #: below one — the amortization ``tests/test_superblock.py`` asserts.
+        self.host_dispatches = 0
+        self._kernel_calls = 0
+        self._pushes = 0
+        self._pops = 0
+        self._push_lanes = 0
+        self._pop_lanes = 0
+        self._stacked_reads = 0
+        self._stacked_writes = 0
+        self._register_writes = 0
+        self.lane_slots = 0         # machine lanes offered (Z per step)
+        self.lane_live = 0          # lanes holding a live (unhalted) member
+        self._by_prim: Dict[str, OpCounter] = defaultdict(OpCounter)
+        self._by_tag: Dict[str, OpCounter] = defaultdict(OpCounter)
+        self.track_blocks = track_blocks  # arm per-block profiling (O(Z) scan/step)
+        self.by_block: Dict[int, BlockCounter] = {}
+        self._tables: List[TallyTable] = []
 
     def record_step(self) -> None:
         """Count one basic-block execution."""
         self.steps += 1
-
-    def record_dispatch(self) -> None:
-        """Count one host dispatch (one ``step_lanes`` call).
-
-        For the eager and fused executors every dispatch executes exactly
-        one basic block, so ``host_dispatches == steps``.  A superblock
-        executor runs several blocks per dispatch, pushing
-        ``host_dispatches / steps`` strictly below one — the amortization
-        ``tests/test_superblock.py`` asserts on.
-        """
-        self.host_dispatches += 1
 
     def record_occupancy(self, live: int, slots: int) -> None:
         """Count one machine step's lane occupancy.
@@ -141,40 +229,86 @@ class Instrumentation:
         weight: float = 1.0,
     ) -> None:
         """Count one primitive dispatch with its lane accounting."""
-        self.kernel_calls += 1
-        flops = weight * elements * slots
-        counter = self.by_prim[name]
-        counter.executions += 1
+        self._count_prim(name, tags, 1, active, slots, weight * elements * slots)
+
+    def _count_prim(
+        self, name: str, tags, executions: int, active: int, slots: int, flops: float
+    ) -> None:
+        self._kernel_calls += executions
+        counter = self._by_prim[name]
+        counter.executions += executions
         counter.slots += slots
         counter.active += active
         counter.flops += flops
         for tag in tags:
-            t = self.by_tag[tag]
-            t.executions += 1
+            t = self._by_tag[tag]
+            t.executions += executions
             t.slots += slots
             t.active += active
             t.flops += flops
 
     def record_push(self, lanes: int) -> None:
         """Count one stack push touching ``lanes`` members."""
-        self.pushes += 1
-        self.push_lanes += lanes
+        self._pushes += 1
+        self._push_lanes += lanes
 
     def record_pop(self, lanes: int) -> None:
         """Count one stack pop touching ``lanes`` members."""
-        self.pops += 1
-        self.pop_lanes += lanes
+        self._pops += 1
+        self._pop_lanes += lanes
 
     def record_storage(self, kind, is_write: bool) -> None:
         """Count one variable access by storage class (ablation C metric)."""
         name = getattr(kind, "name", str(kind))
         if name == "STACKED":
             if is_write:
-                self.stacked_writes += 1
+                self._stacked_writes += 1
             else:
-                self.stacked_reads += 1
+                self._stacked_reads += 1
         elif is_write:
-            self.register_writes += 1
+            self._register_writes += 1
+
+    # -- block tallies (generated code) ------------------------------------
+
+    def attach(self, table: TallyTable) -> None:
+        """List ``table`` as holding executions no counter reflects yet."""
+        table.attached = True
+        self._tables.append(table)
+
+    def expand_tallies(self) -> None:
+        """Fold every attached table into the per-operation counters.
+
+        Each pending block execution counts exactly what the interpreter
+        records op by op: ``n`` executions with ``a`` active lanes in total
+        add ``n`` to every per-site count, ``a`` to every lane count and
+        ``n`` times the site's per-execution flops (equal to ``n`` separate
+        additions whenever those are exactly representable, as they are for
+        the integer-valued weights every registered primitive carries).
+        Tables are detached afterwards, so an ``Instrumentation`` keeps no
+        reference to a machine that has stopped stepping.
+        """
+        tables, self._tables = self._tables, []
+        for table in tables:
+            table.attached = False
+            slots = table.slots
+            for tally in table.blocks:
+                n, active = tally.executions, tally.active
+                if not n:
+                    continue
+                tally.executions = tally.active = 0
+                ops = tally.ops
+                self._pushes += n * ops.pushes
+                self._push_lanes += active * ops.pushes
+                self._pops += n * ops.pops
+                self._pop_lanes += active * ops.pops
+                self._stacked_reads += n * ops.stacked_reads
+                self._stacked_writes += n * ops.stacked_writes
+                self._register_writes += n * ops.register_writes
+                for prim, elements in zip(tally.prims, tally.elements or ()):
+                    self._count_prim(
+                        prim.name, prim.tags, n, active, n * slots,
+                        n * (prim.cost_weight * elements * slots),
+                    )
 
     # -- derived metrics ---------------------------------------------------
 

@@ -209,6 +209,9 @@ class ProgramCounterVM:
             np.ones(self.batch_size, dtype=bool),
             np.full(self.batch_size, self.exit_index, dtype=np.int64),
         )
+        # Executors whose blocks tally their executions instead of recording
+        # each operation install the machine's TallyTable here at bind.
+        self._tallies = None
         # Compile/attach the plan's per-block callables; the step loop only
         # ever dispatches through these.
         self.plan = plan
@@ -298,9 +301,11 @@ class ProgramCounterVM:
         """Execute until every member halts; returns the output arrays."""
         self.bind_inputs(inputs)
         self.scheduler.reset()
-        step = self.step
-        while step():
+        step = self.step_lanes
+        while step() is not None:
             pass
+        # A finished run leaves nothing behind in a shared Instrumentation.
+        self.instr.expand_tallies()
         return self.outputs()
 
     def step(self) -> bool:
@@ -320,21 +325,25 @@ class ProgramCounterVM:
         self._steps += 1
         if self._steps > self.max_steps:
             raise ExecutionLimitExceeded(f"exceeded max_steps={self.max_steps}")
-        self.instr.record_step()
-        self.instr.record_dispatch()
-        profiling = self.instr.track_blocks
+        instr = self.instr
+        instr.steps += 1
+        instr.host_dispatches += 1
+        tallies = self._tallies
+        if tallies is not None and not tallies.attached:
+            instr.attach(tallies)
+        profiling = instr.track_blocks
         if self.track_occupancy or profiling:
             live = int(np.count_nonzero(self.pcreg < self.exit_index))
             if self.track_occupancy:
-                self.instr.record_occupancy(live, self.batch_size)
+                instr.record_occupancy(live, self.batch_size)
         mask = self.pcreg == i
-        idx = np.flatnonzero(mask)
+        idx = mask.nonzero()[0]
         if profiling:
             # Mirror the primitive-level slot convention: the platform
             # offers the full batch width under masking but only the
             # gathered lanes under gather-scatter.
             slots = int(idx.size) if self.mode == "gather" else self.batch_size
-            self.instr.record_block(i, int(idx.size), live, slots)
+            instr.record_block(i, int(idx.size), live, slots)
             hook = self._bound.block_hook
             if hook is not None:
                 hook(self, i, idx)

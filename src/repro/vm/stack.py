@@ -112,7 +112,9 @@ class BatchedStack:
         if idx.size == 0:
             return
         sp = self.sp[idx]
-        if np.any(sp >= self.depth):
+        # One reduction serves the overflow check and the high-water mark.
+        peak = int(sp.max()) + 1
+        if peak > self.depth:
             raise StackOverflowError(
                 f"stack depth limit D={self.depth} exceeded; increase "
                 "max_stack_depth"
@@ -121,22 +123,25 @@ class BatchedStack:
         self.data[sp, idx] = self.cache[idx]
         self.sp[idx] = sp + 1
         self.cache[idx] = values
-        peak = int(sp.max()) + 1
         if peak > self.high_water:
             self.high_water = peak
 
     def pop_at(self, idx: np.ndarray) -> np.ndarray:
         """Pop for members in ``idx``; returns their popped top values."""
-        if idx.size == 0:
-            return self.cache[idx]
         popped = self.cache[idx]
+        self.drop_at(idx)
+        return popped
+
+    def drop_at(self, idx: np.ndarray) -> None:
+        """Pop for members in ``idx`` without gathering the popped tops."""
+        if idx.size == 0:
+            return
         sp = self.sp[idx]
         if self.strict and np.any(sp <= 0):
             raise StackUnderflowError("pop on empty stack")
         new_sp = np.maximum(sp - 1, 0)
         self.cache[idx] = self.data[new_sp, idx]
         self.sp[idx] = new_sp
-        return popped
 
     # -- lane lifecycle -----------------------------------------------------
 
@@ -244,14 +249,14 @@ class UncachedBatchedStack:
         if idx.size == 0:
             return
         sp = self.sp[idx]
-        if np.any(sp >= self.depth):
+        peak = int(sp.max()) + 1
+        if peak > self.depth:
             raise StackOverflowError(
                 f"stack depth limit D={self.depth} exceeded; increase "
                 "max_stack_depth"
             )
         self.sp[idx] = sp + 1
         self.data[sp + 1, idx] = values
-        peak = int(sp.max()) + 1
         if peak > self.high_water:
             self.high_water = peak
 
@@ -261,14 +266,17 @@ class UncachedBatchedStack:
         return popped
 
     def pop_at(self, idx: np.ndarray) -> np.ndarray:
-        if idx.size == 0:
-            return self.data[self.sp[idx], idx]
         popped = self.data[self.sp[idx], idx]
+        self.drop_at(idx)
+        return popped
+
+    def drop_at(self, idx: np.ndarray) -> None:
+        if idx.size == 0:
+            return
         sp = self.sp[idx]
         if self.strict and np.any(sp <= 0):
             raise StackUnderflowError("pop on empty stack")
         self.sp[idx] = np.maximum(sp - 1, 0)
-        return popped
 
     def reset_lanes(self, idx: np.ndarray, top: Optional[np.ndarray] = None) -> None:
         """Return the lanes in ``idx`` to the freshly-constructed state."""

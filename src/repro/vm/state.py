@@ -24,10 +24,6 @@ class UninitializedRead(RuntimeError):
     """A variable was read before any batch member wrote it."""
 
 
-def _event_shape_of(value: np.ndarray) -> Tuple[int, ...]:
-    return np.asarray(value).shape[1:]
-
-
 def _broadcast_mask(mask: np.ndarray, ndim: int) -> np.ndarray:
     return mask.reshape(mask.shape + (1,) * (ndim - 1))
 
@@ -40,21 +36,20 @@ class RegisterStorage:
         self.batch_size = batch_size
         self.array: Optional[np.ndarray] = None
 
-    def _ensure(self, value: np.ndarray) -> np.ndarray:
-        value = np.asarray(value)
-        if self.array is None:
-            self.array = np.zeros(
-                (self.batch_size,) + value.shape[1:], dtype=value.dtype
-            )
-        elif self.array.shape[1:] != value.shape[1:]:
+    def _ensure(self, event_shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        """The array, allocated or promoted to hold ``dtype`` values."""
+        arr = self.array
+        if arr is not None and arr.dtype == dtype and arr.shape[1:] == event_shape:
+            return arr
+        if arr is None:
+            self.array = np.zeros((self.batch_size,) + event_shape, dtype=dtype)
+        elif arr.shape[1:] != event_shape:
             raise ValueError(
                 f"variable {self.name!r}: event shape changed from "
-                f"{self.array.shape[1:]} to {value.shape[1:]}"
+                f"{arr.shape[1:]} to {event_shape}"
             )
-        elif not np.can_cast(value.dtype, self.array.dtype, casting="same_kind"):
-            self.array = self.array.astype(
-                np.promote_types(self.array.dtype, value.dtype)
-            )
+        elif not np.can_cast(dtype, arr.dtype, casting="same_kind"):
+            self.array = arr.astype(np.promote_types(arr.dtype, dtype))
         return self.array
 
     def read(self) -> np.ndarray:
@@ -66,7 +61,8 @@ class RegisterStorage:
         return self.read()[idx]
 
     def write(self, mask: np.ndarray, value: np.ndarray) -> None:
-        arr = self._ensure(value)
+        value = np.asarray(value)
+        arr = self._ensure(value.shape[1:], value.dtype)
         np.copyto(
             arr,
             np.asarray(value, dtype=arr.dtype),
@@ -74,9 +70,8 @@ class RegisterStorage:
         )
 
     def write_at(self, idx: np.ndarray, value_gathered: np.ndarray) -> None:
-        # Shape bookkeeping needs a batch-shaped prototype; fabricate one.
-        proto_shape = (self.batch_size,) + np.asarray(value_gathered).shape[1:]
-        arr = self._ensure(np.empty(proto_shape, dtype=np.asarray(value_gathered).dtype))
+        value_gathered = np.asarray(value_gathered)
+        arr = self._ensure(value_gathered.shape[1:], value_gathered.dtype)
         arr[idx] = value_gathered
 
     def reset_lanes(self, idx: np.ndarray) -> None:
@@ -99,7 +94,7 @@ class RegisterStorage:
                 self.array[lane] = 0
             return
         value = np.asarray(value)
-        arr = self._ensure(value[None])
+        arr = self._ensure(value.shape, value.dtype)
         arr[lane] = value
 
 
@@ -123,29 +118,35 @@ class StackedStorage:
         # which allocation-on-first-write handles naturally because pushes
         # always carry the value.
 
-    def _ensure(self, value: np.ndarray):
-        value = np.asarray(value)
-        if self.stack is None:
+    def _ensure(self, event_shape: Tuple[int, ...], dtype: np.dtype):
+        """The stack, allocated or promoted to hold ``dtype`` values."""
+        stack = self.stack
+        if (
+            stack is not None
+            and stack.dtype == dtype
+            and stack.event_shape == event_shape
+        ):
+            return stack
+        if stack is None:
             cls = BatchedStack if self.top_cache else UncachedBatchedStack
-            self.stack = cls(
+            stack = self.stack = cls(
                 batch_size=self.batch_size,
                 depth=self.depth,
-                event_shape=value.shape[1:],
-                dtype=value.dtype,
+                event_shape=event_shape,
+                dtype=dtype,
             )
-        else:
-            if self.stack.event_shape != value.shape[1:]:
-                raise ValueError(
-                    f"variable {self.name!r}: event shape changed from "
-                    f"{self.stack.event_shape} to {value.shape[1:]}"
-                )
-            if not np.can_cast(value.dtype, self.stack.dtype, casting="same_kind"):
-                promoted = np.promote_types(self.stack.dtype, value.dtype)
-                self.stack.data = self.stack.data.astype(promoted)
-                if hasattr(self.stack, "cache"):
-                    self.stack.cache = self.stack.cache.astype(promoted)
-                self.stack.dtype = promoted
-        return self.stack
+        elif stack.event_shape != event_shape:
+            raise ValueError(
+                f"variable {self.name!r}: event shape changed from "
+                f"{stack.event_shape} to {event_shape}"
+            )
+        elif not np.can_cast(dtype, stack.dtype, casting="same_kind"):
+            promoted = np.promote_types(stack.dtype, dtype)
+            stack.data = stack.data.astype(promoted)
+            if hasattr(stack, "cache"):
+                stack.cache = stack.cache.astype(promoted)
+            stack.dtype = promoted
+        return stack
 
     def read(self) -> np.ndarray:
         if self.stack is None:
@@ -158,24 +159,24 @@ class StackedStorage:
         return self.stack.read_at(idx)
 
     def write(self, mask: np.ndarray, value: np.ndarray) -> None:
-        self._ensure(value).update(mask, np.asarray(value))
+        value = np.asarray(value)
+        self._ensure(value.shape[1:], value.dtype).update(mask, value)
 
     def write_at(self, idx: np.ndarray, value_gathered: np.ndarray) -> None:
         value_gathered = np.asarray(value_gathered)
-        proto = np.empty(
-            (self.batch_size,) + value_gathered.shape[1:], dtype=value_gathered.dtype
+        self._ensure(value_gathered.shape[1:], value_gathered.dtype).update_at(
+            idx, value_gathered
         )
-        self._ensure(proto).update_at(idx, value_gathered)
 
     def push(self, mask: np.ndarray, value: np.ndarray) -> None:
-        self._ensure(value).push(mask, np.asarray(value))
+        value = np.asarray(value)
+        self._ensure(value.shape[1:], value.dtype).push(mask, value)
 
     def push_at(self, idx: np.ndarray, value_gathered: np.ndarray) -> None:
         value_gathered = np.asarray(value_gathered)
-        proto = np.empty(
-            (self.batch_size,) + value_gathered.shape[1:], dtype=value_gathered.dtype
+        self._ensure(value_gathered.shape[1:], value_gathered.dtype).push_at(
+            idx, value_gathered
         )
-        self._ensure(proto).push_at(idx, value_gathered)
 
     def pop(self, mask: np.ndarray) -> None:
         if self.stack is None:
@@ -185,7 +186,7 @@ class StackedStorage:
     def pop_at(self, idx: np.ndarray) -> None:
         if self.stack is None:
             raise UninitializedRead(f"variable {self.name!r} popped before assignment")
-        self.stack.pop_at(idx)
+        self.stack.drop_at(idx)
 
     def reset_lanes(self, idx: np.ndarray) -> None:
         """Drop the lanes in ``idx`` back to an empty, zeroed stack."""
@@ -212,7 +213,4 @@ class StackedStorage:
                 self.stack.reset_lanes(np.asarray([lane], dtype=np.int64))
             return
         frames = np.asarray(frames)
-        proto = np.empty(
-            (self.batch_size,) + frames.shape[1:], dtype=frames.dtype
-        )
-        self._ensure(proto).restore_lane(lane, frames)
+        self._ensure(frames.shape[1:], frames.dtype).restore_lane(lane, frames)

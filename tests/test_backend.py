@@ -32,6 +32,30 @@ class TestFusion:
         assert "def _fused_block_0" in executors[0].__fused_source__
         # The generated code is straight-line: no interpreter loop artifacts.
         assert "for " not in executors[0].__fused_source__
+        # Across the corpus: a block takes its lane set from the step (no
+        # mask-form stack call, no second flatnonzero) and tallies its
+        # execution instead of recording each op; a superblock derives
+        # exactly one more lane set per member it falls through to.
+        banned = (
+            "for ", "flatnonzero", ".push(mask", ".pop(mask",
+            "record_prim", "record_push", "record_pop",
+        )
+        for name, (fn, _) in sorted(ALL_EXAMPLES.items()):
+            plan = fn.execution_plan("fused")
+            vm = ProgramCounterVM(plan, batch_size=2, max_stack_depth=8)
+            for i, block in enumerate(vm._block_fns):
+                source = block.__fused_source__
+                for text in banned:
+                    assert text not in source, f"{name} block {i}: {text!r}"
+                assert source.count(".executions += 1") == 1, f"{name} block {i}"
+            plan = fn.execution_plan("superblock")
+            vm = ProgramCounterVM(plan, batch_size=2, max_stack_depth=8)
+            regions = plan.executor.regions_for(plan.program)
+            for i, block in enumerate(vm._block_fns):
+                members = len(regions.chain(i))
+                source = block.__fused_source__
+                assert source.count("nonzero") == members - 1, f"{name} entry {i}"
+                assert source.count(".executions += 1") == members, f"{name} entry {i}"
 
     def test_gather_mode_rejected(self):
         plan = ExecutionPlan.compile(fib.stack_program(), executor="fused")

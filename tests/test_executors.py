@@ -290,6 +290,98 @@ class TestEagerFusedDifferential:
         assert_results_equal(got, expected, context=name)
         assert instr.host_dispatches <= instr.steps
 
+    def test_tallies_are_invisible(self):
+        """Generated blocks tally block executions instead of recording each
+        op; whoever reads an ``Instrumentation`` — at any dispatch boundary,
+        around lane surgery, mid-serve — sees the interpreter's counts."""
+        executors = ("eager", "fused", "superblock")
+
+        def assert_counters_identical(instrs, context):
+            for name in executors[1:]:
+                assert_instrumentation_identical(
+                    instrs["eager"], instrs[name], f"{context}: {name}"
+                )
+                for table in ("by_prim", "by_tag"):
+                    flops = {
+                        e: {k: c.flops for k, c in getattr(instrs[e], table).items()}
+                        for e in ("eager", name)
+                    }
+                    assert flops["eager"] == flops[name], f"{context}: {name} {table}"
+
+        def advance_in_lockstep(advance, instrs, context):
+            """One superblock dispatch, then eager and fused up to the same
+            number of executed blocks; compare there."""
+            more = advance["superblock"]()
+            for name in ("eager", "fused"):
+                while instrs[name].steps < instrs["superblock"].steps:
+                    advance[name]()
+            assert_counters_identical(instrs, context)
+            return more
+
+        # Machines.  Equal inputs keep the lanes together, so a superblock
+        # dispatch executes exactly the blocks the others step one by one.
+        ns = np.full(4, 9, dtype=np.int64)
+        instrs = {e: Instrumentation() for e in executors}
+        vms = {
+            e: ProgramCounterVM(
+                fib.execution_plan(e),
+                batch_size=4,
+                max_stack_depth=32,
+                instrumentation=instrs[e],
+            )
+            for e in executors
+        }
+        for vm in vms.values():
+            vm.bind_inputs([ns])
+        advance = {e: vm.step_lanes for e, vm in vms.items()}
+        dispatches = 0
+        context = "dispatch {}".format
+        while advance_in_lockstep(advance, instrs, context(dispatches)) is not None:
+            dispatches += 1
+            if dispatches == 25:
+                for vm in vms.values():
+                    snapshot = vm.snapshot_lane(2)
+                    vm.reset_lanes(np.array([2]))
+                    vm.restore_lane(2, snapshot)
+                assert_counters_identical(instrs, "after lane surgery")
+        assert dispatches > 25
+        assert instrs["superblock"].host_dispatches < instrs["superblock"].steps
+        for vm in vms.values():
+            assert vm.step_lanes() is None
+            np.testing.assert_array_equal(vm.outputs()[0], fib.run_pc(ns))
+
+        # Engines, each counting into an Instrumentation this test holds.
+        # One lane keeps the three in lockstep over a mixed request stream.
+        instrs = {e: Instrumentation() for e in executors}
+        engines = {
+            e: Engine(
+                fib, num_lanes=1, executor=e, max_stack_depth=32,
+                instrumentation=instrs[e],
+            )
+            for e in executors
+        }
+        handles = {
+            e: [engine.submit(np.int64(n)) for n in (5, 8, 3, 6)]
+            for e, engine in engines.items()
+        }
+        advance = {e: engine.tick for e, engine in engines.items()}
+        ticks = 0
+        while advance_in_lockstep(advance, instrs, f"tick {ticks}"):
+            ticks += 1
+        for e, engine in engines.items():
+            assert not engine.busy() and instrs[e] is engine.vm.instr
+            assert [int(h.result()) for h in handles[e]] == [8, 34, 3, 13]
+
+        # An Instrumentation outlives the machines that counted into it.
+        single, shared = Instrumentation(), Instrumentation()
+        fib.run_pc(np.array([3, 5]), executor="fused", instrumentation=single)
+        for _ in range(200):
+            fib.run_pc(np.array([3, 5]), executor="fused", instrumentation=shared)
+        assert shared._tables == []
+        assert shared.steps == 200 * single.steps
+        assert shared.kernel_calls == 200 * single.kernel_calls
+        assert shared.count(prim="add").flops == 200 * single.count(prim="add").flops
+
     def test_device_model_estimates_comparable(self):
         """Same run, two plans: fused must cost less on every device."""
         from repro.backend.device import CPU_DEVICE, GPU_DEVICE

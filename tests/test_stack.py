@@ -76,6 +76,18 @@ class TestBasicOps:
         with pytest.raises(StackOverflowError):
             s.push(np.array([True, False]), np.array([3.0, 3.0]))
 
+    def test_indexed_overflow_only_on_active_lanes(self, cls):
+        s = cls(batch_size=2, depth=1)
+        s.push_at(np.array([0]), np.array([1.0]))
+        # Lane 0 is full; pushing only on lane 1 must succeed.
+        s.push_at(np.array([1]), np.array([2.0]))
+        before = (s.sp.copy(), s.data.copy(), s.read().copy(), s.high_water)
+        with pytest.raises(StackOverflowError, match="max_stack_depth"):
+            s.push_at(np.array([0, 1]), np.array([3.0, 3.0]))
+        # The raise comes before any write, for the lanes in idx too.
+        for was, now in zip(before, (s.sp, s.data, s.read(), s.high_water)):
+            np.testing.assert_array_equal(now, was)
+
     def test_pop_at_base_is_clamped(self, cls):
         s = cls(batch_size=1, depth=2)
         s.update(full_mask(1), np.array([5.0]))

@@ -214,7 +214,7 @@ class TestSuperblockDispatch:
         of the fused engine's ticks (>= 1.5x requests per tick), at
         strictly less than one host dispatch per executed block.  The
         wall-clock ratio is ``executors.superblock_over_fused`` in
-        ``benchmarks/e2e`` (0.98x at 16 lanes)."""
+        ``benchmarks/e2e`` (0.99x at 16 lanes)."""
         ns = np.random.RandomState(0).randint(3, 12, size=16).astype(np.int64)
         expected = fib.run_pc(ns)
 

@@ -188,6 +188,34 @@ class TestVMErrors:
         with pytest.raises(StackOverflowError, match="max_stack_depth"):
             fib.run_pc(np.array([20]), max_stack_depth=3)
 
+    def test_stack_depth_exhausted_index_form(self):
+        """Generated blocks push through the step's ``idx``: the same error,
+        raised before any lane is written, and never for a lane outside it."""
+        ns = np.array([20, 1, 20])  # lane 1 returns at once and halts
+        raised, state = {}, {}
+        for executor in ("eager", "fused", "superblock"):
+            vm = ProgramCounterVM(
+                fib.execution_plan(executor), batch_size=3, max_stack_depth=3
+            )
+            with pytest.raises(StackOverflowError, match="max_stack_depth") as info:
+                vm.run([ns])
+            raised[executor] = str(info.value)
+            stacks = [vm.addr_stack] + [
+                st.stack for _, st in sorted(vm.storages.items())
+                if isinstance(st, StackedStorage) and st.stack is not None
+            ]
+            state[executor] = (
+                [vm.pcreg] + [s.sp for s in stacks] + [s.read() for s in stacks]
+            )
+            assert vm.pcreg[1] == vm.exit_index and vm.addr_stack.sp[1] == 0
+            assert vm.outputs()[0][1] == 1
+        for executor in ("fused", "superblock"):
+            assert raised[executor] == raised["eager"]
+        # Eager and fused take the same steps, so they stop in the same state.
+        assert len(state["fused"]) == len(state["eager"]) > 3
+        for got, want in zip(state["fused"], state["eager"]):
+            np.testing.assert_array_equal(got, want)
+
     def test_max_steps_guard_pc(self):
         with pytest.raises(ExecutionLimitExceeded):
             fib.run_pc(np.array([15]), max_steps=10)
