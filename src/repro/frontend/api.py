@@ -233,25 +233,18 @@ class AutobatchFunction:
             engine.run_until_idle()
             handle.result()
 
-        Options are forwarded to :class:`~repro.serve.engine.Engine`;
-        ``executor="fused"`` serves through fused basic blocks (identical
-        results, one host dispatch per block) and ``executor="superblock"``
-        through profile-guided multi-block runs (identical results, below
-        one dispatch per executed block), and ``preempt=`` (``True``
-        or a tuned :class:`~repro.serve.engine.PreemptPolicy`) lets
-        higher-priority arrivals checkpoint-and-evict straggler lanes —
-        the evicted request *resumes* from its lane snapshot when a lane
-        frees, it is never recomputed (``resume_batching=True`` re-aligns
-        same-pc evictees at refill so they re-converge into shared masked
-        steps).  ``trace=True`` (or a
-        :class:`~repro.observe.Trace`) records per-request event
-        timelines (``handle.trace()``), per-tick metrics, and a per-block
-        execution profile — deterministic on the logical clock, and
-        exportable with ``engine.trace.export_chrome_trace(path)``.
+        ``options`` are the fields of
+        :class:`~repro.serve.config.ServeConfig`, documented there once
+        for every entry point: ``executor="fused"``/``"superblock"`` serve
+        identical results in fewer host dispatches, ``preempt=`` lets
+        higher-priority arrivals checkpoint-and-evict straggler lanes
+        (the evicted request *resumes* from its lane snapshot, it is
+        never recomputed), ``trace=`` records deterministic per-request
+        timelines, per-tick metrics and a per-block profile, ``journal=``
+        makes the run recoverable.
         """
         from repro.serve.engine import Engine
 
-        options.setdefault("registry", self.registry)
         return Engine(self, num_lanes, **options)
 
     def serve_cluster(
@@ -270,24 +263,16 @@ class AutobatchFunction:
             results = cluster.map([(np.int64(n),) for n in sizes])
             print(cluster.telemetry.summary())
 
-        ``steal=`` rebalances queued requests from backlogged shards onto
-        idle lanes each tick (a :class:`~repro.serve.cluster.StealPolicy`
-        tunes threshold/batch size); ``autoscale=`` grows the fleet under
-        sustained queue pressure and drains-then-retires shards under
-        sustained slack (an :class:`~repro.serve.cluster.AutoscalePolicy`
-        tunes bounds/patience).  Every shard — including ones added by
-        autoscale — binds this function's *one* cached
+        ``options`` are the fields of
+        :class:`~repro.serve.config.ServeConfig` — the same object every
+        shard is built from.  Every shard, including ones added by
+        autoscale, binds this function's *one* cached
         :class:`~repro.vm.executors.ExecutionPlan` (per executor/options),
-        so fused block code is generated once for the whole fleet.
-        ``trace=True`` shares one :class:`~repro.observe.Trace` across
-        the fleet: a single event stream (steals and migrations
-        included), per-shard and fleet-wide metric series, and a merged
-        block profile.  Options are forwarded to
-        :class:`~repro.serve.cluster.Cluster`.
+        so fused block code is generated once for the whole fleet, and
+        shares the fleet's one trace, journal and spill store.
         """
         from repro.serve.cluster import Cluster
 
-        options.setdefault("registry", self.registry)
         return Cluster(self, num_engines, num_lanes, **options)
 
     def __repr__(self) -> str:

@@ -56,51 +56,30 @@ recompute) when a lane frees.  In a cluster, work stealing migrates
 snapshot-carrying requests to idle shards, so a preempted lane can resume
 on a different machine entirely.
 
-Multi-engine sharding
----------------------
-One engine is bounded by its machine's SIMD width.
-:class:`~repro.serve.cluster.Cluster` scales past it: N engine shards —
-each its own lane pool and logical machine — behind the same
-``submit``/``map``/``run_until_idle`` surface, with pluggable routing
-(round-robin, least-loaded, power-of-two-choices), spillover admission
-(reject only when *every* shard's queue is full), and a
-:class:`~repro.serve.telemetry.ClusterTelemetry` fleet rollup.  All shards
-bind one shared :class:`~repro.vm.executors.ExecutionPlan`, so fused code
-is generated once for the whole fleet (code-cache sharing).  The cluster
-also *rebalances*: ``steal=`` turns on cross-shard work stealing (an
-idle-laned shard takes queued requests from the most backlogged one each
-tick, priority/arrival/step-budget metadata intact), and ``autoscale=``
-adds shard elasticity (grow under sustained queue pressure, drain-then-
-retire under sustained slack — new shards bind the same plan, so the
-fused compile count stays at 1).
-
-Durable serving
----------------
-Snapshots are also *serializable*
-(:meth:`~repro.vm.program_counter.LaneSnapshot.to_bytes`, a versioned
-integrity-checked wire format), which :mod:`repro.serve.durability` turns
-into a production story: ``max_resident_snapshots=`` caps the array memory
-of a preempted backlog by spilling overflow snapshots into a
-:class:`~repro.serve.durability.SpillStore` (in-memory or on-disk) and
-rehydrating them — through the verifier's full static admission — at
-resume; ``journal=`` records every accepted submit and periodic snapshot
-checkpoints into an append-only :class:`~repro.serve.durability.Journal`;
-and :func:`~repro.serve.durability.recover` replays a crashed fleet's
-journal on the logical clock, completing all unfinished work bit-identically
-to an uninterrupted run.
-
 Module map
 ----------
+* :mod:`repro.serve.config` — :class:`ServeConfig`: every serving option,
+  declared, documented and validated once for all five entry points.
+* :mod:`repro.serve.server` — :class:`~repro.serve.server.Server`, the
+  base of engine and cluster (clock, plan, trace plumbing, ``map``,
+  ``run_until_idle``), and the drivers around any server: backpressure,
+  wedge detection, tick-ordered replay.
 * :mod:`repro.serve.engine` — :class:`Engine`: the tick loop, admission
-  control (bounded queue, per-request step budgets), and the
-  ``refill="drain"`` baseline discipline for benchmarking.
-* :mod:`repro.serve.cluster` — :class:`Cluster`: N engine shards, routing
-  policies, spillover admission, one shared execution plan.
+  control (bounded queue, per-request step budgets), preempt policies,
+  and the ``refill="drain"`` baseline discipline for benchmarking.
+* :mod:`repro.serve.cluster` — :class:`Cluster`: N engine shards behind
+  the same ``submit``/``map``/``run_until_idle`` surface, scaling past
+  one machine's SIMD width: pluggable routing, spillover admission,
+  cross-shard work stealing, shard elasticity, one shared execution plan
+  (fused code is generated once for the whole fleet).
 * :mod:`repro.serve.queue` — :class:`ServeRequest`, :class:`ResultHandle`,
   the bounded priority :class:`RequestQueue`, and the serving errors.
-* :mod:`repro.serve.durability` — :class:`SpillStore` backends,
-  :class:`Journal`, :func:`recover`: snapshot spilling under a resident
-  cap, admission journaling, and bit-identical crash recovery.
+* :mod:`repro.serve.durability` — snapshots are *serializable*, which
+  buys a bounded-memory preempted backlog (:class:`SpillStore` backends
+  under a resident cap), an append-only admission :class:`Journal`, and
+  :func:`recover`: bit-identical replay of a crashed fleet's journal.
+* :mod:`repro.serve.aio` — :class:`AsyncServer`: the asyncio front door,
+  wall-clock in, logical ticks in charge.
 * :mod:`repro.serve.lanes` — :class:`LanePool`: deterministic
   lane-to-request assignment.
 * :mod:`repro.serve.telemetry` — :class:`ServeTelemetry` (per engine) and
@@ -117,12 +96,7 @@ machine, ``Cluster(fn, num_engines, num_lanes)`` /
 ``fn.serve_cluster(num_engines, num_lanes)`` for a fleet.
 """
 
-from repro.serve.aio import (
-    Arrival,
-    AsyncResultHandle,
-    AsyncServer,
-    replay_arrivals,
-)
+from repro.serve.aio import AsyncResultHandle, AsyncServer, replay_arrivals
 from repro.serve.cluster import (
     AutoscalePolicy,
     Cluster,
@@ -137,6 +111,7 @@ from repro.serve.cluster import (
     resolve_policy,
     resolve_steal_policy,
 )
+from repro.serve.config import REFILL_POLICIES, ServeConfig
 from repro.serve.durability import (
     DiskSpillStore,
     Journal,
@@ -150,10 +125,8 @@ from repro.serve.durability import (
 from repro.serve.engine import (
     DeadlinePreemptPolicy,
     Engine,
-    NO_PROGRESS_LIMIT,
     PREEMPT_POLICIES,
     PreemptPolicy,
-    REFILL_POLICIES,
     resolve_preempt_policy,
 )
 from repro.serve.lanes import LanePool
@@ -164,6 +137,7 @@ from repro.serve.queue import (
     ServeRequest,
     StepBudgetExceeded,
 )
+from repro.serve.server import NO_PROGRESS_LIMIT, Arrival
 from repro.serve.telemetry import ClusterTelemetry, ServeTelemetry
 
 __all__ = [
@@ -203,6 +177,7 @@ __all__ = [
     "ResultHandle",
     "ServeRequest",
     "StepBudgetExceeded",
+    "ServeConfig",
     "ServeTelemetry",
     "replay_arrivals",
     "resolve_policy",

@@ -25,7 +25,7 @@ Backpressure is cooperative instead of exceptional: when every queue is
 full, ``submit`` parks the caller on a FIFO of slot waiters and the driver
 admits them as capacity opens, rather than raising
 :class:`~repro.serve.queue.QueueFullError` at the caller.  The error
-remains for the genuinely wedged case: if :data:`~repro.serve.engine.NO_PROGRESS_LIMIT`
+remains for the genuinely wedged case: if :data:`~repro.serve.server.NO_PROGRESS_LIMIT`
 consecutive ticks leave the server's progress signature unchanged while
 waiters are parked, they are failed rather than hung forever.
 """
@@ -47,74 +47,26 @@ from typing import (
     Tuple,
 )
 
-from repro.serve.engine import NO_PROGRESS_LIMIT
 from repro.serve.queue import QueueFullError, ResultHandle
-
-
-@dataclass(frozen=True)
-class Arrival:
-    """One front-door submission, stamped with the logical tick it landed on.
-
-    The complete replay record: feeding a sequence of these to
-    :func:`replay_arrivals` reproduces the live run's submission schedule
-    on the logical clock, independent of the wall-clock jitter that
-    originally produced it.
-    """
-
-    tick: int
-    inputs: Tuple[Any, ...]
-    priority: int = 0
-    step_budget: Optional[int] = None
-    deadline_ticks: Optional[int] = None
-
-
-def _emit_arrive(server: Any, handle: ResultHandle) -> None:
-    """Record the front-door ``arrive`` event (no-op untraced).
-
-    Shared by the live async path and :func:`replay_arrivals`, so a
-    replayed run's event stream is byte-identical to the original's.
-    """
-    trace = getattr(server, "trace", None)
-    if trace is None or trace.tracer is None:
-        return
-    trace.tracer.record(
-        "arrive",
-        server.now,
-        request_id=handle.request_id,
-        shard=handle.shard,
-        priority=handle.request.priority,
-    )
+from repro.serve.server import (
+    NO_PROGRESS_LIMIT,
+    Arrival,
+    ProgressWatch,
+    emit_arrive,
+    replay,
+)
 
 
 def replay_arrivals(server: Any, arrivals: Iterable[Arrival]) -> List[ResultHandle]:
     """Re-feed a recorded arrival schedule to a synchronous server.
 
-    Ticks the server up to each arrival's logical tick, submits with the
-    recorded priority/budget/deadline, then drains.  Because the engine is
-    a pure function of the submission sequence on the logical clock, the
-    replay's outputs are bit-identical and its trace byte-identical to the
-    live :class:`AsyncServer` run that recorded the schedule.  Returns the
-    handles in arrival order (all resolved).
+    Because the engine is a pure function of the submission sequence on
+    the logical clock, the replay's outputs are bit-identical and its
+    trace byte-identical to the live :class:`AsyncServer` run that
+    recorded the schedule.  Returns the handles in arrival order (all
+    resolved); see :func:`~repro.serve.server.replay`.
     """
-    handles: List[ResultHandle] = []
-    for arrival in arrivals:
-        if arrival.tick < server.now:
-            raise ValueError(
-                f"arrival at tick {arrival.tick} is in the past "
-                f"(server is at {server.now}); arrivals must be tick-ordered"
-            )
-        while server.now < arrival.tick:
-            server.tick()
-        handle = server.submit(
-            *arrival.inputs,
-            priority=arrival.priority,
-            step_budget=arrival.step_budget,
-            deadline_ticks=arrival.deadline_ticks,
-        )
-        _emit_arrive(server, handle)
-        handles.append(handle)
-    server.run_until_idle()
-    return handles
+    return replay(server, arrivals, front_door=True)
 
 
 class AsyncResultHandle:
@@ -295,7 +247,7 @@ class AsyncServer:
             step_budget=step_budget,
             deadline_ticks=deadline_ticks,
         )
-        _emit_arrive(self.server, handle)
+        emit_arrive(self.server, handle)
         self.arrivals.append(
             Arrival(
                 tick=self.server.now,
@@ -324,7 +276,7 @@ class AsyncServer:
         backpressure when it is full.  Slot waiters are served FIFO, so
         submission order is preserved under pressure.  Raises
         :class:`~repro.serve.queue.QueueFullError` only if the server
-        wedges (no progress for :data:`~repro.serve.engine.NO_PROGRESS_LIMIT`
+        wedges (no progress for :data:`~repro.serve.server.NO_PROGRESS_LIMIT`
         ticks while full), and ``RuntimeError`` after :meth:`aclose` or
         after the driver crashed on an engine exception (chained as the
         cause; parked and pending awaiters receive the same crash).
@@ -441,10 +393,8 @@ class AsyncServer:
 
     async def _drive_ticks(self) -> None:
         loop = asyncio.get_running_loop()
-        signature = getattr(self.server, "progress_signature", None)
+        watch = ProgressWatch(self.server)
         deadline = loop.time()
-        stalled = 0
-        before = None if signature is None else signature()
         while True:
             self._admit_waiters()
             if not self.server.busy() and not self._waiting:
@@ -459,28 +409,20 @@ class AsyncServer:
                 continue
             self.server.tick()
             self._deliver_completions()
-            if self._waiting and signature is not None:
+            if not self._waiting:
+                watch.reset()
+            elif watch.wedged():
                 # Same wedge detection as the synchronous backpressure
                 # loop: parked waiters must not hang on a fleet that can
                 # never admit (e.g. every shard draining).
-                after = signature()
-                if after == before:
-                    stalled += 1
-                    if stalled >= NO_PROGRESS_LIMIT:
-                        stalled = 0
-                        self._fail_waiters(
-                            QueueFullError(
-                                f"admission is full and {NO_PROGRESS_LIMIT} "
-                                "consecutive ticks made no progress; the "
-                                "server can never admit the parked waiters"
-                            )
-                        )
-                else:
-                    stalled = 0
-                before = after
-            else:
-                stalled = 0
-                before = None if signature is None else signature()
+                watch.reset()
+                self._fail_waiters(
+                    QueueFullError(
+                        f"admission is full and {NO_PROGRESS_LIMIT} "
+                        "consecutive ticks made no progress; the "
+                        "server can never admit the parked waiters"
+                    )
+                )
             if self.tick_interval > 0:
                 deadline += self.tick_interval
                 delay = deadline - loop.time()

@@ -60,20 +60,15 @@ from __future__ import annotations
 
 import copy
 import itertools
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Type, Union
+from typing import Any, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
-from repro.observe import resolve_trace
-from repro.serve.engine import (
-    Engine,
-    drive_until_idle,
-    resolve_preempt_policy,
-    serve_all,
-)
+from repro.serve.config import resolve_spec
+from repro.serve.engine import Engine
 from repro.serve.queue import QueueFullError, ResultHandle
+from repro.serve.server import Server, configure
 from repro.serve.telemetry import ClusterTelemetry
-from repro.vm.executors import ExecutionPlan
 
 
 class RoutingPolicy:
@@ -256,24 +251,7 @@ STEAL_POLICIES = {StealPolicy.name: StealPolicy}
 
 def resolve_steal_policy(spec: Any) -> Optional[StealPolicy]:
     """Turn a ``steal=`` argument into a :class:`StealPolicy` (or None = off)."""
-    if spec is None or spec is False:
-        return None
-    if spec is True:
-        return StealPolicy()
-    if isinstance(spec, StealPolicy):
-        return spec
-    if isinstance(spec, type) and issubclass(spec, StealPolicy):
-        return spec()
-    if isinstance(spec, str):
-        try:
-            return STEAL_POLICIES[spec]()
-        except KeyError:
-            raise ValueError(
-                f"unknown steal policy {spec!r}; known: {sorted(STEAL_POLICIES)}"
-            )
-    raise TypeError(
-        f"steal must be a bool, name, or StealPolicy, got {type(spec).__name__}"
-    )
+    return resolve_spec(spec, "steal policy", StealPolicy, STEAL_POLICIES, StealPolicy)
 
 
 class AutoscalePolicy:
@@ -355,17 +333,8 @@ class AutoscalePolicy:
 
 def resolve_autoscale(spec: Any) -> Optional[AutoscalePolicy]:
     """Turn an ``autoscale=`` argument into an :class:`AutoscalePolicy`."""
-    if spec is None or spec is False:
-        return None
-    if spec is True:
-        return AutoscalePolicy()
-    if isinstance(spec, AutoscalePolicy):
-        return spec
-    if isinstance(spec, type) and issubclass(spec, AutoscalePolicy):
-        return spec()
-    raise TypeError(
-        f"autoscale must be a bool or an AutoscalePolicy, got "
-        f"{type(spec).__name__}"
+    return resolve_spec(
+        spec, "autoscale policy", AutoscalePolicy, default=AutoscalePolicy
     )
 
 
@@ -374,147 +343,39 @@ def resolve_policy(
     seed: int = 0,
 ) -> RoutingPolicy:
     """Turn a ``policy=`` argument into a :class:`RoutingPolicy` instance."""
-    if spec is None:
-        return RoundRobinPolicy(seed=seed)
-    if isinstance(spec, RoutingPolicy):
-        return spec
-    if isinstance(spec, type) and issubclass(spec, RoutingPolicy):
-        return spec(seed=seed)
-    if not isinstance(spec, str):
-        raise TypeError(
-            f"policy must be a name or a RoutingPolicy, got {type(spec).__name__}"
-        )
-    try:
-        factory = ROUTING_POLICIES[spec]
-    except KeyError:
-        raise ValueError(
-            f"unknown routing policy {spec!r}; known: {sorted(ROUTING_POLICIES)}"
-        )
-    return factory(seed=seed)
+    return resolve_spec(
+        RoundRobinPolicy if spec is None else spec,
+        "routing policy", RoutingPolicy, ROUTING_POLICIES, seed=seed,
+    )
 
 
-class Cluster:
+class Cluster(Server):
     """Serve streaming requests across a fleet of engine shards.
 
-    Parameters
-    ----------
-    program:
-        An :class:`~repro.frontend.api.AutobatchFunction`, a
-        :class:`~repro.ir.instructions.StackProgram`, or a pre-compiled
-        :class:`~repro.vm.executors.ExecutionPlan`.  Whatever the form,
-        exactly one plan is compiled (or fetched from the function's plan
-        cache) and shared by every shard's machine.
-    num_engines:
-        Number of engine shards, each with its own lane pool and queue.
-    num_lanes:
-        Machine width *per shard*; the fleet holds
-        ``num_engines * num_lanes`` requests in flight at most.
-    policy:
-        Routing policy name (``"round_robin"``, ``"least_loaded"``,
-        ``"power_of_two"``), instance, or class.
-    seed:
-        Seed for stochastic policies (``power_of_two``); deterministic
-        policies ignore it.
-    max_queue_depth:
-        Per-shard queue bound.  ``submit`` spills an overflowing request
-        to the next shard in preference order and raises
-        :class:`QueueFullError` only when every shard is full.
-    steal:
-        Cross-shard work stealing between cluster ticks: ``True`` or a
-        policy name for the default :class:`StealPolicy`, an instance for
-        tuned ``threshold``/``batch_size``/``include_preempted``,
-        ``None``/``False`` (default) for off.  Stolen requests carrying a
-        preempted-lane snapshot resume mid-flight on the thief shard.
-    preempt:
-        Per-shard priority preemption: ``True`` for the default
-        :class:`~repro.serve.engine.PreemptPolicy`, an instance for tuned
-        thresholds, ``None``/``False`` (default) for off.  Each shard gets
-        a private copy of the policy.  Combined with ``steal=``, a
-        preempted request may be migrated to — and resumed on — another
-        shard's vacant lane.
-    autoscale:
-        Shard elasticity: ``True`` for the default
-        :class:`AutoscalePolicy`, an instance for tuned bounds/patience,
-        ``None``/``False`` (default) for a fixed fleet.  Grown shards bind
-        the shared plan (no recompilation); shrunk shards drain before
-        retiring.
-    trace:
-        Fleet-wide observability (off by default): ``True``, a piece name
-        (``"events"``/``"metrics"``/``"profile"``), or a
-        :class:`~repro.observe.Trace` instance.  Unlike per-shard policies
-        (which are copied per engine), the one resolved ``Trace`` is
-        *shared* by every shard — grown shards included — so the fleet
-        produces a single event stream, one metric recorder (per-shard
-        gauges under ``shard<N>/``, fleet gauges under ``fleet/``), and a
-        merged block profile.  Cross-shard events (``steal``, ``migrate``,
-        ``drain``) and cluster-level rejections are recorded here.
-    max_resident_snapshots / spill_store / journal / checkpoint_interval:
-        Durability knobs, as on :class:`~repro.serve.engine.Engine` but
-        fleet-scoped: the cap applies per shard while the resolved
-        :class:`~repro.serve.durability.SpillStore` and the admission
-        :class:`~repro.serve.durability.Journal` are *shared* by every
-        shard (grown ones included) — spilled stubs rehydrate wherever
-        stealing carries them, and one journal replays the whole fleet's
-        schedule through :func:`~repro.serve.durability.recover`.
-    executor / optimize / verify / engine options:
-        As on :class:`~repro.serve.engine.Engine`; the first three shape
-        the one shared plan, the rest are forwarded to every shard.
+    ``Cluster(program, num_engines, num_lanes, **options)``: ``program``
+    is an :class:`~repro.frontend.api.AutobatchFunction`, a
+    :class:`~repro.ir.instructions.StackProgram`, or a pre-compiled
+    :class:`~repro.vm.executors.ExecutionPlan` — whatever the form,
+    exactly one plan is compiled and shared by every shard's machine;
+    ``num_engines`` shards, each with its own lane pool and queue, of
+    ``num_lanes`` lanes each (the fleet holds ``num_engines * num_lanes``
+    requests in flight at most); ``options`` are the fields of
+    :class:`~repro.serve.config.ServeConfig`, documented there.  Every
+    shard — grown ones included — is built from the one validated config
+    object, so no option can be lost between the fleet and its engines.
     """
 
+    GAUGES = ("queue_depth", "busy_lanes", "active_shards")
+
     def __init__(
-        self,
-        program: Any,
-        num_engines: int,
-        num_lanes: int,
-        *,
-        policy: Union[str, RoutingPolicy, Type[RoutingPolicy], None] = "round_robin",
-        seed: int = 0,
-        registry: Optional[Any] = None,
-        executor: Any = None,
-        optimize: Any = True,
-        max_queue_depth: Optional[int] = None,
-        default_step_budget: Optional[int] = None,
-        steal: Any = None,
-        autoscale: Any = None,
-        preempt: Any = None,
-        trace: Any = None,
-        max_resident_snapshots: Optional[int] = None,
-        spill_store: Any = None,
-        journal: Any = None,
-        checkpoint_interval: Optional[int] = None,
-        **engine_options: Any,
+        self, program: Any, num_engines: int, num_lanes: int, **options: Any
     ):
-        if num_engines <= 0:
-            raise ValueError(f"num_engines must be positive, got {num_engines}")
-        if "instrumentation" in engine_options:
-            # One shared counter across N machines would overcount N-fold
-            # (and Cluster.dispatch_count would then sum it N times).
-            raise ValueError(
-                "instrumentation cannot be shared across shards; read the "
-                "per-shard counters via cluster.engines[i].vm.instr instead"
-            )
-        if isinstance(program, ExecutionPlan):
-            if executor is not None:
-                raise ValueError(
-                    "pass either an ExecutionPlan or executor=, not both"
-                )
-            plan = program
-        else:
-            # Compile once here; every shard binds this same plan (the
-            # code-cache-sharing contract the compile counter verifies).
-            plan = ExecutionPlan.compile(
-                program,
-                executor=executor,
-                optimize=optimize,
-                verify=engine_options.pop("verify", True),
-            )
-        if registry is None:
-            registry = getattr(program, "registry", None)
-        self.plan = plan
-        self.policy = resolve_policy(policy, seed=seed)
-        self.steal = resolve_steal_policy(steal)
-        self.autoscale = resolve_autoscale(autoscale)
-        self.preempt = resolve_preempt_policy(preempt)
+        plan, config = configure(program, options, num_engines)
+        super().__init__(plan, config, num_lanes, num_engines)
+        self.policy = config.policy
+        self.steal = config.steal
+        self.preempt = config.preempt
+        self.autoscale = config.autoscale
         if self.autoscale is not None:
             # The cluster owns a private copy: it resolves the default cap
             # and drives the patience streaks, so a caller's policy
@@ -522,36 +383,6 @@ class Cluster:
             self.autoscale = copy.copy(self.autoscale)
             if self.autoscale.max_engines is None:
                 self.autoscale.max_engines = max(2 * num_engines, 2)
-        self._num_lanes = int(num_lanes)
-        #: One resolved Trace shared by every shard (see the docstring);
-        #: engines pass instances through resolve_trace unchanged, so the
-        #: fleet — grown shards included — records into this hub.
-        self.trace = resolve_trace(trace)
-        self._metric_bufs = None
-        if spill_store is not None or max_resident_snapshots is not None:
-            # One resolved store shared by every shard (grown ones
-            # included): spilled-snapshot stubs carry their store, so a
-            # stolen spilled entry rehydrates on the thief no matter where
-            # it was serialized.
-            from repro.serve.durability import resolve_spill_store
-
-            spill_store = resolve_spill_store(spill_store)
-        #: The fleet's shared admission journal (None = off).  The shards
-        #: record into it directly; ids are fleet-unique and ticks are
-        #: lock-step, so one journal replays the whole fleet's schedule.
-        self.journal = journal
-        self._engine_kwargs = dict(
-            registry=registry,
-            max_queue_depth=max_queue_depth,
-            default_step_budget=default_step_budget,
-            trace=self.trace,
-            max_resident_snapshots=max_resident_snapshots,
-            spill_store=spill_store,
-            journal=journal,
-            checkpoint_interval=checkpoint_interval,
-            **engine_options,
-        )
-        self._tick = 0
         self._next_shard_id = 0
         #: One request-id counter for the whole fleet (grown shards
         #: included): ids are fleet-unique, so the shared tracer's
@@ -565,18 +396,16 @@ class Cluster:
         self.engines: List[Engine] = [
             self._spawn_engine() for _ in range(num_engines)
         ]
+        self.set_journal(self.journal)
 
     def _spawn_engine(self) -> Engine:
-        """Build one shard bound to the shared plan and the cluster clock."""
+        """Build one shard from the fleet's config, plan and clock."""
+        engine = Engine.from_config(self.plan, self.config, self._num_lanes)
         # Each shard owns a private deep copy of the preempt policy, so a
         # stateful custom policy (even one with mutable attributes) never
         # leaks decisions across shards.
-        engine = Engine(
-            self.plan,
-            self._num_lanes,
-            preempt=copy.deepcopy(self.preempt) if self.preempt else None,
-            **self._engine_kwargs,
-        )
+        engine.preempt = copy.deepcopy(self.preempt)
+        engine.journal = self.journal
         engine.shard_id = self._next_shard_id
         self._next_shard_id += 1
         engine._ids = self._ids
@@ -587,11 +416,11 @@ class Cluster:
         return engine
 
     def set_journal(self, journal: Any) -> None:
-        """Attach (or detach, with None) one admission journal fleet-wide."""
-        self.journal = journal
-        self._engine_kwargs["journal"] = journal
+        """Attach (or detach, with None) one admission journal fleet-wide:
+        one :meth:`schedule_record`, then every shard records into it."""
+        super().set_journal(journal)
         for engine in self.engines + self.draining:
-            engine.set_journal(journal)
+            engine.journal = journal
 
     # -- introspection -------------------------------------------------------
 
@@ -604,16 +433,6 @@ class Cluster:
     def num_lanes(self) -> int:
         """Lane count per shard (total capacity is num_engines times this)."""
         return self._num_lanes
-
-    @property
-    def now(self) -> int:
-        """The cluster's logical clock (lock-step with every shard)."""
-        return self._tick
-
-    @property
-    def executor(self) -> str:
-        """Name of the block executor shared by every shard."""
-        return self.plan.name
 
     def load(self) -> int:
         """Outstanding requests fleet-wide (queued plus in flight)."""
@@ -633,57 +452,8 @@ class Cluster:
             + self._retired_dispatches
         )
 
-    # -- observability -------------------------------------------------------
-
-    def _emit(
-        self,
-        kind: str,
-        handle: Optional[ResultHandle] = None,
-        shard: Optional[int] = None,
-        src: Optional[int] = None,
-        priority: Optional[int] = None,
-    ) -> None:
-        """Record one cluster-level trace event (no-op untraced)."""
-        if self.trace is None or self.trace.tracer is None:
-            return
-        if handle is not None and priority is None:
-            priority = handle.request.priority
-        self.trace.tracer.record(
-            kind,
-            self._tick,
-            request_id=None if handle is None else handle.request_id,
-            shard=shard,
-            priority=priority,
-            src=src,
-        )
-
-    def _sample_metrics(self) -> None:
-        """Record this tick's fleet-wide gauges (metrics enabled only)."""
-        bufs = self._metric_bufs
-        if bufs is None:
-            metrics = self.trace.metrics
-            bufs = self._metric_bufs = tuple(
-                metrics.series(name)
-                for name in (
-                    "fleet/queue_depth", "fleet/busy_lanes",
-                    "fleet/active_shards",
-                )
-            )
-        depth_buf, busy_buf, shards_buf = bufs
-        tick = self._tick
-        depth_buf.append(
-            (tick, float(sum(len(e.queue) for e in self.engines)))
-        )
-        busy_buf.append(
-            (
-                tick,
-                float(
-                    sum(e.pool.busy_count() for e in self.engines)
-                    + sum(e.pool.busy_count() for e in self.draining)
-                ),
-            )
-        )
-        shards_buf.append((tick, float(len(self.engines))))
+    def _series_prefix(self) -> str:
+        return "fleet/"
 
     # -- submission ----------------------------------------------------------
 
@@ -877,7 +647,14 @@ class Cluster:
         if self.steal is not None:
             self._steal_step()
         if self.trace is not None and self.trace.metrics is not None:
-            self._sample_metrics()
+            self._sample(
+                float(sum(len(e.queue) for e in self.engines)),
+                float(
+                    sum(e.pool.busy_count() for e in self.engines)
+                    + sum(e.pool.busy_count() for e in self.draining)
+                ),
+                float(len(self.engines)),
+            )
         self._tick += 1
         pending = False
         for engine in self.engines + self.draining:
@@ -885,33 +662,6 @@ class Cluster:
                 pending = True
         self._retire_drained()
         return pending
-
-    def run_until_idle(self, max_ticks: Optional[int] = None) -> int:
-        """Tick until no shard has queued or in-flight work; returns ticks."""
-        return drive_until_idle(self, max_ticks)
-
-    # -- batch convenience ----------------------------------------------------
-
-    def map(
-        self,
-        request_inputs: Iterable[Sequence[Any]],
-        *,
-        priority: int = 0,
-        step_budget: Optional[int] = None,
-        deadline_ticks: Optional[int] = None,
-    ) -> List[Any]:
-        """Serve a whole collection of requests; results in request order.
-
-        Applies backpressure instead of overflowing: while every shard's
-        queue is full, the cluster ticks until a slot opens somewhere.
-        """
-        return serve_all(
-            self,
-            request_inputs,
-            priority=priority,
-            step_budget=step_budget,
-            deadline_ticks=deadline_ticks,
-        )
 
     def __repr__(self) -> str:
         extras = ""

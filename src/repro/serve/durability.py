@@ -119,7 +119,6 @@ class DiskSpillStore(SpillStore):
     def __init__(self, directory: str) -> None:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self._keys: Dict[str, str] = {}
 
     def _path(self, key: str) -> str:
         safe = "".join(c if (c.isalnum() or c in "._-") else "_" for c in key)
@@ -131,27 +130,30 @@ class DiskSpillStore(SpillStore):
         with open(tmp, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
-        self._keys[key] = path
 
     def get(self, key: str) -> bytes:
-        path = self._keys.get(key, self._path(key))
         try:
-            with open(path, "rb") as f:
+            with open(self._path(key), "rb") as f:
                 return f.read()
         except FileNotFoundError:
             raise KeyError(key) from None
 
     def pop(self, key: str) -> bytes:
         data = self.get(key)
-        path = self._keys.pop(key, self._path(key))
         try:
-            os.unlink(path)
+            os.unlink(self._path(key))
         except FileNotFoundError:
             pass
         return data
 
     def __len__(self) -> int:
-        return len(self._keys)
+        # The directory is the one source of truth: a store reopened after
+        # a restart counts what ``get``/``pop``/``in`` can reach.
+        return sum(
+            1
+            for name in os.listdir(self.directory)
+            if name.startswith("snap-") and name.endswith(".bin")
+        )
 
 
 def resolve_spill_store(spec: Any) -> SpillStore:
@@ -249,8 +251,13 @@ def _decode_array(record: Dict[str, Any]) -> np.ndarray:
 class Journal:
     """Append-only admission journal: the durable record a fleet replays.
 
-    Three record types, one JSON object per line when backed by a file:
+    Four record types, one JSON object per line when backed by a file:
 
+    * ``config`` — written once, when a server (a whole fleet, not each
+      shard) attaches: the schedule-determining part of its
+      :class:`~repro.serve.config.ServeConfig`, which :func:`recover`
+      checks the caller's options against and rebuilds from when they are
+      omitted.
     * ``submit`` — every accepted request: id, arrival tick, priority,
       step budget, deadline, and the input arrays (base64, bit-exact).
       Ticks are logical, so the schedule replays exactly (this also
@@ -279,6 +286,12 @@ class Journal:
             with open(self.path, "a", encoding="utf-8") as f:
                 f.write(json.dumps(entry, sort_keys=True))
                 f.write("\n")
+
+    def record_config(self, record: Dict[str, Any]) -> None:
+        """Open the journal with a server's schedule record (once: a
+        journal that already has one keeps it)."""
+        if self.config() is None:
+            self._append({"type": "config", **record})
 
     def record_submit(self, handle: Any) -> None:
         request = handle.request
@@ -320,6 +333,10 @@ class Journal:
         })
 
     # -- reading (recovery-side) --------------------------------------------
+
+    def config(self) -> Optional[Dict[str, Any]]:
+        """The ``config`` record (None for a journal written without one)."""
+        return next((e for e in self.entries if e["type"] == "config"), None)
 
     def submissions(self) -> List[Dict[str, Any]]:
         """All ``submit`` records, in admission order."""
@@ -459,8 +476,63 @@ class RecoveredRun:
         )
 
 
+def _reconcile(
+    header: Dict[str, Any],
+    program: Any,
+    num_lanes: Optional[int],
+    num_engines: Optional[int],
+    options: Dict[str, Any],
+) -> Tuple[int, Optional[int], Dict[str, Any]]:
+    """Fill what the caller omitted from the journal's ``config`` record
+    and reject what contradicts it; returns the shape and options to build.
+
+    The configuration is part of what determines the schedule, so a
+    retyped option that differs would replay a *different* run and still
+    return plausible outputs.  Policies are recorded by ``repr``; an
+    omitted one is rebuilt only when a registered name constructs it.
+    """
+    from repro.serve.cluster import AutoscalePolicy, ROUTING_POLICIES, STEAL_POLICIES
+    from repro.serve.engine import PREEMPT_POLICIES
+    from repro.serve.server import configure
+
+    named = {
+        "preempt": PREEMPT_POLICIES.values(),
+        "policy": ROUTING_POLICIES.values(),
+        "steal": STEAL_POLICIES.values(),
+        "autoscale": (AutoscalePolicy,),
+        "optimize": (),
+    }
+    if num_lanes is None:
+        num_lanes, num_engines = header["num_lanes"], header["num_engines"]
+    options = dict(options)
+    for name, recorded in header.items():
+        if name in ("type", "num_lanes", "num_engines") or name in options:
+            continue
+        if name in named and isinstance(recorded, str):
+            match = [cls for cls in named[name] if repr(cls()) == recorded]
+            if not match:
+                raise ValueError(
+                    f"the journal records {name}={recorded}, which no "
+                    f"registered name rebuilds; pass {name}= to recover()"
+                )
+            recorded = match[0]
+        options[name] = recorded
+    plan, config = configure(program, options, num_engines)
+    actual = config.schedule_record(num_lanes, num_engines, plan.name)
+    for name, recorded in header.items():
+        if name != "type" and actual[name] != recorded:
+            raise ValueError(
+                f"recover() was given {name}={actual[name]!r} but the journal "
+                f"was recorded under {name}={recorded!r}; the configuration "
+                "is part of the schedule, so the replay would not be the "
+                "run that crashed"
+            )
+    return num_lanes, num_engines, options
+
+
 def recover(
     journal: Journal,
+    /,
     program: Any = None,
     num_lanes: Optional[int] = None,
     *,
@@ -470,13 +542,17 @@ def recover(
 ) -> RecoveredRun:
     """Rebuild a server and replay ``journal``'s admission schedule.
 
-    Builds a fresh :class:`~repro.serve.engine.Engine` (``program`` +
-    ``num_lanes``) or :class:`~repro.serve.cluster.Cluster` (also
-    ``num_engines=``) with the given options — pass the same serving
-    configuration the crashed fleet ran, since the configuration is part
-    of what determines the schedule — or replays into a caller-built
-    ``server=``.  Every journaled submit is re-issued at its recorded
-    logical tick, in recorded order, then the server runs to idle.
+    Builds a fresh :class:`~repro.serve.engine.Engine` or (with
+    ``num_engines=``) :class:`~repro.serve.cluster.Cluster` over
+    ``program``, or replays into a caller-built ``server=``.  The serving
+    configuration is part of what determines the schedule, and the journal
+    opens with it: options passed here are *verified* against that record
+    (``ValueError`` naming the first that differs), and whatever is
+    omitted — ``num_lanes`` and ``num_engines`` included — is rebuilt
+    from it.  A journal without the record (written before it existed) is
+    trusted to the caller, who must pass the crashed fleet's options.
+    Every journaled submit is re-issued at its recorded logical tick, in
+    recorded order, then the server runs to idle.
 
     The serving stack schedules purely from the logical clock and the
     admission sequence, so the replayed run — including all work the crash
@@ -490,8 +566,13 @@ def recover(
     To journal the recovered run onward, pass a *fresh* ``journal=`` in
     ``options`` — never the one being replayed.
     """
+    from repro.serve.cluster import Cluster
+    from repro.serve.engine import Engine
+    from repro.serve.server import Arrival, replay
+
     if server is None:
-        if program is None or num_lanes is None:
+        header = journal.config()
+        if program is None or (num_lanes is None and header is None):
             raise ValueError(
                 "recover() needs either server= or (program, num_lanes)"
             )
@@ -500,31 +581,31 @@ def recover(
                 "recover() cannot journal into the journal it is replaying; "
                 "pass a fresh Journal to record the recovered run"
             )
+        if header is not None:
+            num_lanes, num_engines, options = _reconcile(
+                header, program, num_lanes, num_engines, options
+            )
         if num_engines is None:
-            from repro.serve.engine import Engine
-
             server = Engine(program, num_lanes, **options)
         else:
-            from repro.serve.cluster import Cluster
-
             server = Cluster(program, num_engines, num_lanes, **options)
-    handles: Dict[int, Any] = {}
-    for entry in list(journal.submissions()):
-        tick = entry["tick"]
-        if tick < server.now:
-            raise ValueError(
-                f"journal submit for request {entry['request_id']} at tick "
-                f"{tick} is in the server's past (now={server.now}); replay "
-                "needs a fresh server and a tick-ordered journal"
+    submissions = journal.submissions()
+    handles = replay(
+        server,
+        [
+            Arrival(
+                entry["tick"],
+                tuple(_decode_array(x) for x in entry["inputs"]),
+                entry["priority"],
+                entry["step_budget"],
+                entry["deadline_ticks"],
             )
-        while server.now < tick:
-            server.tick()
-        handle = server.submit(
-            *[_decode_array(x) for x in entry["inputs"]],
-            priority=entry["priority"],
-            step_budget=entry["step_budget"],
-            deadline_ticks=entry["deadline_ticks"],
-        )
-        handles[entry["request_id"]] = handle
-    server.run_until_idle()
-    return RecoveredRun(server=server, handles=handles, journal=journal)
+            for entry in submissions
+        ],
+        front_door=False,
+    )
+    return RecoveredRun(
+        server=server,
+        handles={e["request_id"]: h for e, h in zip(submissions, handles)},
+        journal=journal,
+    )

@@ -19,17 +19,14 @@ against.
 
 from __future__ import annotations
 
-import copy
 import itertools
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.frontend.registry import PrimitiveRegistry
-from repro.ir.instructions import StackProgram
-from repro.observe import resolve_trace
+from repro.serve.config import ServeConfig, resolve_spec
+from repro.serve.durability import SpilledSnapshot
 from repro.serve.lanes import LanePool
-from repro.vm.executors import ExecutionPlan
 from repro.serve.queue import (
     QueueFullError,
     RequestQueue,
@@ -38,14 +35,12 @@ from repro.serve.queue import (
     StepBudgetExceeded,
     split_request_inputs,
 )
+from repro.serve.server import Server, configure
+from repro.serve.server import serve_all  # noqa: F401  (its documented import path)
 from repro.serve.telemetry import ServeTelemetry
-from repro.vm.instrumentation import Instrumentation
+from repro.vm.executors import ExecutionPlan
 from repro.vm.program_counter import ProgramCounterVM
 from repro.vm.stack import StackOverflowError
-
-#: Lane refill disciplines.
-REFILL_POLICIES = ("continuous", "drain")
-
 
 class PreemptPolicy:
     """Priority preemption with a straggler-age threshold.
@@ -234,366 +229,97 @@ PREEMPT_POLICIES: Dict[str, Type[PreemptPolicy]] = {
 
 def resolve_preempt_policy(spec: Any) -> Optional[PreemptPolicy]:
     """Turn a ``preempt=`` argument into a :class:`PreemptPolicy` (or None = off)."""
-    if spec is None or spec is False:
-        return None
-    if spec is True:
-        return PreemptPolicy()
-    if isinstance(spec, PreemptPolicy):
-        return spec
-    if isinstance(spec, type) and issubclass(spec, PreemptPolicy):
-        return spec()
-    if isinstance(spec, str):
-        try:
-            return PREEMPT_POLICIES[spec]()
-        except KeyError:
-            raise ValueError(
-                f"unknown preempt policy {spec!r}; "
-                f"known: {sorted(PREEMPT_POLICIES)}"
-            )
-    raise TypeError(
-        f"preempt must be a bool, name, or PreemptPolicy, "
-        f"got {type(spec).__name__}"
+    return resolve_spec(
+        spec, "preempt policy", PreemptPolicy, PREEMPT_POLICIES, PreemptPolicy
     )
 
 
-def drive_until_idle(server: Any, max_ticks: Optional[int] = None) -> int:
-    """Tick ``server`` until it holds no queued or in-flight work.
-
-    Shared driver for :class:`Engine` and
-    :class:`~repro.serve.cluster.Cluster` (anything with ``busy``/``tick``/
-    ``now``).  Returns the ticks run; raises ``RuntimeError`` if work
-    remains after ``max_ticks``.
-    """
-    start = server.now
-    while server.busy():
-        # Budget check *before* the tick: a busy server with max_ticks=0
-        # must raise without running a step, and an exact budget (work
-        # finishing on tick N with max_ticks=N) must not.
-        if max_ticks is not None and server.now - start >= max_ticks:
-            raise RuntimeError(
-                f"{type(server).__name__.lower()} still busy after "
-                f"max_ticks={max_ticks}"
-            )
-        server.tick()
-    return server.now - start
-
-
-#: Consecutive full-admission ticks with an unchanged progress signature
-#: that :func:`serve_all` tolerates before declaring the server wedged.
-#: Large enough to outlast transient plateaus (autoscale patience counters,
-#: steal cooldowns) that resolve themselves without any counter moving.
-NO_PROGRESS_LIMIT = 64
-
-
-def serve_all(
-    server: Any,
-    request_inputs: Iterable[Sequence[Any]],
-    priority: int = 0,
-    step_budget: Optional[int] = None,
-    deadline_ticks: Optional[int] = None,
-) -> List[Any]:
-    """Submit every request with backpressure, drain, return results in order.
-
-    The shared body of ``Engine.map`` and ``Cluster.map``: while admission
-    is full everywhere (``server.admission_full()``), tick instead of
-    overflowing; raise :class:`QueueFullError` if the server goes idle
-    without ever being able to admit, or if :data:`NO_PROGRESS_LIMIT`
-    consecutive ticks leave the server's :meth:`progress_signature`
-    unchanged — a wedged fleet (e.g. every shard draining for retirement
-    with nowhere to re-seat its queue) would otherwise spin here forever,
-    since the logical clock always advances even when nothing else does.
-    """
-    signature = getattr(server, "progress_signature", None)
-    handles = []
-    for inputs in request_inputs:
-        stalled = 0
-        before = None if signature is None else signature()
-        while server.admission_full():
-            if not server.tick():
-                raise QueueFullError(
-                    f"the queue is full but the "
-                    f"{type(server).__name__.lower()} is idle; "
-                    "max_queue_depth is too small to ever admit"
-                )
-            if signature is None:
-                continue
-            after = signature()
-            if after == before:
-                stalled += 1
-                if stalled >= NO_PROGRESS_LIMIT:
-                    raise QueueFullError(
-                        f"admission is full but {stalled} consecutive ticks "
-                        f"made no progress; the "
-                        f"{type(server).__name__.lower()} can never admit "
-                        "(is every shard draining for retirement?)"
-                    )
-            else:
-                stalled = 0
-                before = after
-        handles.append(
-            server.submit(
-                *inputs,
-                priority=priority,
-                step_budget=step_budget,
-                deadline_ticks=deadline_ticks,
-            )
-        )
-    server.run_until_idle()
-    return [h.result() for h in handles]
-
-
-class Engine:
+class Engine(Server):
     """Serve streaming requests through one lane-recycled batched machine.
 
-    Parameters
-    ----------
-    program:
-        An :class:`~repro.frontend.api.AutobatchFunction` (lowered lazily)
-        or an already-lowered :class:`~repro.ir.instructions.StackProgram`.
-    num_lanes:
-        Width of the machine's batch dimension — the maximum number of
-        requests in flight at once.
-    max_queue_depth:
-        Admission control: submissions beyond this many queued requests
-        raise :class:`QueueFullError` (``None`` = unbounded).
-    default_step_budget:
-        Per-request cap on machine steps in which the request's member is
-        active; exhausted requests fail with :class:`StepBudgetExceeded`
-        and their lane is recycled.  Overridable per ``submit``.
-    refill:
-        ``"continuous"`` (inject into vacated lanes mid-flight) or
-        ``"drain"`` (admit only into a fully drained machine — the static
-        baseline).
-    preempt:
-        Priority preemption: ``True`` for the default
-        :class:`PreemptPolicy`, an instance for tuned
-        ``priority_delta``/``min_age``/``max_per_tick``, ``None``/``False``
-        (default) for off.  Each tick, eligible straggler lanes are
-        checkpointed and evicted so queued higher-priority requests seat
-        immediately; the evicted request re-queues with its
-        :class:`~repro.vm.program_counter.LaneSnapshot` and *resumes* when
-        a lane frees (keeping its step budget and arrival order).
-        Requires ``refill="continuous"``.
-    resume_batching:
-        Off by default.  When on, lane refill prefers *groups* of
-        preempted requests parked at the same program counter: if the
-        queue head carries a snapshot, admission seats the largest
-        same-``(priority, pc)`` cohort (ties to the lowest pc) instead of
-        strict service order, so resumed stragglers re-converge into
-        shared masked steps — undoing the divergence preemption scattered
-        them into.  Only reorders *within* one priority level and only
-        among snapshot-carrying handles; a passed-over head is seated
-        unconditionally after ``resume_defer_limit`` deferrals, so the
-        reordering is bounded and deterministic.
-    trace:
-        Observability (off by default, zero overhead when off): ``True``
-        for a full :class:`~repro.observe.Trace` (per-request event
-        timelines, per-tick metrics, per-block profiling),
-        ``"events"``/``"metrics"``/``"profile"`` for one piece, or a
-        :class:`~repro.observe.Trace` instance to share one recorder
-        across engines.  Everything is stamped with the logical clock,
-        so traces from identical runs are byte-identical.
-    executor:
-        Block-executor choice for the machine: ``"eager"`` (per-op
-        dispatch), ``"fused"`` (each block one pre-compiled callable —
-        same results, a fraction of the dispatches), or ``"superblock"``
-        (hot block *runs* fused into one callable each — same results
-        again, below one dispatch per executed block; pass a
-        :class:`~repro.backend.fusion.SuperblockExecutor` instance to
-        seed regions from a :class:`~repro.observe.BlockProfile`).  Lane
-        recycling is executor-agnostic: the retire/reset/inject hooks go
-        through the machine's :class:`~repro.vm.executors.ExecutionPlan`.
-    verify:
-        Statically verify the program once at plan compile (the default;
-        see :mod:`repro.analysis.stackcheck`) — stack-effect safety, depth
-        bounds, region-table consistency — with zero steady-state cost:
-        the proven facts are cached on the plan, and when
-        ``max_stack_depth`` is not given the machine's stacks pre-size
-        from the proven bound instead of the depth-32 guess.
-    max_resident_snapshots:
-        Cap on queued preempted-lane snapshots held as live arrays.
-        Overflow is serialized (:meth:`LaneSnapshot.to_bytes`) into
-        ``spill_store`` and rehydrated — through the full static admission
-        checks — when popped to resume, so a deep preempted backlog costs
-        bounded array memory while resume re-batching and cross-shard
-        stealing keep working on spilled entries.  ``None`` (default)
-        never spills.
-    spill_store:
-        Where spilled snapshot bytes live: a
-        :class:`~repro.serve.durability.SpillStore`, ``"memory"``, or a
-        directory path for the on-disk backend.  Defaults to a fresh
-        in-memory store when a cap is set.
-    journal:
-        An admission :class:`~repro.serve.durability.Journal`: every
-        accepted submit (inputs, priority, budget, deadline, arrival
-        tick) and every completion is recorded, plus periodic snapshot
-        checkpoints of preempted lanes, so a crashed engine's work is
-        recoverable bit-identically via
-        :func:`~repro.serve.durability.recover`.
-    checkpoint_interval:
-        Ticks between journal checkpoint sweeps of the preempted backlog
-        (default 64 when a journal is attached; 0 disables checkpoints
-        while keeping the submit/complete log).
+    ``Engine(program, num_lanes, **options)``: ``program`` is an
+    :class:`~repro.frontend.api.AutobatchFunction` (lowered lazily), an
+    already-lowered :class:`~repro.ir.instructions.StackProgram`, or a
+    compiled :class:`~repro.vm.executors.ExecutionPlan`; ``num_lanes`` is
+    the width of the machine's batch dimension — the maximum number of
+    requests in flight at once; ``options`` are the fields of
+    :class:`~repro.serve.config.ServeConfig`, documented there.
     """
 
-    def __init__(
-        self,
-        program: Any,
-        num_lanes: int,
-        *,
-        registry: Optional[PrimitiveRegistry] = None,
-        mode: str = "mask",
-        scheduler: Any = "earliest",
-        max_stack_depth: Optional[int] = None,
-        top_cache: bool = True,
-        optimize: Any = True,
-        executor: Any = None,
-        verify: bool = True,
-        max_queue_depth: Optional[int] = None,
-        default_step_budget: Optional[int] = None,
-        refill: str = "continuous",
-        preempt: Any = None,
-        resume_batching: bool = False,
-        resume_defer_limit: int = 4,
-        trace: Any = None,
-        max_steps: int = 10 ** 12,
-        instrumentation: Optional[Instrumentation] = None,
-        max_resident_snapshots: Optional[int] = None,
-        spill_store: Any = None,
-        journal: Any = None,
-        checkpoint_interval: Optional[int] = None,
-    ):
-        if refill not in REFILL_POLICIES:
-            raise ValueError(
-                f"refill must be one of {REFILL_POLICIES}, got {refill!r}"
-            )
-        preempt_policy = resolve_preempt_policy(preempt)
-        if preempt_policy is not None and refill == "drain":
-            raise ValueError(
-                "preemption requires refill='continuous': a drained machine "
-                "admits nothing until empty, so an evicted request could "
-                "never resume ahead of the drain"
-            )
-        if isinstance(program, ExecutionPlan):
-            if executor is not None:
-                raise ValueError(
-                    "pass either an ExecutionPlan or executor=, not both"
-                )
-            plan = program
-        elif isinstance(program, StackProgram):
-            plan = ExecutionPlan.compile(
-                program, executor=executor, verify=verify
-            )
-        elif hasattr(program, "stack_program"):
-            if registry is None:
-                registry = getattr(program, "registry", None)
-            plan = ExecutionPlan.compile(
-                program, executor=executor, optimize=optimize, verify=verify
-            )
-        else:
-            raise TypeError(
-                "program must be an AutobatchFunction, a StackProgram, or "
-                f"an ExecutionPlan, got {type(program).__name__}"
-            )
-        if resume_defer_limit < 1:
-            raise ValueError(
-                f"resume_defer_limit must be >= 1, got {resume_defer_limit}"
-            )
-        self.refill = refill
-        self.default_step_budget = default_step_budget
-        self.preempt = preempt_policy
-        self.resume_batching = bool(resume_batching)
-        self.resume_defer_limit = int(resume_defer_limit)
+    GAUGES = ("queue_depth", "busy_lanes", "preempted_backlog", "utilization")
+
+    def __init__(self, program: Any, num_lanes: int, **options: Any):
+        self._build(*configure(program, options), num_lanes)
+        #: Request-id source.  Standalone engines number from 0; a
+        #: cluster's shards share one counter instead, so ids are
+        #: fleet-unique and a shared tracer never merges two requests'
+        #: timelines under one key.
+        self._ids = itertools.count()
+        self.set_journal(self.journal)
+
+    @classmethod
+    def from_config(
+        cls, plan: ExecutionPlan, config: ServeConfig, num_lanes: int
+    ) -> "Engine":
+        """One shard of a cluster: built from the fleet's plan and its
+        already-validated ``config``; the cluster supplies the shard's
+        identity, clock, id source and private preempt policy."""
+        engine = cls.__new__(cls)
+        engine._build(plan, config, num_lanes)
+        return engine
+
+    def _build(
+        self, plan: ExecutionPlan, config: ServeConfig, num_lanes: int
+    ) -> None:
+        super().__init__(plan, config, num_lanes)
+        self.refill = config.refill
+        self.default_step_budget = config.default_step_budget
+        self.preempt = config.preempt
+        self.resume_batching = config.resume_batching
+        self.resume_defer_limit = config.resume_defer_limit
+        #: Cap on queued preempted snapshots held as live arrays (None =
+        #: unbounded).  Overflow is serialized into :attr:`spill_store` and
+        #: transparently rehydrated at resume; see
+        #: :mod:`repro.serve.durability`.
+        self.max_resident_snapshots = config.max_resident_snapshots
+        self.spill_store = config.spill_store
+        #: Ticks between journal checkpoint sweeps (0 = never).
+        self.checkpoint_interval = config.checkpoint_interval
         #: The snapshot pc the current admission wave is seating (reset at
         #: every wave): keeps :meth:`_pop_next` drawing from one cohort
         #: until it runs dry instead of round-robining over ties.
         self._resume_sticky_pc: Optional[int] = None
-        self.plan = plan
         self.vm = ProgramCounterVM(
-            plan,
+            self.plan,
             batch_size=num_lanes,
-            registry=registry,
-            mode=mode,
-            scheduler=scheduler,
-            max_stack_depth=max_stack_depth,
-            top_cache=top_cache,
-            instrumentation=instrumentation,
-            max_steps=max_steps,
+            registry=config.registry,
+            mode=config.mode,
+            scheduler=config.scheduler,
+            max_stack_depth=config.max_stack_depth,
+            top_cache=config.top_cache,
+            instrumentation=config.instrumentation,
+            max_steps=config.max_steps,
         )
         # A fresh machine starts every member at the entry block; a fresh
         # *server* starts every lane vacant.
         self.vm.halt_lanes(np.arange(num_lanes, dtype=np.int64))
         self.vm.track_occupancy = True
         self.pool = LanePool(num_lanes)
-        self.queue = RequestQueue(max_depth=max_queue_depth)
+        self.queue = RequestQueue(max_depth=config.max_queue_depth)
         self.telemetry = ServeTelemetry(
             num_lanes=num_lanes, instrumentation=self.vm.instr
         )
-        self._tick = 0
-        #: Request-id source.  Standalone engines number from 0; a cluster
-        #: replaces this with one counter shared by every shard, so ids are
-        #: fleet-unique and a shared tracer never merges two requests'
-        #: timelines under one key.
-        self._ids = itertools.count()
-        #: Resolved observability hub (None = fully off; the hot paths pay
-        #: one ``is None`` check).  A cluster passes one shared instance to
-        #: every shard, so the fleet shares an event stream and recorder.
-        self.trace = resolve_trace(trace)
-        self._metric_bufs = None
+        #: True once the engine is being retired: no new submissions, the
+        #: in-flight lanes run to completion and the queue has been exported.
+        self.draining = False
+        # Attach last: a construction that failed above leaves no
+        # half-built engine in a shared trace's block profile.
         if self.trace is not None:
             if self.trace.profile:
                 self.vm.instr.track_blocks = True
             self.trace.attach_engine(self)
-        if max_resident_snapshots is not None and max_resident_snapshots < 0:
-            raise ValueError(
-                f"max_resident_snapshots must be >= 0, got "
-                f"{max_resident_snapshots}"
-            )
-        if checkpoint_interval is not None and checkpoint_interval < 0:
-            raise ValueError(
-                f"checkpoint_interval must be >= 0, got {checkpoint_interval}"
-            )
-        #: Cap on queued preempted snapshots held as live arrays (None =
-        #: unbounded).  Overflow is serialized into :attr:`spill_store` and
-        #: transparently rehydrated at resume; see
-        #: :mod:`repro.serve.durability`.
-        self.max_resident_snapshots = (
-            None if max_resident_snapshots is None else int(max_resident_snapshots)
-        )
-        if spill_store is not None or self.max_resident_snapshots is not None:
-            from repro.serve.durability import resolve_spill_store
-
-            self.spill_store = resolve_spill_store(spill_store)
-        else:
-            self.spill_store = None
-        #: Admission :class:`~repro.serve.durability.Journal` (None = off):
-        #: every accepted submit and every completion is recorded, plus
-        #: periodic snapshot checkpoints of the preempted backlog.
-        self.journal = journal
-        #: Ticks between journal checkpoint sweeps; None picks the default
-        #: when a journal is attached, 0 disables checkpointing.
-        self.checkpoint_interval = (
-            None if checkpoint_interval is None else int(checkpoint_interval)
-        )
-        #: Stable shard identity within a :class:`~repro.serve.cluster.Cluster`
-        #: (None for a standalone engine); survives fleet grow/shrink, unlike
-        #: a position in the cluster's active-engine list.
-        self.shard_id: Optional[int] = None
-        #: True once the engine is being retired: no new submissions, the
-        #: in-flight lanes run to completion and the queue has been exported.
-        self.draining = False
 
     # -- submission ----------------------------------------------------------
-
-    @property
-    def now(self) -> int:
-        """The engine's logical clock (ticks elapsed)."""
-        return self._tick
-
-    @property
-    def executor(self) -> str:
-        """Name of the block executor running the machine's blocks."""
-        return self.plan.name
 
     def dispatch_count(self) -> int:
         """Host→device launches so far under this engine's execution plan."""
@@ -606,56 +332,6 @@ class Engine:
         lowers it, a deep queue raises it.
         """
         return len(self.queue) + self.pool.busy_count()
-
-    # -- observability -------------------------------------------------------
-
-    def _emit(
-        self,
-        kind: str,
-        handle: Optional[ResultHandle] = None,
-        lane: Optional[int] = None,
-        src: Optional[int] = None,
-    ) -> None:
-        """Record one trace event at the current tick (no-op untraced)."""
-        if self.trace is None or self.trace.tracer is None:
-            return
-        self.trace.tracer.record(
-            kind,
-            self._tick,
-            request_id=None if handle is None else handle.request_id,
-            shard=self.shard_id,
-            lane=lane,
-            priority=None if handle is None else handle.request.priority,
-            src=src,
-        )
-
-    def _sample_metrics(self, busy: int) -> None:
-        """Record this tick's gauges (only called when metrics are on).
-
-        The four ring buffers are resolved once, on the first sample (by
-        which point a cluster has assigned ``shard_id``, fixing the series
-        prefix), so the per-tick cost is four tuple appends — cheap enough
-        that metrics stay within the tracing overhead that
-        ``ladder.engine_trace_us`` in ``benchmarks/e2e`` measures.
-        """
-        bufs = self._metric_bufs
-        if bufs is None:
-            metrics = self.trace.metrics
-            prefix = "" if self.shard_id is None else f"shard{self.shard_id}/"
-            bufs = self._metric_bufs = tuple(
-                metrics.series(prefix + name)
-                for name in (
-                    "queue_depth", "busy_lanes", "preempted_backlog",
-                    "utilization",
-                )
-            )
-        depth_buf, busy_buf, backlog_buf, util_buf = bufs
-        tick = self._tick
-        queue = self.queue
-        depth_buf.append((tick, float(queue.depth())))
-        busy_buf.append((tick, float(busy)))
-        backlog_buf.append((tick, float(queue.snapshot_count())))
-        util_buf.append((tick, busy / self.pool.num_lanes))
 
     def submit(
         self,
@@ -690,11 +366,8 @@ class Engine:
             )
         if self.queue.full():
             self.telemetry.rejected += 1
-            if self.trace is not None and self.trace.tracer is not None:
-                # No request id is ever assigned to a rejected submission.
-                self.trace.tracer.record(
-                    "reject", self._tick, shard=self.shard_id, priority=priority
-                )
+            # No request id is ever assigned to a rejected submission.
+            self._emit("reject", priority=priority)
             raise QueueFullError(
                 f"request queue is at max_depth={self.queue.max_depth}"
             )
@@ -814,24 +487,18 @@ class Engine:
         touched, so it is simply released — and the tick loop carries on.
         """
         wait = self._tick - handle.preempt_tick
-        lane_idx = np.asarray([lane], dtype=np.int64)
         snapshot = handle.snapshot
         if getattr(snapshot, "spilled", False):
             try:
                 snapshot = snapshot.load(
                     self.vm.program,
-                    facts=getattr(self.plan, "facts", None),
+                    facts=self.plan.facts,
                     max_stack_depth=self.vm.max_stack_depth,
                 )
             except (ValueError, TypeError, StackOverflowError) as error:
                 # Decode failed before any machine state was written: no
                 # halt needed, just vacate the lane and fail the handle.
-                self.pool.release(lane)
-                handle.snapshot = None
-                handle._fail(error, self._tick)
-                self.telemetry.failed += 1
-                self._journal_complete(handle, failed=True)
-                self._emit("fail", handle, lane=lane)
+                self._fail_lane(handle, lane, error, halt=False)
                 return
             handle.snapshot = snapshot
             self.telemetry.rehydrations += 1
@@ -840,13 +507,7 @@ class Engine:
         except (ValueError, TypeError, StackOverflowError) as error:
             # The lane may be partially restored (a live pc over reset
             # storage); halt it back to inert before releasing.
-            self.vm.halt_lanes(lane_idx)
-            self.pool.release(lane)
-            handle.snapshot = None
-            handle._fail(error, self._tick)
-            self.telemetry.failed += 1
-            self._journal_complete(handle, failed=True)
-            self._emit("fail", handle, lane=lane)
+            self._fail_lane(handle, lane, error)
             return
         handle._mark_resumed(lane, self._tick)
         self.telemetry.record_resume(wait)
@@ -938,12 +599,23 @@ class Engine:
         except (ValueError, TypeError) as error:
             # The lane was reset but the inputs never landed; vacate it
             # rather than letting it run the program on zeroed storage.
-            self.vm.halt_lanes(lane)
-            self.pool.release(handle.lane)
-            handle._fail(error, self._tick)
-            self.telemetry.failed += 1
-            self._journal_complete(handle, failed=True)
-            self._emit("fail", handle, lane=int(lane[0]))
+            self._fail_lane(handle, handle.lane, error)
+
+    def _fail_lane(
+        self, handle: ResultHandle, lane: int, error: BaseException,
+        halt: bool = True,
+    ) -> None:
+        """Vacate ``lane`` and fail its request — the one path every
+        lane-level failure takes, so none can skip the journal or the
+        trace.  ``halt=False`` when no machine state was written yet."""
+        if halt:
+            self.vm.halt_lanes(np.asarray([lane], dtype=np.int64))
+        self.pool.release(lane)
+        handle.snapshot = None
+        handle._fail(error, self._tick)
+        self.telemetry.failed += 1
+        self._journal_complete(handle, failed=True)
+        self._emit("fail", handle, lane=lane)
 
     def _retire_finished(self) -> None:
         """Deliver outputs of every busy lane whose member has halted."""
@@ -983,18 +655,14 @@ class Engine:
             handle.steps_used += 1
             budget = handle.request.step_budget
             if budget is not None and handle.steps_used >= budget:
-                self.vm.halt_lanes(np.asarray([lane], dtype=np.int64))
-                self.pool.release(int(lane))
-                handle._fail(
+                self._fail_lane(
+                    handle,
+                    int(lane),
                     StepBudgetExceeded(
                         f"request {handle.request_id} exceeded its step "
                         f"budget of {budget} machine steps"
                     ),
-                    self._tick,
                 )
-                self.telemetry.failed += 1
-                self._journal_complete(handle, failed=True)
-                self._emit("fail", handle, lane=int(lane))
 
     # -- durability (spilling + journaling; see repro.serve.durability) --------
 
@@ -1008,8 +676,6 @@ class Engine:
         """Serialize one queued snapshot into the spill store; returns the
         stub, or None when the snapshot cannot leave process memory (an
         executor stashed unserializable state — counted, never dropped)."""
-        from repro.serve.durability import SpilledSnapshot
-
         try:
             data = handle.snapshot.to_bytes()
         except (TypeError, ValueError):
@@ -1064,10 +730,6 @@ class Engine:
                 steps_used=handle.steps_used,
             )
 
-    def set_journal(self, journal: Any) -> None:
-        """Attach (or detach, with None) an admission journal."""
-        self.journal = journal
-
     def tick(self) -> bool:
         """One engine step: preempt, admit, step the machine, retire, enforce
         budgets.
@@ -1085,7 +747,11 @@ class Engine:
         busy = self.pool.busy_count()
         self.telemetry.record_tick(busy)
         if self.trace is not None and self.trace.metrics is not None:
-            self._sample_metrics(busy)
+            queue = self.queue
+            self._sample(
+                float(queue.depth()), float(busy),
+                float(queue.snapshot_count()), busy / self.pool.num_lanes,
+            )
         self._tick += 1
         if busy:
             stepped = self.vm.step_lanes()
@@ -1094,10 +760,6 @@ class Engine:
                 self._enforce_budgets(stepped)
         if self.journal is not None:
             interval = self.checkpoint_interval
-            if interval is None:
-                from repro.serve.durability import DEFAULT_CHECKPOINT_INTERVAL
-
-                interval = DEFAULT_CHECKPOINT_INTERVAL
             if interval and self._tick % interval == 0:
                 self._checkpoint_step()
         return bool(self.pool.busy_count() or len(self.queue))
@@ -1127,35 +789,6 @@ class Engine:
             t.resumes,
             self.queue.depth(),
             self.pool.busy_count(),
-        )
-
-    def run_until_idle(self, max_ticks: Optional[int] = None) -> int:
-        """Tick until no request is queued or in flight; returns ticks run."""
-        return drive_until_idle(self, max_ticks)
-
-    # -- batch convenience ----------------------------------------------------
-
-    def map(
-        self,
-        request_inputs: Iterable[Sequence[Any]],
-        *,
-        priority: int = 0,
-        step_budget: Optional[int] = None,
-        deadline_ticks: Optional[int] = None,
-    ) -> List[Any]:
-        """Serve a whole collection of requests; results in request order.
-
-        Applies backpressure instead of overflowing: when the queue is
-        full, the engine ticks until a slot opens.  Each element of
-        ``request_inputs`` is the tuple of per-example inputs for one
-        request.
-        """
-        return serve_all(
-            self,
-            request_inputs,
-            priority=priority,
-            step_budget=step_budget,
-            deadline_ticks=deadline_ticks,
         )
 
     def __repr__(self) -> str:

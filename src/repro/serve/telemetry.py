@@ -30,54 +30,151 @@ is always safe to summarize mid-run or after a dead engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.observe.metrics import nearest_rank
 from repro.vm.instrumentation import Instrumentation
 
 
-def _priority_table(
-    telemetry, slo_ticks: Optional[int] = None
-) -> Dict[int, Dict[str, float]]:
-    """Per-priority percentile (and optional SLO) rows, sorted by priority.
+class _Derived:
+    """The metrics and summary sections :class:`ServeTelemetry` and
+    :class:`ClusterTelemetry` derive the same way.
 
-    Shared by :class:`ServeTelemetry` and :class:`ClusterTelemetry`: each
-    priority level maps to its completion count, nearest-rank p50/p90/p99
-    latencies, and max — plus ``slo_attainment`` when ``slo_ticks`` is
-    given.
+    Written once over what both provide: the counters (plain fields on an
+    engine, declared :data:`FLEET_ROLLUPS` on a fleet), the
+    ``queue_waits``/``resume_waits`` samples, and the :meth:`latencies` /
+    :meth:`deadline_outcomes` / :meth:`priorities` accessors.
     """
-    table: Dict[int, Dict[str, float]] = {}
-    for priority in telemetry.priorities():
-        lats = telemetry.latencies(priority)
-        row: Dict[str, float] = {
-            "count": len(lats),
-            "p50": nearest_rank(lats, 50),
-            "p90": nearest_rank(lats, 90),
-            "p99": nearest_rank(lats, 99),
-            "max": float(max(lats)) if lats else 0.0,
-        }
-        if slo_ticks is not None:
-            row["slo_attainment"] = telemetry.slo_attainment(
-                slo_ticks, priority
+
+    def lane_utilization(self) -> float:
+        """Fraction of offered lane-slots that held an in-flight request."""
+        return (
+            self.busy_lane_slots / self.lane_slots if self.lane_slots else 0.0
+        )
+
+    def throughput(self) -> float:
+        """Completed requests per tick."""
+        return self.completed / self.ticks if self.ticks else 0.0
+
+    def mean_queue_wait(self) -> float:
+        """Average ticks requests spent queued before injection."""
+        waits = self.queue_waits
+        return sum(waits) / len(waits) if waits else 0.0
+
+    def max_queue_wait(self) -> int:
+        return max(self.queue_waits, default=0)
+
+    def mean_resume_wait(self) -> float:
+        """Average ticks preempted requests waited before resuming."""
+        waits = self.resume_waits
+        return sum(waits) / len(waits) if waits else 0.0
+
+    def slo_attainment(
+        self,
+        slo_ticks: Union[int, str],
+        priority: Optional[int] = None,
+    ) -> float:
+        """Fraction of completed requests finishing within their SLO.
+
+        With an integer ``slo_ticks``, one shared target: completions
+        within ``slo_ticks`` of submission, overall or for one priority
+        level.  With ``slo_ticks="deadline"`` (the deadline mode), each
+        request is measured against its *own* ``deadline_ticks``, over
+        the deadline-carrying completions only.  0.0 with no qualifying
+        completions (an empty class never claims perfect attainment)."""
+        if slo_ticks == "deadline":
+            pairs = self.deadline_outcomes(priority)
+            if not pairs:
+                return 0.0
+            return sum(1 for lat, dl in pairs if lat <= dl) / len(pairs)
+        lats = self.latencies(priority)
+        if not lats:
+            return 0.0
+        return sum(1 for l in lats if l <= slo_ticks) / len(lats)
+
+    def percentile(self, q: float, priority: Optional[int] = None) -> float:
+        """Nearest-rank completion-latency percentile, in ticks.
+
+        The deterministic counterpart to :meth:`slo_attainment`: where
+        attainment answers "what fraction met the target?", this answers
+        "what target would the q% slowest have met?" — over the same
+        pooled :meth:`latencies` values (a percentile of the union, never
+        a mean of per-shard percentiles), optionally for one priority
+        level.  0.0 with no completions.
+        """
+        return nearest_rank(self.latencies(priority), q)
+
+    def priority_table(
+        self, slo_ticks: Optional[int] = None
+    ) -> Dict[int, Dict[str, float]]:
+        """Per-priority completion count, nearest-rank p50/p90/p99 and max
+        latency (plus ``slo_attainment`` when ``slo_ticks`` is given),
+        keyed by priority level, sorted."""
+        table: Dict[int, Dict[str, float]] = {}
+        for priority in self.priorities():
+            lats = self.latencies(priority)
+            row: Dict[str, float] = {
+                "count": len(lats),
+                "p50": nearest_rank(lats, 50),
+                "p90": nearest_rank(lats, 90),
+                "p99": nearest_rank(lats, 99),
+                "max": float(max(lats)) if lats else 0.0,
+            }
+            if slo_ticks is not None:
+                row["slo_attainment"] = self.slo_attainment(slo_ticks, priority)
+            table[priority] = row
+        return table
+
+    def _queue_wait_line(self) -> str:
+        return (
+            f"queue wait: mean={self.mean_queue_wait():.1f} "
+            f"max={self.max_queue_wait()} ticks"
+        )
+
+    def _latency_lines(self) -> List[str]:
+        """Summary: latency percentiles (per priority when levels differ)."""
+        if not self.latencies():
+            return []
+        lines = [
+            f"latency: p50={self.percentile(50):.0f} "
+            f"p99={self.percentile(99):.0f} ticks"
+        ]
+        if len(self.priorities()) >= 2:
+            lines.extend(
+                f"  priority {p}: n={row['count']:.0f} p50={row['p50']:.0f} "
+                f"p99={row['p99']:.0f} max={row['max']:.0f} ticks"
+                for p, row in self.priority_table().items()
             )
-        table[priority] = row
-    return table
+        return lines
 
-
-def _priority_lines(telemetry) -> List[str]:
-    """Per-priority rollup lines for a summary (only when levels differ)."""
-    priorities = telemetry.priorities()
-    if len(priorities) < 2:
-        return []
-    return [
-        f"  priority {p}: n={row['count']:.0f} p50={row['p50']:.0f} "
-        f"p99={row['p99']:.0f} max={row['max']:.0f} ticks"
-        for p, row in telemetry.priority_table().items()
-    ]
+    def _feature_lines(self) -> List[str]:
+        """Summary: preemption, spilling, deadlines — each only once used."""
+        lines = []
+        if self.preemptions or self.resumes:
+            lines.append(
+                f"preemption: evictions={self.preemptions} "
+                f"resumes={self.resumes} "
+                f"(re-batched={self.resume_rebatches}) "
+                f"mean_resume_wait={self.mean_resume_wait():.1f} ticks"
+            )
+        if self.spills or self.rehydrations or self.spill_errors:
+            lines.append(
+                f"spilling: spills={self.spills} "
+                f"rehydrations={self.rehydrations} "
+                f"errors={self.spill_errors} "
+                f"resident_peak={self.resident_peak}"
+            )
+        if self.deadline_outcomes():
+            lines.append(
+                f"deadlines: carried={len(self.deadline_outcomes())} "
+                f"misses={self.deadline_misses} "
+                f"attainment={self.slo_attainment('deadline'):.3f}"
+            )
+        return lines
 
 
 @dataclass
-class ServeTelemetry:
+class ServeTelemetry(_Derived):
     """Counters for one engine's lifetime."""
 
     num_lanes: int = 0
@@ -165,30 +262,7 @@ class ServeTelemetry:
         self.resumes += 1
         self.resume_waits.append(wait)
 
-    # -- derived ------------------------------------------------------------
-
-    def lane_utilization(self) -> float:
-        """Fraction of offered lane-slots that held an in-flight request."""
-        return (
-            self.busy_lane_slots / self.lane_slots if self.lane_slots else 0.0
-        )
-
-    def mean_queue_wait(self) -> float:
-        """Average ticks requests spent queued before injection."""
-        waits = self.queue_waits
-        return sum(waits) / len(waits) if waits else 0.0
-
-    def max_queue_wait(self) -> int:
-        return max(self.queue_waits) if self.queue_waits else 0
-
-    def throughput(self) -> float:
-        """Completed requests per tick."""
-        return self.completed / self.ticks if self.ticks else 0.0
-
-    def mean_resume_wait(self) -> float:
-        """Average ticks preempted requests waited before resuming."""
-        waits = self.resume_waits
-        return sum(waits) / len(waits) if waits else 0.0
+    # -- derived (the rest comes from _Derived) -------------------------------
 
     def latencies(self, priority: Optional[int] = None) -> List[int]:
         """Completion latencies (finish - submit), optionally one priority."""
@@ -205,51 +279,9 @@ class ServeTelemetry:
             return [p for ps in self.priority_deadlines.values() for p in ps]
         return list(self.priority_deadlines.get(priority, []))
 
-    def slo_attainment(
-        self,
-        slo_ticks: Union[int, str],
-        priority: Optional[int] = None,
-    ) -> float:
-        """Fraction of completed requests finishing within their SLO.
-
-        With an integer ``slo_ticks``, one shared target: completions
-        within ``slo_ticks`` of submission, fleet-wide or for one
-        priority level.  With ``slo_ticks="deadline"`` (the deadline
-        mode), each request is measured against its *own*
-        ``deadline_ticks``, over the deadline-carrying completions only.
-        0.0 with no qualifying completions (an empty class never claims
-        perfect attainment)."""
-        if slo_ticks == "deadline":
-            pairs = self.deadline_outcomes(priority)
-            if not pairs:
-                return 0.0
-            return sum(1 for lat, dl in pairs if lat <= dl) / len(pairs)
-        lats = self.latencies(priority)
-        if not lats:
-            return 0.0
-        return sum(1 for l in lats if l <= slo_ticks) / len(lats)
-
-    def percentile(self, q: float, priority: Optional[int] = None) -> float:
-        """Nearest-rank completion-latency percentile, in ticks.
-
-        The deterministic counterpart to :meth:`slo_attainment`: where
-        attainment answers "what fraction met the target?", this answers
-        "what target would the q% slowest have met?" — over the same
-        :meth:`latencies` values, optionally for one priority level.
-        0.0 with no completions.
-        """
-        return nearest_rank(self.latencies(priority), q)
-
     def priorities(self) -> List[int]:
         """Priority levels with at least one completion, sorted."""
         return sorted(self.priority_latencies)
-
-    def priority_table(
-        self, slo_ticks: Optional[int] = None
-    ) -> Dict[int, Dict[str, float]]:
-        """Per-priority p50/p90/p99/max latency rows (plus SLO attainment
-        when ``slo_ticks`` is given), keyed by priority level."""
-        return _priority_table(self, slo_ticks)
 
     def summary(self) -> str:
         """Human-readable multi-line telemetry summary."""
@@ -259,37 +291,12 @@ class ServeTelemetry:
             f"requests: submitted={self.submitted} rejected={self.rejected} "
             f"injected={self.injected} completed={self.completed} "
             f"failed={self.failed}",
-            f"queue wait: mean={self.mean_queue_wait():.1f} "
-            f"max={self.max_queue_wait()} ticks",
+            self._queue_wait_line(),
             f"time-to-first-result={self.first_result_tick} ticks, "
             f"throughput={self.throughput():.4f} requests/tick",
+            *self._latency_lines(),
+            *self._feature_lines(),
         ]
-        if self.latencies():
-            lines.append(
-                f"latency: p50={self.percentile(50):.0f} "
-                f"p99={self.percentile(99):.0f} ticks"
-            )
-            lines.extend(_priority_lines(self))
-        if self.preemptions or self.resumes:
-            lines.append(
-                f"preemption: evictions={self.preemptions} "
-                f"resumes={self.resumes} "
-                f"(re-batched={self.resume_rebatches}) "
-                f"mean_resume_wait={self.mean_resume_wait():.1f} ticks"
-            )
-        if self.spills or self.rehydrations or self.spill_errors:
-            lines.append(
-                f"spilling: spills={self.spills} "
-                f"rehydrations={self.rehydrations} "
-                f"errors={self.spill_errors} "
-                f"resident_peak={self.resident_peak}"
-            )
-        if self.deadline_outcomes():
-            lines.append(
-                f"deadlines: carried={len(self.deadline_outcomes())} "
-                f"misses={self.deadline_misses} "
-                f"attainment={self.slo_attainment('deadline'):.3f}"
-            )
         if self.instrumentation is not None:
             lines.append(
                 "machine: "
@@ -299,22 +306,58 @@ class ServeTelemetry:
         return "\n".join(lines)
 
 
+def _pooled(lists: Iterable[List[int]]) -> List[int]:
+    return [x for xs in lists for x in xs]
+
+
+def _worst(values: Iterable[int]) -> int:
+    return max(values, default=0)
+
+
+#: How each fleet-level value of :class:`ClusterTelemetry` rolls up from
+#: the same-named :class:`ServeTelemetry` field of every shard (retired
+#: ones included, so totals never go backwards): ``name -> (fold, own)``,
+#: where ``own`` names a cluster-level field added on top.
+FLEET_ROLLUPS = {
+    **dict.fromkeys(
+        (
+            "submitted", "injected", "completed", "failed", "lane_slots",
+            "busy_lane_slots", "deadline_misses", "spills", "spill_errors",
+            # A migrated preemption is evicted (or spilled) on one shard and
+            # resumed (or rehydrated) on another, so only the fleet totals
+            # of these balance.
+            "preemptions", "resumes", "resume_rebatches", "rehydrations",
+        ),
+        (sum, None),
+    ),
+    # Cluster-level refusals (every shard full) plus per-shard ones, so
+    # out-of-band submissions straight to a shard stay consistent with
+    # the summed ``submitted``.
+    "rejected": (sum, "cluster_rejected"),
+    "queue_waits": (_pooled, None),
+    "resume_waits": (_pooled, None),
+    # ``max_resident_snapshots`` caps each shard, so the fleet metric is
+    # the worst shard, not a sum.
+    "resident_peak": (_worst, None),
+    # Shards tick in lock-step: the fleet's logical clock is the max.
+    "ticks": (_worst, None),
+}
+
+
 @dataclass
-class ClusterTelemetry:
+class ClusterTelemetry(_Derived):
     """Fleet-level rollup of per-shard :class:`ServeTelemetry`.
 
     Holds live references to the shard telemetries, so every aggregate is
-    computed on demand from the shards' current counters; only events the
-    shards cannot see are recorded here directly: the admission counters
-    (``cluster_rejected`` — every shard's queue was full — and
-    ``spillovers`` — the preferred shard was full but another accepted),
-    the work-stealing counters (``steals``/``steal_ticks``), and the
-    autoscale counters (``grow_events``/``shrink_events``/
-    ``shards_retired``/``drain_migrations``).  ``rejected`` reports
-    cluster-level plus shard-level rejections, so out-of-band submissions
-    straight to a shard stay consistent with the summed ``submitted``.
-    Retired shards' telemetries stay in ``shards``, so fleet totals never
-    go backwards when the cluster shrinks.
+    computed on demand from the shards' current counters — each one
+    declared in :data:`FLEET_ROLLUPS` and installed as a read-only
+    property.  Only events the shards cannot see are recorded here
+    directly: the admission counters (``cluster_rejected`` — every
+    shard's queue was full — and ``spillovers`` — the preferred shard was
+    full but another accepted), the work-stealing counters
+    (``steals``/``steal_ticks``), and the autoscale counters
+    (``grow_events``/``shrink_events``/``shards_retired``/
+    ``drain_migrations``).
     """
 
     shards: List[ServeTelemetry] = field(default_factory=list)
@@ -332,94 +375,11 @@ class ClusterTelemetry:
     shards_retired: int = 0    # drained shards actually dropped from the fleet
     drain_migrations: int = 0  # queued requests re-seated off a retiring shard
 
-    # -- aggregate counters --------------------------------------------------
-
     @property
     def num_shards(self) -> int:
         return len(self.shards)
 
-    @property
-    def submitted(self) -> int:
-        return sum(s.submitted for s in self.shards)
-
-    @property
-    def rejected(self) -> int:
-        """Cluster-level (all shards full) plus per-shard rejections."""
-        return self.cluster_rejected + sum(s.rejected for s in self.shards)
-
-    @property
-    def injected(self) -> int:
-        return sum(s.injected for s in self.shards)
-
-    @property
-    def completed(self) -> int:
-        return sum(s.completed for s in self.shards)
-
-    @property
-    def failed(self) -> int:
-        return sum(s.failed for s in self.shards)
-
-    @property
-    def preemptions(self) -> int:
-        return sum(s.preemptions for s in self.shards)
-
-    @property
-    def deadline_misses(self) -> int:
-        return sum(s.deadline_misses for s in self.shards)
-
-    @property
-    def resumes(self) -> int:
-        """Fleet-wide resumes; a migrated preemption is evicted on one
-        shard and resumed on another, so only the fleet totals balance."""
-        return sum(s.resumes for s in self.shards)
-
-    @property
-    def spills(self) -> int:
-        return sum(s.spills for s in self.shards)
-
-    @property
-    def rehydrations(self) -> int:
-        """Fleet-wide rehydrations; a spilled snapshot stolen across
-        shards spills on one and rehydrates on another, so — like
-        resumes — only the fleet totals balance."""
-        return sum(s.rehydrations for s in self.shards)
-
-    @property
-    def spill_errors(self) -> int:
-        return sum(s.spill_errors for s in self.shards)
-
-    @property
-    def resident_peak(self) -> int:
-        """Worst single-shard resident-snapshot peak (the per-shard cap is
-        what ``max_resident_snapshots`` bounds, so the fleet metric is the
-        max, not a sum)."""
-        return max((s.resident_peak for s in self.shards), default=0)
-
-    @property
-    def ticks(self) -> int:
-        """Cluster logical clock: shards tick in lock-step, so the max."""
-        return max((s.ticks for s in self.shards), default=0)
-
-    # -- derived -------------------------------------------------------------
-
-    def fleet_utilization(self) -> float:
-        """Busy lane-slots / offered lane-slots, summed across shards."""
-        slots = sum(s.lane_slots for s in self.shards)
-        busy = sum(s.busy_lane_slots for s in self.shards)
-        return busy / slots if slots else 0.0
-
-    def aggregate_throughput(self) -> float:
-        """Completed requests per cluster tick, across all shards."""
-        ticks = self.ticks
-        return self.completed / ticks if ticks else 0.0
-
-    def mean_queue_wait(self) -> float:
-        """Mean queued ticks across every shard's injected requests."""
-        waits = [w for s in self.shards for w in s.queue_waits]
-        return sum(waits) / len(waits) if waits else 0.0
-
-    def max_queue_wait(self) -> int:
-        return max((s.max_queue_wait() for s in self.shards), default=0)
+    # -- derived (the rest comes from _Derived, over the rollups) -------------
 
     def latencies(self, priority: Optional[int] = None) -> List[int]:
         """Completion latencies across every shard, retired ones included
@@ -433,49 +393,14 @@ class ClusterTelemetry:
         pooled across every shard (retired ones included)."""
         return [p for s in self.shards for p in s.deadline_outcomes(priority)]
 
-    def slo_attainment(
-        self,
-        slo_ticks: Union[int, str],
-        priority: Optional[int] = None,
-    ) -> float:
-        """Fleet-wide fraction of completions within ``slo_ticks`` of
-        submission (optionally one priority level); 0.0 with none.
-        ``slo_ticks="deadline"`` measures each deadline-carrying request
-        against its own ``deadline_ticks``, like
-        :meth:`ServeTelemetry.slo_attainment`."""
-        if slo_ticks == "deadline":
-            pairs = self.deadline_outcomes(priority)
-            if not pairs:
-                return 0.0
-            return sum(1 for lat, dl in pairs if lat <= dl) / len(pairs)
-        lats = self.latencies(priority)
-        if not lats:
-            return 0.0
-        return sum(1 for l in lats if l <= slo_ticks) / len(lats)
-
-    def percentile(self, q: float, priority: Optional[int] = None) -> float:
-        """Nearest-rank completion-latency percentile across the fleet, in
-        ticks (optionally one priority level); 0.0 with no completions.
-        Same definition as :meth:`ServeTelemetry.percentile`, over the
-        pooled :meth:`latencies` — a percentile of the union, not a mean
-        of per-shard percentiles."""
-        return nearest_rank(self.latencies(priority), q)
-
     def priorities(self) -> List[int]:
         """Priority levels with a completion on any shard, sorted."""
         return sorted({p for s in self.shards for p in s.priority_latencies})
 
-    def priority_table(
-        self, slo_ticks: Optional[int] = None
-    ) -> Dict[int, Dict[str, float]]:
-        """Per-priority p50/p90/p99/max rollup over the pooled fleet
-        latencies (plus SLO attainment when ``slo_ticks`` is given)."""
-        return _priority_table(self, slo_ticks)
-
-    def mean_resume_wait(self) -> float:
-        """Mean evict-to-resume wait across every shard's resumed requests."""
-        waits = [w for s in self.shards for w in s.resume_waits]
-        return sum(waits) / len(waits) if waits else 0.0
+    #: Busy lane-slots / offered lane-slots, summed across shards.
+    fleet_utilization = _Derived.lane_utilization
+    #: Completed requests per cluster tick, across all shards.
+    aggregate_throughput = _Derived.throughput
 
     def first_result_tick(self) -> Optional[int]:
         """Earliest completion tick across *every* shard ever in the fleet.
@@ -535,45 +460,21 @@ class ClusterTelemetry:
             f"requests: submitted={self.submitted} rejected={self.rejected} "
             f"spillovers={self.spillovers} injected={self.injected} "
             f"completed={self.completed} failed={self.failed}",
-            f"queue wait: mean={self.mean_queue_wait():.1f} "
-            f"max={self.max_queue_wait()} ticks",
+            self._queue_wait_line(),
             f"throughput={self.aggregate_throughput():.4f} requests/tick, "
             f"completion skew={self.completion_skew():.3f}, "
             f"utilization skew={self.utilization_skew():.3f}",
             "per-shard completed: "
             + " ".join(str(c) for c in self.completed_per_shard()),
+            *self._latency_lines(),
         ]
-        if self.latencies():
-            lines.append(
-                f"latency: p50={self.percentile(50):.0f} "
-                f"p99={self.percentile(99):.0f} ticks"
-            )
-            lines.extend(_priority_lines(self))
         if self.steals or self.steal_ticks:
             lines.append(
                 f"rebalancing: steals={self.steals} over "
                 f"{self.steal_ticks} ticks "
                 f"(preempted-lane migrations={self.preempted_migrations})"
             )
-        if self.preemptions or self.resumes:
-            lines.append(
-                f"preemption: evictions={self.preemptions} "
-                f"resumes={self.resumes} "
-                f"mean_resume_wait={self.mean_resume_wait():.1f} ticks"
-            )
-        if self.spills or self.rehydrations or self.spill_errors:
-            lines.append(
-                f"spilling: spills={self.spills} "
-                f"rehydrations={self.rehydrations} "
-                f"errors={self.spill_errors} "
-                f"resident_peak={self.resident_peak}"
-            )
-        if self.deadline_outcomes():
-            lines.append(
-                f"deadlines: carried={len(self.deadline_outcomes())} "
-                f"misses={self.deadline_misses} "
-                f"attainment={self.slo_attainment('deadline'):.3f}"
-            )
+        lines.extend(self._feature_lines())
         if self.grow_events or self.shrink_events:
             lines.append(
                 f"elasticity: grown={self.grow_events} shrunk="
@@ -581,3 +482,15 @@ class ClusterTelemetry:
                 f"drain_migrations={self.drain_migrations}"
             )
         return "\n".join(lines)
+
+
+def _rollup(name: str, fold: Any, own: Optional[str]) -> property:
+    def read(self: ClusterTelemetry) -> Any:
+        total = fold(getattr(shard, name) for shard in self.shards)
+        return total if own is None else total + getattr(self, own)
+
+    return property(read, doc=f"Fleet ``{name}``; see :data:`FLEET_ROLLUPS`.")
+
+
+for _name, (_fold, _own) in FLEET_ROLLUPS.items():
+    setattr(ClusterTelemetry, _name, _rollup(_name, _fold, _own))

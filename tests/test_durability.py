@@ -680,3 +680,148 @@ class TestJournalRecovery:
         assert engine.journal is journal
         engine.submit(np.int64(5))
         assert len(journal.submissions()) == 1
+
+
+class TestDiskSpillStoreAfterRestart:
+    def test_len_agrees_with_contains_get_pop_on_a_reopened_store(self, tmp_path):
+        """Regression: ``__len__`` counted a process-local key dict while
+        ``in``/``get``/``pop`` fell back to the directory, so a store
+        reopened after a restart held entries it reported not having."""
+        directory = str(tmp_path / "spill")
+        DiskSpillStore(directory).put("7-1", b"x")
+        DiskSpillStore(directory).put("a/b", b"y")  # sanitized file name
+        reopened = DiskSpillStore(directory)
+        assert "7-1" in reopened and "a/b" in reopened
+        assert len(reopened) == 2
+        assert reopened.pop("7-1") == b"x"
+        assert len(reopened) == 1 and len(DiskSpillStore(directory)) == 1
+        with open(os.path.join(directory, "snap-9-9.bin.tmp"), "wb") as f:
+            f.write(b"torn")  # an interrupted put is not an entry
+        assert len(reopened) == 1 and "9-9" not in reopened
+
+
+class TestJournalConfigRecord:
+    """The journal opens with the schedule-determining part of the
+    serving configuration; recover() verifies against it and rebuilds
+    from it instead of trusting the caller to retype the options."""
+
+    NS = (14, 15, 13, 12, 6, 7, 8, 9, 10, 11)
+
+    def _record(self, journal, **options):
+        options.setdefault("preempt", True)
+        engine = fib.serve(8, executor="fused", journal=journal, **options)
+        handles = [engine.submit(np.int64(n)) for n in self.NS]
+        for _ in range(40):
+            engine.tick()
+        handles += [engine.submit(np.int64(n), priority=5) for n in (9, 10, 11, 12)]
+        engine.run_until_idle()
+        assert engine.telemetry.preemptions > 0
+        return engine, {h.request_id: h.finish_tick for h in handles}
+
+    def test_retyped_options_that_differ_are_refused(self):
+        """Regression: ``recover(j, fib, 4, executor="fused")`` over a
+        journal recorded on 8 preempting lanes used to return the right
+        outputs from a *different* schedule (other tick count, zero
+        preemptions, other finish ticks)."""
+        journal = Journal()
+        self._record(journal)
+        with pytest.raises(ValueError, match="num_lanes=4 .* num_lanes=8"):
+            recover(journal, fib, 4, executor="fused")
+        with pytest.raises(ValueError, match="preempt=None"):
+            recover(journal, fib, 8, executor="fused", preempt=False)
+        with pytest.raises(ValueError, match="executor='eager'"):
+            recover(journal, fib, 8, executor="eager")
+        with pytest.raises(ValueError, match="num_engines=2"):
+            recover(journal, fib, 8, num_engines=2)
+
+    @pytest.mark.parametrize(
+        "retyped",
+        [
+            dict(),
+            dict(num_lanes=8),
+            dict(num_lanes=8, executor="fused"),
+            dict(num_lanes=8, executor="fused", preempt=PreemptPolicy()),
+        ],
+    )
+    def test_omitted_options_are_rebuilt_from_the_record(self, retyped, tmp_path):
+        journal = Journal(str(tmp_path / "j.jsonl"))
+        engine, finish_ticks = self._record(journal)
+        retyped = dict(retyped)
+        args = (fib,) + ((retyped.pop("num_lanes"),) if "num_lanes" in retyped else ())
+        run = recover(Journal.load(journal.path), *args, **retyped)
+        assert run.server.now == engine.now
+        assert run.server.telemetry.preemptions == engine.telemetry.preemptions
+        assert {r: h.finish_tick for r, h in run.handles.items()} == finish_ticks
+
+    def test_tuned_policy_must_be_passed_not_guessed(self):
+        journal = Journal()
+        _, finish_ticks = self._record(journal, preempt=PreemptPolicy(min_age=2))
+        with pytest.raises(ValueError, match="pass preempt= to recover"):
+            recover(journal, fib)
+        with pytest.raises(ValueError, match="min_age=0.*min_age=2"):
+            recover(journal, fib, preempt=True)
+        run = recover(journal, fib, preempt=PreemptPolicy(min_age=2))
+        assert {r: h.finish_tick for r, h in run.handles.items()} == finish_ticks
+
+    def test_fleet_writes_one_record_and_rebuilds_from_it(self):
+        def drive(journal):
+            cluster = fib.serve_cluster(
+                2, 2, executor="fused", preempt=True, steal=True,
+                policy="least_loaded", journal=journal,
+            )
+            handles = [cluster.submit(np.int64(n)) for n in (13, 14, 15, 16)]
+            for _ in range(3):
+                cluster.tick()
+            handles += [
+                cluster.submit(np.int64(n), priority=5) for n in (5, 6, 7, 8, 9)
+            ]
+            cluster.run_until_idle()
+            return {h.request_id: (h.finish_tick, h.shard) for h in handles}
+
+        journal = Journal()
+        expected = drive(journal)
+        records = [e for e in journal.entries if e["type"] == "config"]
+        assert len(records) == 1 and journal.entries[0] is records[0]
+        assert records[0]["num_engines"] == 2 and records[0]["num_lanes"] == 2
+        assert records[0]["policy"] == "LeastLoadedPolicy()"
+        run = recover(journal, fib)
+        assert len(run.server.engines) == 2
+        assert {
+            r: (h.finish_tick, h.shard) for r, h in run.handles.items()
+        } == expected
+        with pytest.raises(ValueError, match="steal=None"):
+            recover(journal, fib, 2, num_engines=2, steal=False)
+
+    def test_late_attachment_writes_the_record_once(self):
+        journal = Journal()
+        engine = fib.serve(num_lanes=2, executor="fused")
+        AsyncServer(engine, journal=journal)
+        AsyncServer(engine, journal=journal)
+        assert [e["type"] for e in journal.entries] == ["config"]
+        assert journal.config()["num_lanes"] == 2
+        fleet_journal = Journal()
+        fleet = fib.serve_cluster(3, 2)
+        fleet.set_journal(fleet_journal)
+        assert [e["type"] for e in fleet_journal.entries] == ["config"]
+        assert all(e.journal is fleet_journal for e in fleet.engines)
+
+    def test_journals_without_the_record_replay_as_before(self):
+        journal = Journal()
+        _, finish_ticks = self._record(journal)
+        old = Journal()
+        old.entries = [e for e in journal.entries if e["type"] != "config"]
+        assert old.config() is None
+        run = recover(old, fib, 8, executor="fused", preempt=True)
+        assert {r: h.finish_tick for r, h in run.handles.items()} == finish_ticks
+        with pytest.raises(ValueError, match="needs either server="):
+            recover(old, fib)
+
+    def test_recovered_run_journals_onward_into_a_fresh_journal(self):
+        journal = Journal()
+        self._record(journal)
+        onward = Journal()
+        recover(journal, fib, journal=onward)
+        assert onward.config() == journal.config()
+        assert len(onward.submissions()) == len(journal.submissions())
+        with pytest.raises(ValueError, match="cannot journal into the journal"):
+            recover(journal, fib, journal=journal)
