@@ -12,6 +12,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
     extras_require={"test": ["pytest", "hypothesis"]},
 )

@@ -23,6 +23,8 @@ Public API
   ``fn.serve``/``fn.serve_cluster``).
 """
 
+import importlib
+
 from repro.frontend import (
     AutobatchFunction,
     Primitive,
@@ -31,12 +33,26 @@ from repro.frontend import (
     default_registry,
     primitive,
 )
-from repro.observe import Trace
-from repro.serve import Engine, QueueFullError, StepBudgetExceeded
 from repro.vm import BlockExecutor, ExecutionPlan, Instrumentation
 from repro import ops
 
 __version__ = "1.2.0"
+
+# Resolved on first use (PEP 562): a run_pc / run_local caller never loads
+# the serving stack or asyncio.
+_ON_DEMAND = {
+    "Engine": "repro.serve",
+    "QueueFullError": "repro.serve",
+    "StepBudgetExceeded": "repro.serve",
+    "Trace": "repro.observe",
+}
+
+
+def __getattr__(name):
+    if name in _ON_DEMAND:
+        return getattr(importlib.import_module(_ON_DEMAND[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AutobatchFunction",

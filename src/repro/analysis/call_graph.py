@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set
 
-import networkx as nx
-
 from repro.analysis.liveness import op_defs
 from repro.ir.instructions import CallOp, Program
 
@@ -15,7 +13,6 @@ from repro.ir.instructions import CallOp, Program
 class CallGraphInfo:
     """Derived facts about a program's call structure."""
 
-    graph: nx.DiGraph
     #: Functions on a call-graph cycle (self-recursive or mutually recursive).
     recursive: FrozenSet[str]
     #: Function -> all functions reachable from it (including itself).
@@ -27,27 +24,33 @@ class CallGraphInfo:
 
 
 def analyze_call_graph(program: Program) -> CallGraphInfo:
-    """Call edges, SCCs, and the recursive-function set of a program."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(program.functions)
-    for fn in program.functions.values():
-        for blk in fn.blocks:
-            for op in blk.ops:
-                if isinstance(op, CallOp):
-                    graph.add_edge(fn.name, op.func)
+    """Call edges, reachability, and the recursive-function set of a program."""
+    calls: Dict[str, Set[str]] = {
+        fn.name: {
+            op.func
+            for blk in fn.blocks
+            for op in blk.ops
+            if isinstance(op, CallOp)
+        }
+        for fn in program.functions.values()
+    }
 
-    recursive: Set[str] = set()
-    for scc in nx.strongly_connected_components(graph):
-        if len(scc) > 1:
-            recursive |= scc
-        else:
-            (node,) = scc
-            if graph.has_edge(node, node):
-                recursive.add(node)
+    # reach[f]: functions reachable from f over at least one call edge.  A
+    # function is on a cycle exactly when it reaches itself.
+    reach: Dict[str, Set[str]] = {}
+    for name, callees in calls.items():
+        seen: Set[str] = set()
+        work = list(callees)
+        while work:
+            callee = work.pop()
+            if callee not in seen:
+                seen.add(callee)
+                work.extend(calls[callee])
+        reach[name] = seen
 
+    recursive = {name for name, seen in reach.items() if name in seen}
     closure: Dict[str, FrozenSet[str]] = {
-        name: frozenset(nx.descendants(graph, name) | {name})
-        for name in program.functions
+        name: frozenset(seen | {name}) for name, seen in reach.items()
     }
 
     # Per-function update-clobbered variables: every op output in the body.
@@ -74,7 +77,6 @@ def analyze_call_graph(program: Program) -> CallGraphInfo:
         clobbers[name] = frozenset(acc)
 
     return CallGraphInfo(
-        graph=graph,
         recursive=frozenset(recursive),
         closure=closure,
         clobbers=clobbers,

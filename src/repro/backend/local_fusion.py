@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.frontend.registry import PrimitiveRegistry
 from repro.ir.instructions import Block, CallOp, ConstOp, Function, PrimOp
+from repro.vm.local_static import _const_array
 
 
 class _LocalBlockCompiler:
@@ -55,14 +56,7 @@ class _LocalBlockCompiler:
         lines: List[str] = []
         for op in ops:
             if isinstance(op, ConstOp):
-                value = op.value
-                if isinstance(value, bool):
-                    arr = np.full(self.batch_size, value, dtype=bool)
-                elif isinstance(value, int):
-                    arr = np.full(self.batch_size, value, dtype=np.int64)
-                else:
-                    arr = np.full(self.batch_size, value, dtype=np.float64)
-                const = self._bind("c", arr)
+                const = self._bind("c", _const_array(op.value, self.batch_size))
                 lines.append(f"storage({op.output!r}).write(mask, {const})")
             elif isinstance(op, PrimOp):
                 prim = self.registry.get(op.fn)

@@ -66,12 +66,12 @@ class AutobatchFunction:
         This is the paper's "Eager mode without autobatching" baseline and
         the differential-testing oracle.
         """
-        batch = [np.asarray(x) for x in inputs]
-        if not batch:
-            raise ValueError("at least one input is required")
+        from repro.vm.local_static import batch_arrays
+
+        batch = batch_arrays(inputs)
         z = batch[0].shape[0]
         results = [self.pyfunc(*(x[b] for x in batch)) for b in range(z)]
-        if results and isinstance(results[0], tuple):
+        if isinstance(results[0], tuple):
             n = len(results[0])
             return tuple(np.stack([np.asarray(r[i]) for r in results]) for i in range(n))
         return np.stack([np.asarray(r) for r in results])

@@ -119,8 +119,8 @@ def validate_stack_program(program: StackProgram) -> None:
     with a missing terminator raised before its remaining checks could be
     reported consistently.
     """
-    # Imported lazily: repro.analysis pulls in its whole analysis suite
-    # (networkx included), which repro.ir must not require at import time.
+    # Imported lazily: repro.analysis pulls in its whole analysis suite,
+    # which repro.ir must not require at import time.
     from repro.analysis.stackcheck.structural import structural_diagnostics
 
     diags = structural_diagnostics(program)

@@ -6,10 +6,10 @@ at that block do useful work.  The VM (when profiling is enabled)
 records, per block: how many times it executed, how many lanes were
 active at it, how many lanes were live anywhere in the machine at that
 step, and how many slots the platform burned.  ``slots - active`` is the
-block's *masked-lane waste* — the exact per-block signal ROADMAP item 3
-(superblock fusion) needs: a block whose waste dominates is a straggler
-that serializes the batch, and the fusion pass should target the region
-around it.
+block's *masked-lane waste* — the exact per-block signal superblock
+region selection (:mod:`repro.backend.regions`) needs: a block whose waste
+dominates is a straggler that serializes the batch, and the fusion pass
+should target the region around it.
 """
 
 from __future__ import annotations

@@ -40,6 +40,20 @@ class ExecutionLimitExceeded(RuntimeError):
     """The step budget ran out (non-termination or block starvation)."""
 
 
+def batch_arrays(inputs: Sequence[Any]) -> List[np.ndarray]:
+    """The inputs as arrays; rejects an empty input list and an empty batch."""
+    arrays = [np.asarray(x) for x in inputs]
+    if not arrays:
+        raise ValueError("at least one input is required")
+    for i, a in enumerate(arrays):
+        if a.shape[0] == 0:
+            raise ValueError(
+                f"input {i} has an empty batch (shape {a.shape}); "
+                "at least one batch member is required"
+            )
+    return arrays
+
+
 def _const_array(value: Any, batch_size: int) -> np.ndarray:
     if isinstance(value, bool):
         return np.full(batch_size, value, dtype=bool)
@@ -123,9 +137,7 @@ class LocalStaticInterpreter:
 
     def run(self, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Run the whole batch through the main function (Algorithm 1)."""
-        arrays = [np.asarray(x) for x in inputs]
-        if not arrays:
-            raise ValueError("at least one input is required")
+        arrays = batch_arrays(inputs)
         batch_size = arrays[0].shape[0]
         for a in arrays:
             if a.shape[0] != batch_size:

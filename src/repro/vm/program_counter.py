@@ -25,7 +25,7 @@ from repro.frontend.registry import PrimitiveRegistry, default_registry
 from repro.ir.instructions import StackProgram, VarKind
 from repro.vm.executors import ExecutionPlan, resolve_executor
 from repro.vm.instrumentation import Instrumentation
-from repro.vm.local_static import ExecutionLimitExceeded
+from repro.vm.local_static import ExecutionLimitExceeded, batch_arrays
 from repro.vm.scheduler import make_scheduler
 from repro.vm.stack import BatchedStack, StackOverflowError
 from repro.vm.state import RegisterStorage, StackedStorage
@@ -559,9 +559,7 @@ def run_program_counter(
     or a pre-compiled :class:`~repro.vm.executors.ExecutionPlan`.
     Returns a single array for single-output programs, else a tuple.
     """
-    arrays = [np.asarray(x) for x in inputs]
-    if not arrays:
-        raise ValueError("at least one input is required")
+    arrays = batch_arrays(inputs)
     vm = ProgramCounterVM(
         program,
         batch_size=arrays[0].shape[0],

@@ -1,23 +1,15 @@
-"""Shared pytest configuration: asyncio test support with a fallback.
+"""Shared pytest configuration: coroutine tests run without a plugin.
 
 ``tests/test_aio.py`` exercises the asyncio front door with native
-``async def`` tests marked ``@pytest.mark.asyncio``.  CI installs
-``pytest-asyncio`` to run them; in minimal environments without the
-plugin, the hook below runs each coroutine test through ``asyncio.run``
-so the suite needs no extra dependency either way.
+``async def`` tests marked ``@pytest.mark.asyncio``.  The hook below runs
+each coroutine test through ``asyncio.run``, so the suite's dev
+dependencies are ``pytest`` and ``hypothesis`` only.
 """
 
 import asyncio
 import inspect
 
 import pytest
-
-try:
-    import pytest_asyncio  # noqa: F401
-
-    _HAVE_PLUGIN = True
-except ImportError:
-    _HAVE_PLUGIN = False
 
 
 def pytest_configure(config):
@@ -26,16 +18,14 @@ def pytest_configure(config):
     )
 
 
-if not _HAVE_PLUGIN:
-
-    @pytest.hookimpl(tryfirst=True)
-    def pytest_pyfunc_call(pyfuncitem):
-        test_fn = pyfuncitem.obj
-        if not inspect.iscoroutinefunction(test_fn):
-            return None
-        kwargs = {
-            name: pyfuncitem.funcargs[name]
-            for name in pyfuncitem._fixtureinfo.argnames
-        }
-        asyncio.run(test_fn(**kwargs))
-        return True
+@pytest.hookimpl(tryfirst=True)
+def pytest_pyfunc_call(pyfuncitem):
+    test_fn = pyfuncitem.obj
+    if not inspect.iscoroutinefunction(test_fn):
+        return None
+    kwargs = {
+        name: pyfuncitem.funcargs[name]
+        for name in pyfuncitem._fixtureinfo.argnames
+    }
+    asyncio.run(test_fn(**kwargs))
+    return True

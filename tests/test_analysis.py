@@ -1,6 +1,8 @@
 """Unit tests for liveness, call-graph, and storage-class analyses."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.call_graph import analyze_call_graph
 from repro.analysis.cfg import predecessors, reverse_postorder, successors
@@ -153,6 +155,47 @@ class TestCallGraph:
         # fib is recursive so its formal stays out; loop_calling's own formal
         # is in its clobber set (it is non-recursive, bound by update).
         assert "loop_calling.n" in cg.clobbers["loop_calling"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edges=st.integers(1, 7).flatmap(
+            lambda n: st.sets(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            ).map(lambda es: (n, es))
+        )
+    )
+    def test_matches_brute_force_transitive_closure(self, edges):
+        """Random call graphs (self-loops, mutual recursion, unreachable
+        functions, diamonds) against a Warshall closure written here."""
+        n, es = edges
+        callees = [sorted(j for i, j in es if i == f) for f in range(n)]
+        pb = ProgramBuilder(main="f0")
+        for f in range(n):
+            b = FunctionBuilder(f"f{f}", params=(f"a{f}",), outputs=(f"r{f}",))
+            (entry,) = b.blocks("entry")
+            for g in callees[f]:
+                entry.call((f"t{f}_{g}",), f"f{g}", (f"a{f}",))
+            entry.prim((f"r{f}",), "id", (f"a{f}",)).ret()
+            pb.add(b.build())
+        cg = analyze_call_graph(pb.build())
+
+        reach = [[(i, j) in es for j in range(n)] for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+        recursive = {f for f in range(n) if reach[f][f]}
+        writes = [
+            {f"r{f}"}
+            | {f"t{f}_{g}" for g in callees[f]}
+            | (set() if f in recursive else {f"a{f}"})
+            for f in range(n)
+        ]
+        assert cg.recursive == {f"f{f}" for f in recursive}
+        for f in range(n):
+            closure = {g for g in range(n) if reach[f][g]} | {f}
+            assert cg.closure[f"f{f}"] == {f"f{g}" for g in closure}
+            assert cg.clobbers[f"f{f}"] == set().union(*(writes[g] for g in closure))
 
 
 class TestStorage:

@@ -1,5 +1,9 @@
 """Unit tests for the Python AST frontend (parser + CFG builder + API)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -382,3 +386,38 @@ def test_mismatched_batch_sizes_rejected():
 
     with pytest.raises(ValueError, match="batch"):
         gcd.run_local(np.array([1, 2]), np.array([1, 2, 3]))
+
+
+def test_import_repro_loads_only_what_run_pc_needs():
+    """In a fresh interpreter: no serving stack, asyncio or networkx until a
+    serving name is asked for; the four on-demand names still resolve."""
+    import repro
+
+    code = """
+import sys
+import repro
+
+unwanted = ["networkx", "asyncio", "repro.serve", "repro.observe", "repro.bench", "repro.nuts"]
+assert [m for m in unwanted if m in sys.modules] == []
+try:
+    repro.no_such_name
+except AttributeError as e:
+    assert "no_such_name" in str(e)
+else:
+    raise AssertionError("unknown attribute resolved")
+assert repro.Trace.__module__.startswith("repro.observe")
+for name in ("Engine", "QueueFullError", "StepBudgetExceeded"):
+    assert getattr(repro, name).__module__.startswith("repro.serve")
+ns = {}
+exec("from repro import *", ns)
+assert set(repro.__all__) <= set(ns)
+"""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]

@@ -238,6 +238,25 @@ class TestVMErrors:
         with pytest.raises(ValueError, match="at least one input"):
             run_program_counter(fib.stack_program(), [])
 
+    @pytest.mark.parametrize(
+        "strategy, options",
+        [("run_reference", {})]
+        + [
+            ("run_local", {"scheduler": s, "fuse_blocks": f})
+            for s in ("earliest", "most_active", "round_robin")
+            for f in (False, True)
+        ]
+        + [
+            ("run_pc", {"scheduler": s, "executor": x})
+            for s in ("earliest", "most_active", "round_robin", "region")
+            for x in ("eager", "fused", "superblock")
+        ],
+        ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v.values())),
+    )
+    def test_empty_batch_rejected_by_name(self, strategy, options):
+        with pytest.raises(ValueError, match="input 0 has an empty batch"):
+            getattr(fib, strategy)(np.array([], dtype=np.int64), **options)
+
 
 class TestSnapshots:
     def test_pc_snapshot_shape(self):
