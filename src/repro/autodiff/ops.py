@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autodiff.tape import defvjp
+from repro.frontend.primitives import _sigmoid, _softplus
 
 # -- arithmetic -----------------------------------------------------------------
 
@@ -58,26 +59,12 @@ cos = defvjp(np.cos, lambda r, x: lambda g: -g * np.sin(x))
 abs_ = defvjp(np.abs, lambda r, x: lambda g: g * np.sign(x))
 
 
-def _sigmoid_forward(x):
-    out = np.empty_like(np.asarray(x, dtype=np.float64))
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+sigmoid = defvjp(_sigmoid, lambda r, x: lambda g: g * r * (1.0 - r))
 
-
-sigmoid = defvjp(_sigmoid_forward, lambda r, x: lambda g: g * r * (1.0 - r))
-
-
-def _log_sigmoid_forward(x):
-    # log sigmoid(x) = -softplus(-x), computed stably.
-    return -np.logaddexp(0.0, -x)
-
-
+# log sigmoid(x) = -softplus(-x), computed stably.
 log_sigmoid = defvjp(
-    _log_sigmoid_forward,
-    lambda r, x: lambda g: g * _sigmoid_forward(-x),
+    lambda x: -_softplus(-x),
+    lambda r, x: lambda g: g * _sigmoid(-x),
 )
 
 # -- reductions / linear algebra -----------------------------------------------

@@ -29,15 +29,36 @@ pending tallies through the block's primitive, push, pop and storage-access
 sites whenever one of those counters is read.  Eager and fused runs thus
 produce bit-identical outputs **and** op counts at every step boundary —
 the property the differential tests pin down — from one variant of the
-generated code.  (A block that raises part-way is not tallied, where the
+generated code; the one place they part is the *slots* of a gathered call
+site (below), which are the lanes the kernel ran on under either executor.  (A block that raises part-way is not tallied, where the
 interpreter has recorded the operations before the raise; a raise reaches
 no step boundary, and the machine is not stepped again.)
 
-The step's ``idx`` is the one active-lane set a block uses: kernels and
-masked storage writes run at full width ``Z`` (the paper's accounting), but
-everything that moves per-lane state — stack pushes and pops, the
+The step's ``idx`` is the one active-lane set a block uses: light kernels
+and masked storage writes run at full width ``Z`` (the paper's accounting),
+but everything that moves per-lane state — stack pushes and pops, the
 return-address stack, the program-counter update — indexes with ``idx``
 directly instead of re-deriving it from ``mask``.
+
+The paper's masking-vs-gather trade (masking wastes compute on dead lanes,
+gathering pays memory traffic) is made *per call site*, from the registered
+``cost_weight`` of the site's primitive: at or above
+:data:`GATHER_MIN_COST_WEIGHT` the site reads its inputs' ``idx`` rows,
+calls the kernel on those, and scatters the result rows into a zeroed
+full-width array — so a target log-density or gradient is paid for on live
+lanes only, while scalar arithmetic, where the gather would cost more than
+the waste, stays masked.  The choice is static (the weight comes from the
+registry the machine resolves kernels in, at bind), so there is still one
+generated variant per block and every statement after a gathered site is
+what a masked site emits; such a site is charged ``slots = active`` in
+``Instrumentation`` — the work that ran — where the interpreter under
+``mode="mask"`` charges ``Z``.  A masked-off lane's row of a gathered result
+is zero, and as unobservable as the junk a masked kernel leaves there.  A
+kernel whose rows are independent of their companions returns the same bits
+either way; one that lets BLAS order a sum by the operand's shape (the
+logistic matmuls) differs in the last bits between a gathered and a
+full-width call, exactly as it already does between any batched strategy
+and the ``Z = 1`` reference.
 
 That identity extends to lane checkpoint/resume (the serving engine's
 preemption): generated namespaces capture *storage objects* — never the
@@ -59,7 +80,7 @@ The same generated executors serve two strategies from the paper's Figure 5:
 from __future__ import annotations
 
 import textwrap
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,6 +123,32 @@ def total_fused_compiles() -> int:
     return _TOTAL_FUSED_COMPILES[0]
 
 
+#: A ``PrimOp`` site gathers its inputs to the step's live lanes when its
+#: primitive's registered ``cost_weight`` (abstract flops per output element)
+#: is at least this.  Measured on the 2-core host the benchmark runs on, one
+#: BLAS thread: ``x[idx]`` + ``np.zeros`` + ``out[idx] = rows`` costs 1–5 µs
+#: per call at 128 lanes (scalar to 20-vector rows), and a masked-off lane
+#: costs 0.2–0.8 ns per abstract flop (logistic log-density and gradient at
+#: 50 to 1,000 data points) — so at weight 500 a dead lane wastes at least
+#: 0.1 µs per output element and 10–50 dead lanes repay the gather.  NUTS on
+#: logistic regression under ``executor="fused"`` with the gather forced on
+#: against forced off, 8 / 16 / 128 lanes, bears that out: gradient and
+#: log-density weights (64, 128) lose 5–14 %; (256, 512) lose 0–3 %;
+#: (800, 2,000) win 0–6 % even at 96–99 % live; (4,000, 40,000) — the
+#: benchmark's problem, 87 % and 62 % live at 128 lanes — win 1.2x.  The
+#: heaviest registered arithmetic or RNG primitive is 20, where a dead lane
+#: costs 4–16 ns and no batch width repays it.
+GATHER_MIN_COST_WEIGHT = 500.0
+
+
+def _scatter_rows(rows, idx: np.ndarray, width: int) -> np.ndarray:
+    """``rows`` (one per lane of ``idx``) as a zeroed width-``width`` batch."""
+    rows = np.asarray(rows)
+    out = np.zeros((width,) + rows.shape[1:], dtype=rows.dtype)
+    out[idx] = rows
+    return out
+
+
 class _CompiledBlock:
     """One block's generated source, compiled code object, and bind spec.
 
@@ -130,6 +177,7 @@ class _CompiledBlock:
         namespace: Dict[str, object] = {
             "np": np,
             "_el": elements_per_lane,
+            "_rows": _scatter_rows,
             "_sbp": _superblock_profile,
         }
         for name, kind, payload in self.spec:
@@ -166,8 +214,10 @@ def _superblock_profile(vm, index: int, idx: np.ndarray) -> None:
 class _BlockCompiler:
     """Generates the fused executor source for one basic block."""
 
-    def __init__(self, program: StackProgram):
+    def __init__(self, program: StackProgram, gathered: FrozenSet[str] = frozenset()):
         self.program = program
+        #: Primitive names whose call sites run on the live lanes only.
+        self.gathered = gathered
         self.spec: List[tuple] = []
         #: Static operation list of every block emitted so far, by index.
         self.ops: Dict[int, BlockOps] = {}
@@ -185,15 +235,17 @@ class _BlockCompiler:
             self._mangle[var] = f"t{len(self._mangle)}"
         return self._mangle[var]
 
-    def _read_expr(self, var: str, ops: BlockOps) -> str:
-        """Expression reading ``var``, counting the interpreter's read record."""
+    def _read_expr(self, var: str, ops: BlockOps, gather: bool = False) -> str:
+        """Expression reading ``var`` (its ``idx`` rows only under ``gather``),
+        counting the interpreter's read record."""
         kind = self.program.kind(var)
         if kind is VarKind.TEMP:
-            return self._temp_local(var)
+            local = self._temp_local(var)
+            return f"np.asarray({local})[idx]" if gather else local
         if kind is VarKind.STACKED:
             ops.stacked_reads += 1
         storage_name = self._bind("s", "storage", var)
-        return f"{storage_name}.read()"
+        return f"{storage_name}.read_at(idx)" if gather else f"{storage_name}.read()"
 
     def _write_lines(
         self, var: str, expr: str, lines: List[str], ops: BlockOps
@@ -230,25 +282,35 @@ class _BlockCompiler:
                 self._write_lines(op.output, const, lines, ops)
             elif isinstance(op, PrimOp):
                 k = self._bind("k", "prim_fn", op.fn)
-                args = ", ".join(self._read_expr(v, ops) for v in op.inputs)
+                # A heavy kernel sees the live lanes' rows only; its results
+                # go back into zeroed full-width arrays, so every statement
+                # after this one is what a masked site emits.
+                gather = op.fn in self.gathered
+                args = ", ".join(self._read_expr(v, ops, gather) for v in op.inputs)
+                call = f"{k}({args})"
                 if len(op.outputs) == 1:
+                    if gather:
+                        call = f"_rows({call}, idx, vm.batch_size)"
                     out = op.outputs[0]
                     if self.program.kind(out) is VarKind.TEMP:
                         first = self._temp_local(out)
-                        lines.append(f"{first} = {k}({args})")
+                        lines.append(f"{first} = {call}")
                     else:
                         first = f"v{block_index}_{j}"
-                        lines.append(f"{first} = {k}({args})")
+                        lines.append(f"{first} = {call}")
                         self._write_lines(out, first, lines, ops)
                 else:
                     tmps = [
                         f"o{block_index}_{j}_{i}" for i in range(len(op.outputs))
                     ]
-                    lines.append(f"{', '.join(tmps)} = {k}({args})")
+                    lines.append(f"{', '.join(tmps)} = {call}")
                     for tmp, out in zip(tmps, op.outputs):
+                        if gather:
+                            lines.append(f"{tmp} = _rows({tmp}, idx, vm.batch_size)")
                         self._write_lines(out, tmp, lines, ops)
                     first = tmps[0]
                 ops.prim_fns.append(op.fn)
+                ops.gathered.append(gather)
                 firsts.append(first)
             elif isinstance(op, PushOp):
                 k = self._bind("k", "prim_fn", op.fn)
@@ -359,9 +421,13 @@ class FusedBlockExecutor(BlockExecutor):
     the XLA analog, and the executor behind Figure 5's ``pc_fused`` line
     and the serving engine's ``executor="fused"``.
 
-    Only the masking execution mode is supported (the paper notes that the
-    statically-indeterminate intermediate sizes of gather-scatter defeat
-    XLA-style compilation, which is exactly the constraint here).
+    The machine must be in masking mode: a whole-machine ``mode="gather"``
+    gives every intermediate a statically indeterminate size, which the
+    paper notes defeats XLA-style compilation and is exactly the constraint
+    here.  Within a masked block, call sites of primitives at or above
+    :data:`GATHER_MIN_COST_WEIGHT` still run on the live lanes only (see
+    the module docstring): one kernel call whose result is scattered back
+    to full width leaves every other shape in the block static.
     """
 
     name = "fused"
@@ -369,28 +435,50 @@ class FusedBlockExecutor(BlockExecutor):
 
     def __init__(self, registry: Optional[PrimitiveRegistry] = None):
         self.registry = registry
-        # Source generation + compile() happen once per *program*; every
-        # bind only re-resolves the spec's names against one VM.  The cache
-        # is keyed per program (identity), so one executor instance can be
-        # shared by many plans/machines — a whole serving cluster binds one
-        # code cache — and alternating binds across programs never thrash.
-        # The cache holds a strong reference to each program so an id() is
-        # never reused while its entry is alive; entries live as long as
-        # the executor, so a long-lived instance should serve a bounded
-        # program population (plans already pin their programs anyway).
-        self._compiled: Dict[int, Tuple[StackProgram, List[_CompiledBlock]]] = {}
-        #: Per-program codegen events this instance has performed (the
-        #: compile-once counter the cluster tests assert on).
+        # Source generation + compile() happen once per *program* and set of
+        # gathered primitive names (the one thing a registry decides about
+        # the source); every bind only re-resolves the spec's names against
+        # one VM.  The cache is keyed per program (identity), so one executor
+        # instance can be shared by many plans/machines — a whole serving
+        # cluster binds one code cache — and alternating binds across
+        # programs never thrash.  The cache holds a strong reference to each
+        # program so an id() is never reused while its entry is alive;
+        # entries live as long as the executor, so a long-lived instance
+        # should serve a bounded program population (plans already pin their
+        # programs anyway).
+        self._compiled: Dict[
+            Tuple[int, FrozenSet[str]], Tuple[StackProgram, List[_CompiledBlock]]
+        ] = {}
+        #: Codegen events this instance has performed, one per cache entry
+        #: (the compile-once counter the cluster tests assert on).
         self.compile_count = 0
 
-    def _compiled_blocks(self, program: StackProgram) -> List[_CompiledBlock]:
-        entry = self._compiled.get(id(program))
+    def _compile(
+        self, program: StackProgram, gathered: FrozenSet[str]
+    ) -> List[_CompiledBlock]:
+        return [
+            _BlockCompiler(program, gathered).compile(i)
+            for i in range(len(program.blocks))
+        ]
+
+    def _compiled_blocks(
+        self, program: StackProgram, registry: PrimitiveRegistry
+    ) -> List[_CompiledBlock]:
+        called = {
+            op.fn
+            for block in program.blocks
+            for op in block.ops
+            if isinstance(op, PrimOp)
+        }
+        gathered = frozenset(
+            fn
+            for fn in called
+            if registry.get(fn).cost_weight >= GATHER_MIN_COST_WEIGHT
+        )
+        entry = self._compiled.get((id(program), gathered))
         if entry is None:
-            blocks = [
-                _BlockCompiler(program).compile(i)
-                for i in range(len(program.blocks))
-            ]
-            self._compiled[id(program)] = (program, blocks)
+            blocks = self._compile(program, gathered)
+            self._compiled[id(program), gathered] = (program, blocks)
             self.compile_count += 1
             _TOTAL_FUSED_COMPILES[0] += 1
             return blocks
@@ -403,7 +491,7 @@ class FusedBlockExecutor(BlockExecutor):
                 "statically indeterminate intermediate shapes)"
             )
         registry = self.registry or vm.registry
-        compiled = self._compiled_blocks(vm.program)
+        compiled = self._compiled_blocks(vm.program, registry)
         # Every block fronts its own compiled entry (a superblock chain
         # starts at it), so the entries' operation lists cover the program.
         tallies = vm._tallies = TallyTable(
@@ -499,27 +587,22 @@ class SuperblockExecutor(FusedBlockExecutor):
             return table
         return entry[1]
 
-    def _compiled_blocks(self, program: StackProgram) -> List[_CompiledBlock]:
-        entry = self._compiled.get(id(program))
-        if entry is None:
-            table = self.regions_for(program)
-            # A stale or hand-built table must not reach codegen: every run
-            # edge has to exist in this program's CFG.  (Plan verification
-            # additionally checks runs against the abstract interpreter's
-            # reachability facts; this structural gate also covers plans
-            # compiled with verify=False.)
-            from repro.analysis.stackcheck.regions import verify_region_table
+    def _compile(
+        self, program: StackProgram, gathered: FrozenSet[str]
+    ) -> List[_CompiledBlock]:
+        table = self.regions_for(program)
+        # A stale or hand-built table must not reach codegen: every run
+        # edge has to exist in this program's CFG.  (Plan verification
+        # additionally checks runs against the abstract interpreter's
+        # reachability facts; this structural gate also covers plans
+        # compiled with verify=False.)
+        from repro.analysis.stackcheck.regions import verify_region_table
 
-            verify_region_table(program, table)
-            blocks = [
-                _BlockCompiler(program).compile_chain(table.chain(i))
-                for i in range(len(program.blocks))
-            ]
-            self._compiled[id(program)] = (program, blocks)
-            self.compile_count += 1
-            _TOTAL_FUSED_COMPILES[0] += 1
-            return blocks
-        return entry[1]
+        verify_region_table(program, table)
+        return [
+            _BlockCompiler(program, gathered).compile_chain(table.chain(i))
+            for i in range(len(program.blocks))
+        ]
 
     def dispatch_count(self, instr: Instrumentation) -> int:
         """One host launch per machine dispatch — several blocks each."""

@@ -247,9 +247,16 @@ def run_figure5(config: Figure5Config = Figure5Config()) -> Figure5Result:
     for z in config.batch_sizes:
         q0 = target.initial_state(z, seed=config.seed)
 
-        # One instrumented (unmeasured) run per machine drives the simulator.
-        instr_run = kernel.run(q0, strategy="pc", instrument=True, **common)
-        instr_pc = instr_run.instrumentation
+        # One instrumented (unmeasured) run per machine drives the simulator;
+        # per executor on the program-counter machine, because a fused block
+        # charges its heavy call sites their live lanes, not the batch width.
+        instr_pc = {
+            strategy: kernel.run(
+                q0, strategy=strategy, instrument=True, **common
+            ).instrumentation
+            for strategy in EXECUTED_STRATEGIES
+            if strategy in PC_STRATEGY_EXECUTORS
+        }
         local_capped = z <= config.caps.get("local", max(config.batch_sizes))
         instr_local = (
             kernel.run(q0, strategy="local", instrument=True, **common).instrumentation
@@ -291,9 +298,9 @@ def run_figure5(config: Figure5Config = Figure5Config()) -> Figure5Result:
                 measured_grads = timing.value.total_grad_evals
                 seconds = timing.best_seconds
                 if strategy in PC_STRATEGY_EXECUTORS:
-                    # Plan-derived dispatch accounting: the same machine run,
-                    # costed by the executor that would launch its kernels.
-                    sim = _simulate(instr_pc, kernel.plan(strategy))
+                    # Plan-derived dispatch accounting: the machine's run,
+                    # costed by the executor that launched its kernels.
+                    sim = _simulate(instr_pc[strategy], kernel.plan(strategy))
                 elif strategy == "local":
                     sim = _simulate(instr_local, "eager") if instr_local else {}
                 elif strategy == "hybrid":

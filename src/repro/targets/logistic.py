@@ -4,24 +4,18 @@ The paper's problem: 10,000 data points, 100 regressors.  We synthesize the
 dataset the obvious way — standard-normal features scaled by ``1/sqrt(d)``
 so logits stay O(1), a standard-normal true weight vector, Bernoulli labels
 — and put a standard-normal prior on the weights.  The posterior
-log-density and its gradient are computed in numerically stable form
-(``softplus`` via ``logaddexp``).
+log-density and its gradient are computed in numerically stable form on
+whole-array ufuncs (the mask-free ``_sigmoid`` / ``_softplus`` of
+:mod:`repro.frontend.primitives`): no boolean-mask gather, no scalar loop,
+so a call costs its arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.frontend.primitives import _sigmoid, _softplus
 from repro.targets.base import Target
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 class BayesianLogisticRegression(Target):
@@ -65,9 +59,10 @@ class BayesianLogisticRegression(Target):
     def log_prob(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=np.float64)
         logits = q @ self.features.T                      # (..., N)
-        loglik = np.sum(
-            self.labels * logits - np.logaddexp(0.0, logits), axis=-1
-        )
+        softplus = _softplus(logits)
+        logits *= self.labels             # the matmul's result is ours to reuse
+        logits -= softplus
+        loglik = np.sum(logits, axis=-1)
         logprior = -0.5 * np.sum(q * q, axis=-1) / self.prior_scale**2
         return loglik + logprior
 

@@ -5,9 +5,16 @@ fraction of executed primitive lane-slots that belonged to locally active
 batch members.  Under masking, a primitive executed at batch size ``Z`` with
 ``a`` active members does ``Z`` lanes of work of which ``a`` are useful;
 under gather-scatter, it does ``a`` lanes but the divergence still shows up
-as extra machine steps.  We count *slots* (``Z`` per execution) and *active*
-(``a``) per primitive name and per tag, so utilization can be reported for
-any class of primitives — Figure 6 uses the target-density gradient.
+as extra machine steps.  We count *slots* and *active* (``a``) per primitive
+name and per tag, so utilization can be reported for any class of primitives
+— Figure 6 uses the target-density gradient.
+
+*Slots* are the lanes the kernel was run on, per call site: ``Z`` per
+execution where the site is masked (every site under ``mode="mask"`` in the
+interpreters, and every light site of a fused block), ``a`` where it gathers
+(every site under ``mode="gather"``, and the heavy sites of a fused block —
+see :data:`repro.backend.fusion.GATHER_MIN_COST_WEIGHT`).  ``flops`` follow
+slots, so both read as the work that ran.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ def elements_per_lane(value) -> int:
 @dataclass
 class OpCounter:
     executions: int = 0
-    slots: int = 0     # lanes the platform executed (Z per execution, masked)
+    slots: int = 0     # lanes the platform executed (Z per masked execution)
     active: int = 0    # lanes that were locally active (useful work)
     flops: float = 0.0  # abstract work: cost_weight * elements/lane * slots
 
@@ -79,12 +86,13 @@ class BlockOps:
     """What one execution of a basic block counts: its static operation list."""
 
     __slots__ = (
-        "prim_fns", "pushes", "pops", "stacked_reads", "stacked_writes",
-        "register_writes",
+        "prim_fns", "gathered", "pushes", "pops", "stacked_reads",
+        "stacked_writes", "register_writes",
     )
 
     def __init__(self) -> None:
         self.prim_fns: List[str] = []  # one per PrimOp site, in block order
+        self.gathered: List[bool] = []  # per site: ran on the live lanes only
         self.pushes = 0
         self.pops = 0
         self.stacked_reads = 0
@@ -283,7 +291,10 @@ class Instrumentation:
         add ``n`` to every per-site count, ``a`` to every lane count and
         ``n`` times the site's per-execution flops (equal to ``n`` separate
         additions whenever those are exactly representable, as they are for
-        the integer-valued weights every registered primitive carries).
+        the integer-valued weights every registered primitive carries).  A
+        site that gathers ran its kernel on the active lanes only, so its
+        slots are ``a`` and its flops follow — what the interpreter records
+        under ``mode="gather"``.
         Tables are detached afterwards, so an ``Instrumentation`` keeps no
         reference to a machine that has stopped stepping.
         """
@@ -304,11 +315,19 @@ class Instrumentation:
                 self._stacked_reads += n * ops.stacked_reads
                 self._stacked_writes += n * ops.stacked_writes
                 self._register_writes += n * ops.register_writes
-                for prim, elements in zip(tally.prims, tally.elements or ()):
-                    self._count_prim(
-                        prim.name, prim.tags, n, active, n * slots,
-                        n * (prim.cost_weight * elements * slots),
-                    )
+                for prim, gathered, elements in zip(
+                    tally.prims, ops.gathered, tally.elements or ()
+                ):
+                    if gathered:  # the kernel ran on the live lanes only
+                        self._count_prim(
+                            prim.name, prim.tags, n, active, active,
+                            prim.cost_weight * elements * active,
+                        )
+                    else:
+                        self._count_prim(
+                            prim.name, prim.tags, n, active, n * slots,
+                            n * (prim.cost_weight * elements * slots),
+                        )
 
     # -- derived metrics ---------------------------------------------------
 

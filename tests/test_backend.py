@@ -1,12 +1,19 @@
 """Tests for the simulated accelerator backend: fusion, devices, kernels."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro import autobatch, primitive
 from repro.backend.device import CPU_DEVICE, GPU_DEVICE, DeviceModel
-from repro.backend.fusion import FusionUnsupported
+from repro.backend.fusion import (
+    GATHER_MIN_COST_WEIGHT,
+    FusedBlockExecutor,
+    FusionUnsupported,
+)
 from repro.backend.kernels import KernelLibrary
-from repro.frontend.registry import default_registry
+from repro.frontend.registry import PrimitiveRegistry, default_registry
 from repro.vm.executors import ExecutionPlan
 from repro.vm.instrumentation import Instrumentation
 from repro.vm.program_counter import ProgramCounterVM
@@ -75,6 +82,122 @@ class TestFusion:
         # same primitives), so kernel counts match; the savings are in the
         # plan-loop overhead, which test_benchmarks covers with timing.
         assert lib_fused.stats.calls == lib_eager.stats.calls
+
+
+_heavy_registry = PrimitiveRegistry(parent=default_registry)
+
+
+@primitive(registry=_heavy_registry, cost_weight=GATHER_MIN_COST_WEIGHT)
+def heavy_step(x):
+    """Elementwise, so a row's value does not depend on its companions."""
+    return np.asarray(x) * 0.75 + 1.0
+
+
+@autobatch(registry=_heavy_registry)
+def _heavy_descent(x, n):
+    if n <= 0:
+        return x
+    y = heavy_step(x)
+    return _heavy_descent(y, n - 1) + y * 0.5
+
+
+def _sources(plan, **vm_options):
+    vm = ProgramCounterVM(plan, batch_size=16, max_stack_depth=32, **vm_options)
+    return [block.__fused_source__ for block in vm._block_fns]
+
+
+class TestCostDirectedGather:
+    """A fused block runs a heavy primitive on the step's live lanes only;
+    nothing else about any block changes."""
+
+    X = np.array([0.5, -2.0, 3.25, 8.0, -0.125])
+    N = np.array([3, 0, 7, 1, 5], dtype=np.int64)
+
+    def test_corpus_blocks_have_no_gathered_site(self):
+        for name, (fn, _) in sorted(ALL_EXAMPLES.items()):
+            for executor in ("fused", "superblock"):
+                for i, source in enumerate(_sources(fn.execution_plan(executor))):
+                    assert "_rows(" not in source, f"{name}/{executor} block {i}"
+                    assert "read_at" not in source, f"{name}/{executor} block {i}"
+
+    def test_fib_generated_source_is_the_parents(self):
+        """The no-collateral pin for ``fib_*`` and ``serve_*``: every
+        generated fib block, byte for byte (digest taken at the commit before
+        gathered sites existed; tests' ``fib`` and the benchmark's are the
+        same source)."""
+        text = "".join(
+            source
+            for executor in ("fused", "superblock")
+            for source in _sources(fib.execution_plan(executor))
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0f40ea4c6d7cea580180c9bbba63433c6cb6fc24bea9adddc570ef814aaf7030"
+        )
+
+    def test_heavy_site_gathers_and_matches_every_executor(self):
+        plan = _heavy_descent.execution_plan("fused")
+        sources = _sources(plan, registry=_heavy_registry)
+        assert sum(source.count("_rows(") for source in sources) == 1
+        expected = _heavy_descent.run_reference(self.X, self.N)
+        for executor in ("eager", "fused", "superblock"):
+            out = _heavy_descent.run_pc(self.X, self.N, executor=executor)
+            assert np.array_equal(out, expected), executor
+
+    def test_one_plan_two_registries_each_runs_its_own_variant(self):
+        """The compiled-code cache is keyed by the program *and* the gathered
+        names: the weight is the registry's to give."""
+        light = PrimitiveRegistry(parent=_heavy_registry)
+        primitive(registry=light, name="heavy_step", cost_weight=1.0)(heavy_step.fn)
+        plan = _heavy_descent.execution_plan(FusedBlockExecutor())  # own cache
+
+        def gathered_sites(registry):
+            return sum(
+                source.count("_rows(") for source in _sources(plan, registry=registry)
+            )
+
+        assert gathered_sites(_heavy_registry) == 1
+        assert gathered_sites(light) == 0
+        assert gathered_sites(_heavy_registry) == 1
+        assert plan.executor.compile_count == 2  # one per variant, not per bind
+        expected = _heavy_descent.run_reference(self.X, self.N)
+        for registry in (light, _heavy_registry):
+            instr = Instrumentation(batch_size=5)
+            out = _heavy_descent.run_pc(
+                self.X, self.N, executor="fused", registry=registry,
+                instrumentation=instr,
+            )
+            assert np.array_equal(out, expected)
+            counter = instr.count(prim="heavy_step")
+            gathers = registry is _heavy_registry
+            assert counter.active == int(self.N.sum())
+            assert counter.slots == (
+                counter.active if gathers else counter.executions * 5
+            )
+
+    def test_snapshot_restore_across_executors_mid_run(self):
+        expected = _heavy_descent.run_reference(self.X, self.N)
+        plans = {
+            name: _heavy_descent.execution_plan(name) for name in ("fused", "eager")
+        }
+
+        def machine(name):
+            return ProgramCounterVM(
+                plans[name], batch_size=5, max_stack_depth=32,
+                registry=_heavy_registry,
+            )
+
+        vm = machine("fused")
+        vm.bind_inputs([self.X, self.N])
+        for name in ("eager", "fused", "eager", "fused"):
+            for _ in range(5):
+                assert vm.step()  # still mid-run at every hop
+            snaps = [vm.snapshot_lane(b) for b in range(5)]
+            vm = machine(name)
+            for b, snap in enumerate(snaps):
+                vm.restore_lane(b, snap)
+        while vm.step():
+            pass
+        assert np.array_equal(vm.outputs()[0], expected)
 
 
 class TestDeviceModel:

@@ -146,6 +146,29 @@ class TestJunkDataClaim:
         out = _guarded_sqrt.run_reference(self.BATCH)
         np.testing.assert_allclose(out, [2.0, -3.0, 4.0, -5.0])
 
+    def test_fused_blocks_make_the_trade_per_call_site(self):
+        """Inside fused blocks the masking-vs-gather choice follows the
+        kernel's registered cost: a light ``strict_sqrt`` runs full width and
+        trips on the other branch's lanes exactly as eager masking does; the
+        same kernel registered heavy runs on its live lanes only and never
+        sees one."""
+        from repro.backend.fusion import GATHER_MIN_COST_WEIGHT
+
+        for executor in ("eager", "fused"):
+            with pytest.raises(FloatingPointError):
+                _guarded_sqrt.run_pc(self.BATCH, mode="mask", executor=executor)
+
+        heavy = PrimitiveRegistry(parent=_strict_registry)
+        primitive(
+            registry=heavy, name="strict_sqrt", cost_weight=GATHER_MIN_COST_WEIGHT
+        )(strict_sqrt.fn)
+        for executor in ("fused", "superblock"):
+            out = _guarded_sqrt.run_pc(self.BATCH, executor=executor, registry=heavy)
+            assert np.array_equal(out, _guarded_sqrt.run_reference(self.BATCH))
+        # Eager masking does not consult the weight: still full width.
+        with pytest.raises(FloatingPointError):
+            _guarded_sqrt.run_pc(self.BATCH, mode="mask", registry=heavy)
+
 
 # ---------------------------------------------------------------------------
 # §2: "as long as we don't starve any blocks, any selection criterion will

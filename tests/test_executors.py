@@ -12,12 +12,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro import autobatch, ops, primitive
 from repro.backend.fusion import (
+    GATHER_MIN_COST_WEIGHT,
     FusedBlockExecutor,
     FusionUnsupported,
     SuperblockExecutor,
 )
+from repro.frontend.registry import PrimitiveRegistry, default_registry
 from repro.lowering.pipeline import LoweringOptions
 from repro.serve.engine import Engine
 from repro.vm.executors import (
@@ -392,6 +397,68 @@ class TestEagerFusedDifferential:
             t_eager = device.estimate(instr, fib.execution_plan("eager"))
             t_fused = device.estimate(instr, fib.execution_plan("fused"))
             assert t_fused < t_eager
+
+
+_gather_registry = PrimitiveRegistry(parent=default_registry)
+
+
+@primitive(registry=_gather_registry, cost_weight=GATHER_MIN_COST_WEIGHT)
+def heavy_features(x):
+    """``(Z,) -> (Z, 3)``, elementwise per row and BLAS-free: a row's bits do
+    not depend on which rows it is computed with."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.stack([x * 0.5, 1.0 / (1.0 + x * x), np.sqrt(np.abs(x))], axis=-1)
+
+
+@autobatch(registry=_gather_registry)
+def _feature_walk(x, n):
+    f = heavy_features(x)               # every lane live
+    while n > 0:                        # lanes drop out one by one
+        x = x * 0.5 + ops.sum_last(f) * 0.125
+        f = heavy_features(x)
+        n = n - 1
+    return x + ops.sum_last(f)
+
+
+_walk_members = st.tuples(
+    st.floats(-8.0, 8.0, allow_nan=False), st.integers(0, 12)
+)
+
+
+class TestGatheredSiteDifferential:
+    """A heavy call site runs on the step's live lanes and scatters its rows
+    back; a light one runs full width.  Neither is observable."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_walk_members, min_size=1, max_size=9))
+    @example([(1.5, 9), (-2.0, 0), (0.25, 0), (3.0, 1)])  # a single-lane tail
+    def test_fused_matches_eager_masking(self, members):
+        x = np.array([m[0] for m in members])
+        n = np.array([m[1] for m in members], dtype=np.int64)
+        instr = Instrumentation()
+        fused = _feature_walk.run_pc(x, n, executor="fused", instrumentation=instr)
+        eager = _feature_walk.run_pc(x, n, executor="eager", mode="mask")
+        assert np.array_equal(fused, eager)
+        assert np.array_equal(fused, _feature_walk.run_reference(x, n))
+        # One execution per loop trip of the longest member (plus the entry
+        # site), one live lane per member trip: whenever one member outlasts
+        # the rest, the tail's steps ran the kernel on a single row.
+        heavy = instr.count(prim="heavy_features")
+        assert heavy.executions == 1 + int(n.max())
+        assert heavy.active == len(members) + int(n.sum())
+        assert heavy.slots == heavy.active
+        light = instr.count(prim="sum_last")
+        assert light.slots == light.executions * len(members)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(_walk_members, min_size=5, max_size=14))
+    def test_engine_injects_and_retires_mid_flight(self, members):
+        x = np.array([m[0] for m in members])
+        n = np.array([m[1] for m in members], dtype=np.int64)
+        engine = Engine(_feature_walk, 4, executor="fused")
+        results = engine.map(list(zip(x, n)))
+        expected = _feature_walk.run_pc(x, n, executor="eager", mode="mask")
+        assert np.array_equal(np.stack(results), expected)
 
 
 class TestServingDifferential:
