@@ -17,9 +17,13 @@ separate fused driver loop: the fused machine *is* the ordinary
 program-counter machine bound to a fused
 :class:`~repro.vm.executors.ExecutionPlan`.
 
-Generated blocks are *observationally identical* to interpretation: they
-run their arithmetic under ``np.errstate(all="ignore")`` (masked-off lanes
-must never raise spurious floating-point warnings), and a reader of
+Generated blocks are *observationally identical* to interpretation.  Their
+arithmetic runs under ``np.errstate(all="ignore")`` (masked-off lanes must
+never raise spurious floating-point warnings), which no block enters: the
+machine does, once around a whole
+:meth:`~repro.vm.program_counter.ProgramCounterVM.run` and once per
+``step_lanes()`` call, because entering the context costs about what two of
+a block's kernels do.  A reader of
 :class:`~repro.vm.instrumentation.Instrumentation` sees the counts the
 interpreter records op by op.  A block's operation list is static, so the
 generated code does not record operations at all: each execution bumps one
@@ -38,7 +42,13 @@ The step's ``idx`` is the one active-lane set a block uses: light kernels
 and masked storage writes run at full width ``Z`` (the paper's accounting),
 but everything that moves per-lane state — stack pushes and pops, the
 return-address stack, the program-counter update — indexes with ``idx``
-directly instead of re-deriving it from ``mask``.
+directly instead of re-deriving it from ``mask``.  What is left of that
+bookkeeping is gathers and scatters, not arithmetic: at serving widths a
+ufunc on a ``(Z,)`` array costs three to ten indexed loads, so a ``Branch``
+reads its lanes' next pcs out of the block's two-entry target table
+(``targets[cond[idx]]``, bound once per machine) rather than computing them
+with a select, and the stacks step their pointers through tables too (see
+:mod:`repro.vm.stack`).
 
 The paper's masking-vs-gather trade (masking wastes compute on dead lanes,
 gathering pays memory traffic) is made *per call site*, from the registered
@@ -187,6 +197,8 @@ class _CompiledBlock:
                 namespace[name] = registry.get(payload).fn
             elif kind == "const":
                 namespace[name] = _const_array(payload, vm.batch_size)
+            elif kind == "targets":
+                namespace[name] = np.array(payload, dtype=np.int64)
             else:  # "tally": the machine's BlockTally for block ``payload``
                 namespace[name] = tallies.blocks[payload]
         exec(self.code, namespace)
@@ -330,11 +342,11 @@ class _BlockCompiler:
             lines.append(f"vm.pcreg[idx] = {term.target}")
         elif isinstance(term, Branch):
             cond = self._read_expr(term.cond, ops)
+            # A bool cast to an index is 0 or 1: the branch is an indexed load
+            # from the block's two targets, not a ufunc.
+            tgt = self._bind("g", "targets", (term.false_target, term.true_target))
             lines.append(f"_c = np.asarray({cond}, dtype=bool)")
-            lines.append(
-                f"vm.pcreg[idx] = np.where(_c[idx], {term.true_target}, "
-                f"{term.false_target})"
-            )
+            lines.append(f"vm.pcreg[idx] = {tgt}[_c[idx].astype(np.intp)]")
         elif isinstance(term, PushJump):
             lines.append(f"vm.addr_stack.push_at(idx, {term.return_target})")
             lines.append(f"vm.pcreg[idx] = {term.jump_target}")
@@ -354,11 +366,10 @@ class _BlockCompiler:
         lines.append(f"{t}.active += _na")
 
     def _wrap(self, entry_index: int, lines: List[str]) -> _CompiledBlock:
-        body = textwrap.indent("\n".join(lines) or "pass", "        ")
+        body = textwrap.indent("\n".join(lines), "    ")
         source = (
             f"def _fused_block_{entry_index}(vm, mask, idx):\n"
             f"    _na = idx.size\n"
-            f"    with np.errstate(all='ignore'):\n"
             f"{body}\n"
         )
         return _CompiledBlock(entry_index, source, self.spec, self.ops[entry_index])
@@ -386,7 +397,7 @@ class _BlockCompiler:
         Per-member instrumentation matches the machine loop: one step and
         one block tally per member that ran, profiling via ``_sbp`` when
         armed, and the active-lane sets of every member concatenated into
-        ``vm._stepped_override`` so serving step budgets charge the same
+        the callable's return value so serving step budgets charge the same
         per-block rate as the single-block executors.
         """
         start = chain[0]
@@ -410,7 +421,7 @@ class _BlockCompiler:
             ] + body
             lines.extend("    " + stmt for stmt in inner)
         lines.append("if len(_stepped) > 1:")
-        lines.append("    vm._stepped_override = np.concatenate(_stepped)")
+        lines.append("    return np.concatenate(_stepped)")
         return self._wrap(start, lines)
 
 

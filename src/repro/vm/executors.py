@@ -56,7 +56,11 @@ class BlockExecutor:
     bound callable has the signature ``(vm, mask, idx)`` and must leave the
     machine state (storages, pc register, address stack, instrumentation)
     exactly as the eager interpreter would: executors are *observationally
-    interchangeable*, which the differential tests enforce bit-for-bit.
+    interchangeable*, which the differential tests enforce bit-for-bit.  It
+    returns None — or, having run further blocks in the same dispatch, the
+    lanes that were active in any of them (for per-request step budgets) —
+    and runs under the machine's ``np.errstate(all="ignore")``: it does not
+    enter one itself.
     """
 
     #: Name used in ``executor="..."`` selection and plan cache keys.
@@ -181,8 +185,7 @@ class _InterpretedBlock:
             if tag == "prim":
                 _, prim, outputs, inputs = step
                 args = [vm._read(v, ridx) for v in inputs]
-                with np.errstate(all="ignore"):
-                    out = prim.fn(*args)
+                out = prim.fn(*args)
                 outs = out if prim.n_outputs > 1 else (out,)
                 for name, value in zip(outputs, outs):
                     vm._write(name, value, mask, idx)
@@ -201,8 +204,7 @@ class _InterpretedBlock:
             elif tag == "push":
                 _, prim, output, inputs = step
                 args = [vm._read(v, ridx) for v in inputs]
-                with np.errstate(all="ignore"):
-                    value = prim.fn(*args)
+                value = prim.fn(*args)
                 st = vm.storage(output)
                 if gather:
                     st.push_at(idx, np.asarray(value))

@@ -218,10 +218,6 @@ class ProgramCounterVM:
         self._bound = plan.bind(self)
         self._block_fns = self._bound.blocks
         self._steps = 0
-        # A multi-block executor (superblock fusion) sets this to the union
-        # of lanes that were active across every member block it ran, so
-        # step_lanes can report the full set to per-request step budgets.
-        self._stepped_override: Optional[np.ndarray] = None
         # Region-aware schedulers get the executor's superblock table so
         # they can prefer entry blocks whose chains cover the most lanes.
         if hasattr(self.scheduler, "set_regions"):
@@ -299,14 +295,25 @@ class ProgramCounterVM:
 
     def run(self, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Execute until every member halts; returns the output arrays."""
+        if self._steps:
+            # A machine that has stepped holds its last members, parked at
+            # the exit or mid-flight: start every lane over, as a fresh
+            # machine would, or the new inputs would never execute.
+            self.reset_lanes(np.arange(self.batch_size))
+            self._steps = 0
         self.bind_inputs(inputs)
         self.scheduler.reset()
-        step = self.step_lanes
-        while step() is not None:
-            pass
-        # A finished run leaves nothing behind in a shared Instrumentation.
+        self._attach_tallies()
+        step = self._step
+        with np.errstate(all="ignore"):
+            while step() is not None:
+                pass
+        # A finished run leaves nothing behind in a shared Instrumentation
+        # (re-attached first, had a kernel or hook read a counter mid-run).
+        self._attach_tallies()
         self.instr.expand_tallies()
-        return self.outputs()
+        # Copies: the next run() on this machine resets the storages.
+        return [np.array(out) for out in self.outputs()]
 
     def step(self) -> bool:
         """Select and execute one basic block; False when all members halted."""
@@ -319,6 +326,21 @@ class ProgramCounterVM:
         empty-shaped) index array of lanes that were active in the executed
         block — the serving engine uses this for per-request step budgets.
         """
+        self._attach_tallies()
+        with np.errstate(all="ignore"):
+            return self._step()
+
+    def _attach_tallies(self) -> None:
+        """List this machine's block tallies with ``instr`` (any counter read
+        detaches them) — per entry into the machine, not per block."""
+        tallies = self._tallies
+        if tallies is not None and not tallies.attached:
+            self.instr.attach(tallies)
+
+    def _step(self) -> Optional[np.ndarray]:
+        """One step, for a caller that holds ``np.errstate(all="ignore")``:
+        masked-off lanes compute on junk, and no block (generated or
+        interpreted) enters the context itself."""
         i = self.scheduler.select(self.pcreg, self.exit_index)
         if i is None:
             return None
@@ -328,17 +350,22 @@ class ProgramCounterVM:
         instr = self.instr
         instr.steps += 1
         instr.host_dispatches += 1
-        tallies = self._tallies
-        if tallies is not None and not tallies.attached:
-            instr.attach(tallies)
-        profiling = instr.track_blocks
-        if self.track_occupancy or profiling:
-            live = int(np.count_nonzero(self.pcreg < self.exit_index))
-            if self.track_occupancy:
-                instr.record_occupancy(live, self.batch_size)
         mask = self.pcreg == i
         idx = mask.nonzero()[0]
-        if profiling:
+        if self.track_occupancy or instr.track_blocks:
+            self._record_lanes(i, idx)
+        # A superblock returns the lanes of every member block it ran in
+        # this one dispatch, for per-request step budgets; a block, nothing.
+        stepped = self._block_fns[i](self, mask, idx)
+        return idx if stepped is None else stepped
+
+    def _record_lanes(self, i: int, idx: np.ndarray) -> None:
+        """Lane occupancy (serving) and per-block profiling, when armed."""
+        instr = self.instr
+        live = int(np.count_nonzero(self.pcreg < self.exit_index))
+        if self.track_occupancy:
+            instr.record_occupancy(live, self.batch_size)
+        if instr.track_blocks:
             # Mirror the primitive-level slot convention: the platform
             # offers the full batch width under masking but only the
             # gathered lanes under gather-scatter.
@@ -347,14 +374,6 @@ class ProgramCounterVM:
             hook = self._bound.block_hook
             if hook is not None:
                 hook(self, i, idx)
-        self._block_fns[i](self, mask, idx)
-        stepped = self._stepped_override
-        if stepped is not None:
-            # A superblock executed several member blocks in this one
-            # dispatch; report every lane that did work in any of them.
-            self._stepped_override = None
-            return stepped
-        return idx
 
     # -- lane lifecycle (continuous-batching serving) -----------------------------
     #

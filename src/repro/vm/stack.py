@@ -16,6 +16,24 @@ every access gathers/scatters — used by the optimization-4 ablation.
 Both classes use an *implicit base frame*: a freshly created stack has one
 writable top (the cache / slot 0) at depth 0, so variables whose first write
 is an in-place update need no initial push.
+
+Stack-pointer arithmetic is table lookups.  A stack pointer is an integer in
+``[0, D]``, and at serving widths a ufunc or reduction on a ``(Z,)`` integer
+array costs 0.7-2 us where a fancy-index load costs 0.15-0.25 us, so each
+stack builds three ``(D + 1,)`` tables once: ``_inc[k] = k + 1``,
+``_dec[k] = max(k - 1, 0)`` (the non-strict pop's clamp at the base frame)
+and the boolean ``_reached[k]`` ("some lane has held ``k`` saved frames"),
+whose last set entry is ``high_water``.  A push or pop is then gathers and
+scatters only.
+
+The bounds check *is* the overflow check.  The data array has exactly as
+many rows as a lane may save frames (``D``; ``D + 1`` slots uncached), so a
+push from a full lane indexes one row past the end — and numpy validates
+every index of a fancy assignment before it writes any element.  The
+``IndexError`` of that first scatter is re-raised as
+:class:`StackOverflowError` with ``sp``, ``data`` and ``cache`` untouched,
+for the lanes of ``idx`` that had room too: as exact as the ``sp.max()``
+comparison it replaces, and free on the pushes that fit.
 """
 
 from __future__ import annotations
@@ -33,9 +51,30 @@ class StackUnderflowError(RuntimeError):
     """A pop on an empty stack in strict mode (indicates a compiler bug)."""
 
 
-def _broadcast_mask(mask: np.ndarray, ndim: int) -> np.ndarray:
-    """Right-pad a (Z,) boolean mask so it broadcasts against (Z, *event)."""
-    return mask.reshape(mask.shape + (1,) * (ndim - 1))
+def _overflow(depth: int) -> StackOverflowError:
+    return StackOverflowError(
+        f"stack depth limit D={depth} exceeded; increase max_stack_depth"
+    )
+
+
+def masked_assign(arr: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
+    """``arr[b] = values[b]`` for the members ``b`` where ``mask`` holds.
+
+    ``np.putmask`` is the lean spelling, but it repeats a shorter ``values``
+    and force-casts its dtype, so it takes only the exact-match scalar-event
+    case; anything else broadcasts (and casts ``same_kind``) through
+    ``copyto`` under the ``(Z,)`` mask right-padded to ``arr``'s rank.
+    """
+    if arr.ndim == 1 and values.shape == arr.shape and values.dtype == arr.dtype:
+        np.putmask(arr, mask, values)
+    else:
+        np.copyto(arr, values, where=mask.reshape(mask.shape + (1,) * (arr.ndim - 1)))
+
+
+def _pointer_tables(depth: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(_inc, _dec, _reached)`` for stack pointers in ``[0, depth]``."""
+    steps = np.arange(depth + 1)
+    return steps + 1, np.maximum(steps - 1, 0), steps == 0
 
 
 class BatchedStack:
@@ -65,11 +104,15 @@ class BatchedStack:
         self.data = np.zeros((self.depth, self.batch_size) + self.event_shape, self.dtype)
         self.cache = np.zeros((self.batch_size,) + self.event_shape, self.dtype)
         self.sp = np.zeros(self.batch_size, dtype=np.int64)
-        #: Highest saved-frame count any lane ever reached (machine lifetime,
-        #: not reset by lane recycling).  The logical peak depth is
-        #: ``high_water + 1``; the verifier's static bound is checked against
-        #: this exact observable in the depth-equality tests.
-        self.high_water = 0
+        self._inc, self._dec, self._reached = _pointer_tables(self.depth)
+
+    @property
+    def high_water(self) -> int:
+        """Highest saved-frame count any lane ever reached (machine lifetime,
+        not reset by lane recycling).  The logical peak depth is
+        ``high_water + 1``; the verifier's static bound is checked against
+        this exact observable in the depth-equality tests."""
+        return int(self._reached.nonzero()[0][-1])
 
     # -- reads -------------------------------------------------------------
 
@@ -85,12 +128,12 @@ class BatchedStack:
 
     def update(self, mask: np.ndarray, values: np.ndarray) -> None:
         """In-place update of the top for members where ``mask`` holds."""
-        np.copyto(self.cache, values, where=_broadcast_mask(mask, self.cache.ndim))
+        masked_assign(self.cache, mask, np.asarray(values))
 
     def push(self, mask: np.ndarray, values: np.ndarray) -> None:
         """Push ``values`` for members where ``mask`` holds (scatter)."""
         idx = np.flatnonzero(mask)
-        self.push_at(idx, values[idx])
+        self.push_at(idx, np.asarray(values)[idx])
 
     def pop(self, mask: np.ndarray) -> np.ndarray:
         """Pop for members where ``mask`` holds; returns the popped tops.
@@ -109,22 +152,17 @@ class BatchedStack:
         self.cache[idx] = values
 
     def push_at(self, idx: np.ndarray, values: np.ndarray) -> None:
-        if idx.size == 0:
-            return
         sp = self.sp[idx]
-        # One reduction serves the overflow check and the high-water mark.
-        peak = int(sp.max()) + 1
-        if peak > self.depth:
-            raise StackOverflowError(
-                f"stack depth limit D={self.depth} exceeded; increase "
-                "max_stack_depth"
-            )
-        # Spill the cached top into its slot, then cache the new values.
-        self.data[sp, idx] = self.cache[idx]
-        self.sp[idx] = sp + 1
+        # Spill the cached top into its slot, then cache the new values.  A
+        # full lane's slot is row D of D: the scatter raises before writing.
+        try:
+            self.data[sp, idx] = self.cache[idx]
+        except IndexError:
+            raise _overflow(self.depth) from None
+        sp = self._inc[sp]
+        self.sp[idx] = sp
+        self._reached[sp] = True
         self.cache[idx] = values
-        if peak > self.high_water:
-            self.high_water = peak
 
     def pop_at(self, idx: np.ndarray) -> np.ndarray:
         """Pop for members in ``idx``; returns their popped top values."""
@@ -134,12 +172,10 @@ class BatchedStack:
 
     def drop_at(self, idx: np.ndarray) -> None:
         """Pop for members in ``idx`` without gathering the popped tops."""
-        if idx.size == 0:
-            return
         sp = self.sp[idx]
         if self.strict and np.any(sp <= 0):
             raise StackUnderflowError("pop on empty stack")
-        new_sp = np.maximum(sp - 1, 0)
+        new_sp = self._dec[sp]
         self.cache[idx] = self.data[new_sp, idx]
         self.sp[idx] = new_sp
 
@@ -178,8 +214,7 @@ class BatchedStack:
             )
         self.data[:, lane] = 0
         self.sp[lane] = sp
-        if sp > self.high_water:
-            self.high_water = sp
+        self._reached[sp] = True
         if sp:
             self.data[:sp, lane] = frames[:-1]
         self.cache[lane] = frames[-1]
@@ -224,9 +259,9 @@ class UncachedBatchedStack:
         )
         self.sp = np.zeros(self.batch_size, dtype=np.int64)
         self._lanes = np.arange(self.batch_size)
-        #: Highest saved-frame count any lane ever reached (see
-        #: :attr:`BatchedStack.high_water`).
-        self.high_water = 0
+        self._inc, self._dec, self._reached = _pointer_tables(self.depth)
+
+    high_water = BatchedStack.high_water
 
     def read(self) -> np.ndarray:
         return self.data[self.sp, self._lanes]
@@ -246,19 +281,14 @@ class UncachedBatchedStack:
         self.push_at(idx, np.asarray(values)[idx])
 
     def push_at(self, idx: np.ndarray, values: np.ndarray) -> None:
-        if idx.size == 0:
-            return
-        sp = self.sp[idx]
-        peak = int(sp.max()) + 1
-        if peak > self.depth:
-            raise StackOverflowError(
-                f"stack depth limit D={self.depth} exceeded; increase "
-                "max_stack_depth"
-            )
-        self.sp[idx] = sp + 1
-        self.data[sp + 1, idx] = values
-        if peak > self.high_water:
-            self.high_water = peak
+        sp = self._inc[self.sp[idx]]
+        # A full lane's new slot is row D + 1 of D + 1: raises before writing.
+        try:
+            self.data[sp, idx] = values
+        except IndexError:
+            raise _overflow(self.depth) from None
+        self.sp[idx] = sp
+        self._reached[sp] = True
 
     def pop(self, mask: np.ndarray) -> np.ndarray:
         popped = self.read()
@@ -271,12 +301,10 @@ class UncachedBatchedStack:
         return popped
 
     def drop_at(self, idx: np.ndarray) -> None:
-        if idx.size == 0:
-            return
         sp = self.sp[idx]
         if self.strict and np.any(sp <= 0):
             raise StackUnderflowError("pop on empty stack")
-        self.sp[idx] = np.maximum(sp - 1, 0)
+        self.sp[idx] = self._dec[sp]
 
     def reset_lanes(self, idx: np.ndarray, top: Optional[np.ndarray] = None) -> None:
         """Return the lanes in ``idx`` to the freshly-constructed state."""
@@ -298,8 +326,7 @@ class UncachedBatchedStack:
             )
         self.data[:, lane] = 0
         self.sp[lane] = sp
-        if sp > self.high_water:
-            self.high_water = sp
+        self._reached[sp] = True
         self.data[: sp + 1, lane] = frames
 
     def depths(self) -> np.ndarray:

@@ -17,15 +17,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.vm.stack import BatchedStack, UncachedBatchedStack
+from repro.vm.stack import BatchedStack, UncachedBatchedStack, masked_assign
 
 
 class UninitializedRead(RuntimeError):
     """A variable was read before any batch member wrote it."""
-
-
-def _broadcast_mask(mask: np.ndarray, ndim: int) -> np.ndarray:
-    return mask.reshape(mask.shape + (1,) * (ndim - 1))
 
 
 class RegisterStorage:
@@ -62,12 +58,7 @@ class RegisterStorage:
 
     def write(self, mask: np.ndarray, value: np.ndarray) -> None:
         value = np.asarray(value)
-        arr = self._ensure(value.shape[1:], value.dtype)
-        np.copyto(
-            arr,
-            np.asarray(value, dtype=arr.dtype),
-            where=_broadcast_mask(mask, arr.ndim),
-        )
+        masked_assign(self._ensure(value.shape[1:], value.dtype), mask, value)
 
     def write_at(self, idx: np.ndarray, value_gathered: np.ndarray) -> None:
         value_gathered = np.asarray(value_gathered)

@@ -122,16 +122,28 @@ class TestCostDirectedGather:
 
     def test_fib_generated_source_is_the_parents(self):
         """The no-collateral pin for ``fib_*`` and ``serve_*``: every
-        generated fib block, byte for byte (digest taken at the commit before
-        gathered sites existed; tests' ``fib`` and the benchmark's are the
-        same source)."""
-        text = "".join(
-            source
-            for executor in ("fused", "superblock")
-            for source in _sources(fib.execution_plan(executor))
-        )
+        generated fib block, byte for byte (digest re-taken at the commit
+        that made the branch a table lookup and moved ``errstate`` into the
+        machine; tests' ``fib`` and the benchmark's are the same source) —
+        and what that commit's blocks, NUTS's included, no longer contain."""
+        from repro.nuts.kernel import NutsKernel
+        from repro.targets.logistic import BayesianLogisticRegression
+
+        chain = NutsKernel(
+            BayesianLogisticRegression(n_data=20, n_features=3)
+        ).functions.nuts_chain
+        text = ""
+        for fn in (fib, chain):
+            for executor in ("fused", "superblock"):
+                plan = fn.execution_plan(executor)
+                sources = _sources(plan, registry=fn.registry)
+                for i, source in enumerate(sources):
+                    assert "np.where" not in source, f"{executor} block {i}"
+                    assert "errstate" not in source, f"{executor} block {i}"
+                if fn is fib:
+                    text += "".join(sources)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "0f40ea4c6d7cea580180c9bbba63433c6cb6fc24bea9adddc570ef814aaf7030"
+            "c7ce1eec5e2977e4e4f2414382ea19e49e9498abb673eea2da17b91f51703c25"
         )
 
     def test_heavy_site_gathers_and_matches_every_executor(self):

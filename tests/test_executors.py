@@ -649,20 +649,58 @@ class TestSnapshotRestoreDifferential:
 
 
 class TestFusedErrorHygiene:
-    def test_masked_lanes_raise_no_fp_warnings(self):
-        """gcd's loop computes ``a % b`` for every lane, including masked-off
-        lanes where b == 0; neither executor may let the spurious
-        divide-by-zero warning escape."""
-        a = np.array([12, 17, 100, 3], dtype=np.int64)
-        b = np.array([18, 5, 75, 0], dtype=np.int64)
-        for executor in ("eager", "fused"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                gcd.run_pc(a, b, executor=executor, max_stack_depth=64)
+    """Masked-off lanes compute on junk (gcd's ``a % b`` where ``b == 0``), so
+    every way into the machine runs its blocks under one
+    ``np.errstate(all="ignore")`` — which no block enters itself — and hands
+    numpy's error state back as it found it."""
 
-    def test_generated_source_wraps_errstate(self):
+    A = np.array([12, 17, 100, 3], dtype=np.int64)
+    B = np.array([18, 5, 75, 0], dtype=np.int64)
+
+    def _drive(self, how, plan):
+        if how == "engine":
+            engine = Engine(plan, num_lanes=2, max_stack_depth=64)
+            handles = [engine.submit(a, b) for a, b in zip(self.A, self.B)]
+            while engine.tick():
+                pass
+            return np.stack([h.result() for h in handles])
+        vm = ProgramCounterVM(plan, batch_size=4, max_stack_depth=64)
+        if how == "run":
+            return vm.run([self.A, self.B])[0]
+        vm.bind_inputs([self.A, self.B])
+        if how == "step":
+            while vm.step():
+                pass
+        else:
+            while vm.step_lanes() is not None:
+                pass
+        return vm.outputs()[0]
+
+    @pytest.mark.parametrize("executor", ["eager", "fused", "superblock"])
+    @pytest.mark.parametrize("how", ["run", "step", "step_lanes", "engine"])
+    def test_masked_lanes_raise_no_fp_warnings(self, how, executor):
+        plan = gcd.execution_plan(executor)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = self._drive(how, plan)
+        assert np.geterr() == before
+        np.testing.assert_array_equal(out, [6, 1, 25, 3])
+
+    @pytest.mark.parametrize("executor", ["eager", "fused", "superblock"])
+    @pytest.mark.parametrize("how", ["run", "step"])
+    def test_error_state_survives_a_run_that_dies_mid_block(self, how, executor):
+        from repro.vm.stack import StackOverflowError
+
+        ns = np.array([9, 2], dtype=np.int64)
+        before = np.geterr()
         vm = ProgramCounterVM(
-            fib.execution_plan("fused"), batch_size=2, max_stack_depth=8
+            fib.execution_plan(executor), batch_size=2, max_stack_depth=3
         )
-        source = vm._block_fns[0].__fused_source__
-        assert "np.errstate(all='ignore')" in source
+        with pytest.raises(StackOverflowError):
+            if how == "run":
+                vm.run([ns])
+            vm.bind_inputs([ns])
+            while vm.step():
+                pass
+        assert np.geterr() == before

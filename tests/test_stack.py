@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vm.stack import BatchedStack, StackOverflowError, UncachedBatchedStack
+from repro.vm.stack import (
+    BatchedStack,
+    StackOverflowError,
+    StackUnderflowError,
+    UncachedBatchedStack,
+)
+from repro.vm.state import StackedStorage
 
 STACK_CLASSES = [BatchedStack, UncachedBatchedStack]
 
@@ -207,3 +213,143 @@ def test_push_pop_is_identity(values):
         s.pop(mask)
     np.testing.assert_array_equal(s.read(), [3.5, -1.25])
     np.testing.assert_array_equal(s.depths(), [1, 1])
+
+
+@pytest.mark.parametrize("cls", STACK_CLASSES)
+def test_masked_ops_accept_lists(cls):
+    """``push``/``update`` take any array-like, on either layout."""
+    s = cls(batch_size=3, depth=2)
+    s.update([True, True, True], [1.0, 2.0, 3.0])
+    s.push(np.array([True, False, True]), [7.0, 8.0, 9.0])
+    np.testing.assert_array_equal(s.read(), [7.0, 2.0, 9.0])
+    np.testing.assert_array_equal(s.depths(), [2, 1, 2])
+
+
+# -- the list-of-lists model, operation by operation ---------------------------
+
+MODEL_Z, MODEL_D, MODEL_E = 4, 3, 3
+
+_lanes = st.lists(st.integers(0, MODEL_Z - 1), unique=True, max_size=MODEL_Z)
+_numbers = st.lists(
+    st.integers(-50, 50), min_size=MODEL_Z * MODEL_E, max_size=MODEL_Z * MODEL_E
+)
+_model_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["push_at", "push_at", "drop_at", "pop_at", "update", "update_at",
+             "reset_lanes", "restore_lane", "promote"]
+        ),
+        _lanes,
+        _numbers,
+        st.integers(1, MODEL_D + 2),  # restore_lane: logical frames to install
+    ),
+    max_size=40,
+)
+
+
+def _stack_state(s):
+    return s.sp.copy(), s.data.copy(), s.read().copy(), s.high_water
+
+
+def _assert_untouched(s, before):
+    for was, now in zip(before, _stack_state(s)):
+        np.testing.assert_array_equal(now, was)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=_model_ops,
+    cached=st.booleans(),
+    vector=st.booleans(),
+    dtype=st.sampled_from(["int64", "float64"]),
+    strict=st.booleans(),
+)
+def test_indexed_ops_match_list_model(ops, cached, vector, dtype, strict):
+    """Every indexed operation against Z plain Python lists of frames.
+
+    ``frames(b)``, ``depths()`` and ``high_water`` agree after every
+    operation; a push overflows exactly when a lane of ``idx`` already holds
+    D saved frames, a strict pop underflows exactly when one sits at the
+    base, and either raise leaves the stack bitwise as it was; a non-strict
+    pop at the base keeps depth 1 (its top is then whatever slot 0 held:
+    the model re-reads it).  ``promote`` widens the stack mid-sequence
+    through ``StackedStorage``, as a float write to an int variable does.
+    """
+    event = (MODEL_E,) if vector else ()
+    storage = StackedStorage("v", MODEL_Z, MODEL_D, top_cache=cached)
+    s = storage._ensure(event, np.dtype(dtype))
+    assert type(s) is (BatchedStack if cached else UncachedBatchedStack)
+    s.strict = strict
+    zero = np.zeros(event)
+    model = [[zero] for _ in range(MODEL_Z)]
+    peak = 0
+
+    for kind, lanes, numbers, n_frames in ops:
+        idx = np.array(lanes, dtype=np.int64)
+        full = np.array(numbers, dtype=s.dtype).reshape((MODEL_Z, MODEL_E))
+        full = full if vector else full[:, 0]
+        values = full[idx]
+        before = _stack_state(s)
+        if kind == "push_at":
+            if any(len(model[b]) - 1 == MODEL_D for b in lanes):
+                with pytest.raises(StackOverflowError, match="max_stack_depth"):
+                    s.push_at(idx, values)
+                _assert_untouched(s, before)
+            else:
+                s.push_at(idx, values)
+                for b, v in zip(lanes, values):
+                    model[b].append(v)
+        elif kind in ("drop_at", "pop_at"):
+            if strict and any(len(model[b]) == 1 for b in lanes):
+                with pytest.raises(StackUnderflowError):
+                    getattr(s, kind)(idx)
+                _assert_untouched(s, before)
+            else:
+                popped = getattr(s, kind)(idx)
+                if kind == "pop_at":
+                    np.testing.assert_array_equal(
+                        popped, np.array([model[b][-1] for b in lanes]).reshape(values.shape)
+                    )
+                for b in lanes:
+                    if len(model[b]) > 1:
+                        model[b].pop()
+                    else:
+                        model[b] = [s.frames(b)[-1]]
+        elif kind == "update":
+            mask = np.zeros(MODEL_Z, dtype=bool)
+            mask[idx] = True
+            s.update(mask, full)
+            for b in lanes:
+                model[b][-1] = full[b]
+        elif kind == "update_at":
+            s.update_at(idx, values)
+            for b, v in zip(lanes, values):
+                model[b][-1] = v
+        elif kind == "reset_lanes":
+            top = values if n_frames % 2 else None
+            s.reset_lanes(idx, top=top)
+            for k, b in enumerate(lanes):
+                model[b] = [zero if top is None else top[k]]
+        elif kind == "restore_lane":
+            lane = n_frames % MODEL_Z
+            frames = np.resize(full, (n_frames,) + event)
+            if n_frames - 1 > MODEL_D:
+                with pytest.raises(StackOverflowError, match="snapshot"):
+                    s.restore_lane(lane, frames)
+                _assert_untouched(s, before)
+            else:
+                s.restore_lane(lane, frames)
+                model[lane] = list(frames)
+        else:  # promote: a float write reaches an int stack
+            storage.write_at(idx, values + 0.5)
+            assert storage.stack is s and s.dtype == np.float64
+            for b, v in zip(lanes, values):
+                model[b][-1] = v + 0.5
+
+        peak = max([peak] + [len(frames) - 1 for frames in model])
+        assert s.high_water == peak
+        np.testing.assert_array_equal(s.depths(), [len(f) for f in model])
+        for b in range(MODEL_Z):
+            got = s.frames(b)
+            assert got.dtype == s.dtype and got.shape == (len(model[b]),) + event
+            np.testing.assert_array_equal(got, np.array(model[b]))

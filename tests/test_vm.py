@@ -286,3 +286,74 @@ class TestSnapshots:
                 if len(np.unique(sp_vals)) > 1:
                     seen_divergence = True
         assert seen_divergence
+
+
+def _flat_counts(instr):
+    """Every counter of ``instr`` as one flat dict of numbers."""
+    counts = {
+        field: getattr(instr, field)
+        for field in (
+            "steps", "host_dispatches", "kernel_calls", "pushes", "pops",
+            "push_lanes", "pop_lanes", "stacked_reads", "stacked_writes",
+            "register_writes",
+        )
+    }
+    for group in ("by_prim", "by_tag"):
+        for name, c in getattr(instr, group).items():
+            for field in ("executions", "slots", "active", "flops"):
+                counts[f"{group}.{name}.{field}"] = getattr(c, field)
+    return counts
+
+
+@pytest.mark.parametrize("executor", ["eager", "fused", "superblock"])
+class TestMachineReuse:
+    """``run()`` on a machine that has stepped starts every lane over: the
+    second run is a fresh machine's, bit for bit and count for count."""
+
+    FIRST = np.array([3, 4, 5, 6], dtype=np.int64)
+    SECOND = np.array([7, 8, 9, 10], dtype=np.int64)
+
+    def _machine(self, executor, **options):
+        return ProgramCounterVM(
+            fib.execution_plan(executor), batch_size=4, max_stack_depth=32,
+            instrumentation=Instrumentation(), **options,
+        )
+
+    def _fresh(self, executor):
+        vm = self._machine(executor)
+        return vm.run([self.SECOND])[0], _flat_counts(vm.instr)
+
+    def test_second_run_is_a_fresh_machines(self, executor):
+        want, want_counts = self._fresh(executor)
+        vm = self._machine(executor)
+        first = vm.run([self.FIRST])[0]
+        before = _flat_counts(vm.instr)
+        second = vm.run([self.SECOND])[0]
+        after = _flat_counts(vm.instr)
+        assert second.dtype == want.dtype and np.array_equal(second, want)
+        assert {k: after[k] - before.get(k, 0) for k in after} == want_counts
+        # what the first run returned is the caller's, not the machine's
+        np.testing.assert_array_equal(first, [3, 5, 8, 13])
+        np.testing.assert_array_equal(second, [21, 34, 55, 89])
+
+    def test_run_after_a_partial_run_starts_over(self, executor):
+        want, want_counts = self._fresh(executor)
+        vm = self._machine(executor)
+        vm.bind_inputs([self.FIRST])
+        for _ in range(7):
+            assert vm.step()
+        before = _flat_counts(vm.instr)
+        out = vm.run([self.SECOND])[0]
+        after = _flat_counts(vm.instr)
+        assert np.array_equal(out, want)
+        assert {k: after[k] - before.get(k, 0) for k in after} == want_counts
+
+    def test_max_steps_is_per_run(self, executor):
+        budget = self._fresh(executor)[1]["host_dispatches"]
+        vm = self._machine(executor, max_steps=budget)
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                vm.run([self.SECOND])[0], [21, 34, 55, 89]
+            )
+        with pytest.raises(ExecutionLimitExceeded):
+            self._machine(executor, max_steps=budget - 1).run([self.SECOND])
