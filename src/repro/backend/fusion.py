@@ -218,9 +218,6 @@ def _superblock_profile(vm, index: int, idx: np.ndarray) -> None:
     """
     live = int(np.count_nonzero(vm.pcreg < vm.exit_index))
     vm.instr.record_block(index, int(idx.size), live, vm.batch_size)
-    hook = vm._bound.block_hook
-    if hook is not None:
-        hook(vm, index, idx)
 
 
 class _BlockCompiler:

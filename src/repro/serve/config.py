@@ -16,7 +16,7 @@ from dataclasses import InitVar, dataclass
 from typing import Any, Dict, Mapping, Optional
 
 from repro.observe import resolve_trace
-from repro.serve.durability import DEFAULT_CHECKPOINT_INTERVAL, resolve_spill_store
+from repro.serve.durability import resolve_spill_store
 
 #: Lane refill disciplines.
 REFILL_POLICIES = ("continuous", "drain")
@@ -81,12 +81,11 @@ class ServeConfig:
     """Every serving option, validated and resolved at construction.
 
     After ``__post_init__`` the policy fields hold instances (or None),
-    ``trace`` a :class:`~repro.observe.Trace` (or None), ``spill_store`` a
-    :class:`~repro.serve.durability.SpillStore` (or None) and
-    ``checkpoint_interval`` an int, so the tick loop reads resolved values
-    only.  ``num_engines`` is not an option but the fleet size the options
-    are checked against (None = a single engine, which rejects
-    :data:`FLEET_OPTIONS`).
+    ``trace`` a :class:`~repro.observe.Trace` (or None) and
+    ``spill_store`` a :class:`~repro.serve.durability.SpillStore` (or
+    None), so the tick loop reads resolved values only.  ``num_engines``
+    is not an option but the fleet size the options are checked against
+    (None = a single engine, which rejects :data:`FLEET_OPTIONS`).
 
     registry:
         The :class:`~repro.frontend.registry.PrimitiveRegistry` kernels
@@ -173,12 +172,9 @@ class ServeConfig:
     journal:
         An admission :class:`~repro.serve.durability.Journal`, shared by
         every shard: opens with :meth:`schedule_record`, then records
-        every accepted submit, every completion and periodic snapshot
-        checkpoints, so :func:`~repro.serve.durability.recover` replays a
-        crashed server bit-identically.
-    checkpoint_interval:
-        Ticks between journal checkpoint sweeps of the preempted backlog
-        (default 64; 0 keeps only the submit/complete log).
+        every accepted submit and every completion, so
+        :func:`~repro.serve.durability.recover` replays a crashed server
+        bit-identically.
     """
 
     registry: Any = None
@@ -201,7 +197,6 @@ class ServeConfig:
     max_resident_snapshots: Optional[int] = None
     spill_store: Any = None
     journal: Any = None
-    checkpoint_interval: Optional[int] = None
     policy: Any = "round_robin"
     seed: int = 0
     steal: Any = None
@@ -251,19 +246,15 @@ class ServeConfig:
         for name, floor in (
             ("resume_defer_limit", 1),
             ("max_resident_snapshots", 0),
-            ("checkpoint_interval", 0),
         ):
             value = getattr(self, name)
             if value is not None and value < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {value}")
-        cap, interval = self.max_resident_snapshots, self.checkpoint_interval
+        cap = self.max_resident_snapshots
         resolved.update(
             resume_batching=bool(self.resume_batching),
             resume_defer_limit=int(self.resume_defer_limit),
             max_resident_snapshots=None if cap is None else int(cap),
-            checkpoint_interval=(
-                DEFAULT_CHECKPOINT_INTERVAL if interval is None else int(interval)
-            ),
             policy=resolve_policy(self.policy, seed=self.seed),
             steal=resolve_steal_policy(self.steal),
             autoscale=resolve_autoscale(self.autoscale),
@@ -286,8 +277,7 @@ class ServeConfig:
         Lanes, shards, the scalar options, the executor and scheduler by
         name, and each policy by its parameter-complete ``repr``.  Left
         out: what cannot change a tick (``registry``, ``verify``,
-        ``trace``, ``instrumentation``, ``journal``, ``spill_store``,
-        ``checkpoint_interval``).
+        ``trace``, ``instrumentation``, ``journal``, ``spill_store``).
         """
         record: Dict[str, Any] = {
             "num_lanes": int(num_lanes),

@@ -19,18 +19,20 @@ twice:
   resume.
 
 * **Journaling + recovery** make the fleet restartable.  A
-  :class:`Journal` records every accepted submit (inputs, priority,
-  budget, deadline, arrival tick) and periodic snapshot checkpoints of
-  preempted lanes; :func:`recover` rebuilds a fresh engine or cluster and
-  replays the admission schedule on the logical clock, which by the
-  determinism argument completes all unfinished work *bit-identically* to
-  the uninterrupted run.  The journal is an append-only JSONL file (or
-  in-memory record list), so a crashed process recovers from whatever
-  prefix reached disk — a torn final line is discarded, not fatal.
+  :class:`Journal` records the server's configuration, every accepted
+  submit (inputs, priority, budget, deadline, arrival tick) and every
+  completion; :func:`recover` rebuilds a fresh engine or cluster and
+  replays the admission schedule from tick 0 on the logical clock, which
+  by the determinism argument completes all unfinished work
+  *bit-identically* to the uninterrupted run.  No lane state is
+  journaled: replay regenerates it.  The journal is an append-only JSONL
+  file (or in-memory record list), so a crashed process recovers from
+  whatever prefix reached disk — a torn final line is discarded, not
+  fatal.
 
-Wiring: ``Engine(..., max_resident_snapshots=, spill_store=, journal=,
-checkpoint_interval=)``, the same keywords on ``Cluster`` (one store and
-journal shared by every shard), and ``AsyncServer(..., journal=)``.
+Wiring: ``Engine(..., max_resident_snapshots=, spill_store=, journal=)``,
+the same keywords on ``Cluster`` (one store and journal shared by every
+shard), and ``AsyncServer(..., journal=)``.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ import numpy as np
 
 from repro.vm.program_counter import LaneSnapshot
 from repro.vm.snapshot_codec import SnapshotDecodeError
-
-#: Ticks between journal checkpoint sweeps when a journal is attached and
-#: no explicit ``checkpoint_interval`` was chosen.
-DEFAULT_CHECKPOINT_INTERVAL = 64
 
 
 # -- spill stores --------------------------------------------------------------
@@ -251,7 +249,7 @@ def _decode_array(record: Dict[str, Any]) -> np.ndarray:
 class Journal:
     """Append-only admission journal: the durable record a fleet replays.
 
-    Four record types, one JSON object per line when backed by a file:
+    Three record types, one JSON object per line when backed by a file:
 
     * ``config`` — written once, when a server (a whole fleet, not each
       shard) attaches: the schedule-determining part of its
@@ -264,10 +262,14 @@ class Journal:
       persists the arrival schedule the async front door records).
     * ``complete`` — a request finished (or failed), so recovery knows
       what is unfinished without re-deriving it.
-    * ``checkpoint`` — periodic serialized snapshots of preempted lanes
-      (the codec bytes, base64), for inspection and warm-start tooling;
-      :func:`recover` itself replays from the submits alone, which is
-      what makes its outputs bit-identical.
+
+    Readers skip any other record type, so journals that older versions
+    wrote with ``checkpoint`` lines still load and recover.
+
+    ``Journal(path)`` starts a new run and refuses a non-empty existing
+    file (``FileExistsError``): appending a second run would collide its
+    request ids with the first's.  To continue a journal, open it with
+    :meth:`load`.
 
     In-memory records and the optional file never diverge: every record
     is appended to both, and records are stored JSON-ready so a journal
@@ -277,6 +279,11 @@ class Journal:
     def __init__(self, path: Optional[Any] = None):
         self.path = None if path is None else os.fspath(path)
         self.entries: List[Dict[str, Any]] = []
+        if path is not None and os.path.isfile(path) and os.path.getsize(path):
+            raise FileExistsError(
+                f"journal {self.path!r} already holds a run; continue it "
+                f"with Journal.load({self.path!r}), or pass a fresh path"
+            )
 
     # -- recording (engine-side) --------------------------------------------
 
@@ -321,17 +328,6 @@ class Journal:
             "failed": bool(failed),
         })
 
-    def record_checkpoint(
-        self, request_id: int, tick: int, data: bytes, steps_used: int = 0
-    ) -> None:
-        self._append({
-            "type": "checkpoint",
-            "tick": int(tick),
-            "request_id": int(request_id),
-            "steps_used": int(steps_used),
-            "snapshot": base64.b64encode(data).decode("ascii"),
-        })
-
     # -- reading (recovery-side) --------------------------------------------
 
     def config(self) -> Optional[Dict[str, Any]]:
@@ -352,40 +348,6 @@ class Journal:
         done = self.completed_ids()
         return [e for e in self.submissions() if e["request_id"] not in done]
 
-    def checkpoints(self) -> Dict[int, Tuple[int, bytes]]:
-        """Latest checkpoint per request id: ``{id: (tick, bytes)}``."""
-        latest: Dict[int, Tuple[int, bytes]] = {}
-        for e in self.entries:
-            if e["type"] == "checkpoint":
-                latest[e["request_id"]] = (
-                    e["tick"],
-                    base64.b64decode(e["snapshot"]),
-                )
-        return latest
-
-    def restore_checkpoints(
-        self,
-        program: Any,
-        *,
-        facts: Any = None,
-        max_stack_depth: Optional[int] = None,
-    ) -> Dict[int, LaneSnapshot]:
-        """Decode the latest checkpoint of every *unfinished* request.
-
-        Each snapshot goes through the codec's full static admission
-        (integrity, fingerprint, depth vs the verified bound), so a
-        corrupt or forged checkpoint raises a typed error here instead of
-        poisoning a machine later.
-        """
-        done = self.completed_ids()
-        return {
-            rid: LaneSnapshot.from_bytes(
-                data, program, facts=facts, max_stack_depth=max_stack_depth
-            )
-            for rid, (_, data) in sorted(self.checkpoints().items())
-            if rid not in done
-        }
-
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: Any) -> None:
@@ -398,28 +360,41 @@ class Journal:
 
     @classmethod
     def load(cls, path: Any) -> "Journal":
-        """Read a journal file back, tolerating a torn final line.
+        """Read a journal file back, repairing a torn final line.
 
         A crash can interrupt the append of the last record; that partial
-        line is discarded (the record never durably happened).  A
-        malformed line anywhere *else* means real corruption and raises.
+        line is discarded (the record never durably happened) and cut from
+        the file, so records appended from here on start on a line of
+        their own.  A malformed line anywhere *else* means real corruption
+        and raises.
         """
         journal = cls()
         journal.path = os.fspath(path)
-        with open(journal.path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
+        with open(journal.path, "rb") as f:
+            data = f.read()
+        lines = data.split(b"\n")
+        last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
+        offset = 0  # where line i starts in the file
         for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                journal.entries.append(json.loads(line))
-            except ValueError as error:
-                if i == len(lines) - 1:
-                    break  # torn tail from the crash; drop it
-                raise ValueError(
-                    f"journal {journal.path!r} line {i + 1} is corrupt: "
-                    f"{error}"
-                ) from error
+            if line.strip():
+                try:
+                    journal.entries.append(json.loads(line))
+                except ValueError as error:
+                    if i < last:
+                        raise ValueError(
+                            f"journal {journal.path!r} line {i + 1} is "
+                            f"corrupt: {error}"
+                        ) from error
+                    with open(journal.path, "r+b") as f:
+                        f.truncate(offset)  # the torn tail of the crash
+                    break
+            offset += len(line) + 1
+        else:
+            if data and not data.endswith(b"\n"):
+                # A whole record whose newline the crash cut off: keep it,
+                # and end its line before anything is appended after it.
+                with open(journal.path, "ab") as f:
+                    f.write(b"\n")
         return journal
 
     def __len__(self) -> int:
@@ -558,10 +533,9 @@ def recover(
     admission sequence, so the replayed run — including all work the crash
     interrupted — is *bit-identical* to an uninterrupted run of the same
     schedule: same outputs, same per-request step counts, same scheduling
-    telemetry.  This is replay-based recovery: journal checkpoints are
-    validated and exposed (:meth:`Journal.restore_checkpoints`) but not
-    consumed here, because replaying from admission is what makes the
-    bit-identical guarantee unconditional.
+    telemetry.  This is replay-based recovery from tick 0: replaying
+    from admission is what makes the bit-identical guarantee
+    unconditional, and it is why the journal holds no lane state.
 
     To journal the recovered run onward, pass a *fresh* ``journal=`` in
     ``options`` — never the one being replayed.

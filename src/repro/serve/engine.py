@@ -40,6 +40,7 @@ from repro.serve.server import serve_all  # noqa: F401  (its documented import p
 from repro.serve.telemetry import ServeTelemetry
 from repro.vm.executors import ExecutionPlan
 from repro.vm.program_counter import ProgramCounterVM
+from repro.vm.snapshot_codec import SnapshotCodecError
 from repro.vm.stack import StackOverflowError
 
 class PreemptPolicy:
@@ -283,8 +284,6 @@ class Engine(Server):
         #: :mod:`repro.serve.durability`.
         self.max_resident_snapshots = config.max_resident_snapshots
         self.spill_store = config.spill_store
-        #: Ticks between journal checkpoint sweeps (0 = never).
-        self.checkpoint_interval = config.checkpoint_interval
         #: The snapshot pc the current admission wave is seating (reset at
         #: every wave): keeps :meth:`_pop_next` drawing from one cohort
         #: until it runs dry instead of round-robining over ties.
@@ -674,14 +673,13 @@ class Engine(Server):
 
     def _spill_one(self, handle: ResultHandle) -> Any:
         """Serialize one queued snapshot into the spill store; returns the
-        stub, or None when the snapshot cannot leave process memory (an
-        executor stashed unserializable state — counted, never dropped)."""
+        stub, or None when the snapshot cannot leave process memory (a
+        storage holds an object-dtype array — counted, never dropped)."""
         try:
             data = handle.snapshot.to_bytes()
-        except (TypeError, ValueError):
-            # ExecutorStateError et al.: the snapshot stays resident (and
-            # correct); losing device state silently is the one thing the
-            # codec refuses to do.
+        except SnapshotCodecError:
+            # The snapshot stays resident (and correct); losing lane state
+            # silently is the one thing the codec refuses to do.
             self.telemetry.spill_errors += 1
             return None
         # request_id is fleet-unique and preemptions counts this handle's
@@ -702,33 +700,6 @@ class Engine(Server):
         resident = self.queue.resident_snapshots()
         if resident > self.telemetry.resident_peak:
             self.telemetry.resident_peak = resident
-
-    def _checkpoint_step(self) -> None:
-        """Journal the serialized snapshot of every queued preempted lane.
-
-        Resident snapshots serialize here; spilled ones copy their
-        already-serialized bytes out of the store.  A snapshot that cannot
-        serialize is counted (``spill_errors``), never silently skipped.
-        """
-        for handle in self.queue.waiting():
-            snapshot = handle.snapshot
-            if snapshot is None:
-                continue
-            if getattr(snapshot, "spilled", False):
-                try:
-                    data = snapshot.store.get(snapshot.key)
-                except KeyError:
-                    continue
-            else:
-                try:
-                    data = snapshot.to_bytes()
-                except (TypeError, ValueError):
-                    self.telemetry.spill_errors += 1
-                    continue
-            self.journal.record_checkpoint(
-                handle.request_id, self._tick, data,
-                steps_used=handle.steps_used,
-            )
 
     def tick(self) -> bool:
         """One engine step: preempt, admit, step the machine, retire, enforce
@@ -758,10 +729,6 @@ class Engine(Server):
             self._retire_finished()
             if stepped is not None:
                 self._enforce_budgets(stepped)
-        if self.journal is not None:
-            interval = self.checkpoint_interval
-            if interval and self._tick % interval == 0:
-                self._checkpoint_step()
         return bool(self.pool.busy_count() or len(self.queue))
 
     def busy(self) -> bool:

@@ -15,8 +15,8 @@ application (:mod:`repro.vm.masking`), block-selection heuristics
 (:mod:`repro.vm.executors`) that lets backends swap how the program-counter
 machine runs each basic block (eager interpretation vs fused codegen), and
 the versioned lane-snapshot wire format (:mod:`repro.vm.snapshot_codec`)
-that lets a checkpointed lane leave process memory — spilled, journaled,
-or migrated — with integrity and admission checks on the way back in.
+that lets a checkpointed lane leave process memory — spilled or
+migrated — with integrity and admission checks on the way back in.
 """
 
 from repro.vm.executors import (
@@ -36,7 +36,6 @@ from repro.vm.program_counter import (
 )
 from repro.vm.instrumentation import Instrumentation
 from repro.vm.snapshot_codec import (
-    ExecutorStateError,
     SnapshotCodecError,
     SnapshotDecodeError,
     SnapshotProgramMismatchError,
@@ -53,7 +52,6 @@ __all__ = [
     "SnapshotCodecError",
     "SnapshotDecodeError",
     "SnapshotProgramMismatchError",
-    "ExecutorStateError",
     "program_fingerprint",
     "Instrumentation",
     "BatchedStack",

@@ -61,6 +61,13 @@ class BlockExecutor:
     lanes that were active in any of them (for per-request step budgets) —
     and runs under the machine's ``np.errstate(all="ignore")``: it does not
     enter one itself.
+
+    An executor holds no per-lane state.  Everything a logical thread owns
+    — pc, return-address stack, variable storages — lives in the machine,
+    so resetting, injecting, retiring, snapshotting and restoring a lane
+    need no executor involvement, and a
+    :class:`~repro.vm.program_counter.LaneSnapshot` taken under one
+    executor resumes under any other.
     """
 
     #: Name used in ``executor="..."`` selection and plan cache keys.
@@ -97,44 +104,6 @@ class BlockExecutor:
         separately by :meth:`~repro.backend.device.DeviceModel.estimate`.
         """
         raise NotImplementedError
-
-    # -- lane-lifecycle hooks (continuous-batching serving) -----------------
-    #
-    # The serving engine recycles lanes mid-flight; executors that cache
-    # per-lane state must invalidate it here.  The built-in executors keep
-    # no such state, so the defaults are no-ops — but the seam exists so a
-    # backend with persistent device buffers can participate in serving.
-
-    def on_reset_lanes(self, vm: Any, idx: np.ndarray) -> None:
-        """Lanes ``idx`` were returned to the initial machine state."""
-
-    def on_inject_lanes(self, vm: Any, idx: np.ndarray) -> None:
-        """Fresh members were injected into lanes ``idx``."""
-
-    def on_retire_lanes(self, vm: Any, idx: np.ndarray) -> None:
-        """Outputs of halted lanes ``idx`` were gathered for delivery."""
-
-    def on_snapshot_lane(self, vm: Any, lane: int, snapshot: Any) -> None:
-        """Lane ``lane``'s state was captured into ``snapshot`` (preemption).
-
-        An executor holding per-lane device state must fold it into the
-        snapshot here so a later :meth:`on_restore_lane` — possibly on a
-        *different* machine bound to the same plan — can reinstall it.
-        """
-
-    def on_restore_lane(self, vm: Any, lane: int, snapshot: Any) -> None:
-        """Lane ``lane`` was reinstalled from ``snapshot`` (resume)."""
-
-    def on_block_executed(self, vm: Any, index: int, idx: np.ndarray) -> None:
-        """Block ``index`` is about to run with active lanes ``idx``.
-
-        Only fired when the machine's per-block profiling is armed
-        (``vm.instr.track_blocks``), so the hot path stays hook-free by
-        default.  A backend can use it to attribute device-side counters
-        (kernel time, memory traffic) to basic blocks, feeding the same
-        :class:`~repro.observe.BlockProfile` reports the built-in
-        lane-accounting does.
-        """
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -289,58 +258,6 @@ class PlanStats:
         return f"PlanStats(bind_count={self.bind_count})"
 
 
-class BoundPlan:
-    """An :class:`ExecutionPlan` attached to one machine instance.
-
-    Holds the per-block callables and forwards the VM's lane-lifecycle
-    events to the executor, so serving-engine recycling works no matter
-    which backend runs the blocks.
-    """
-
-    __slots__ = ("plan", "vm", "blocks", "block_hook")
-
-    def __init__(self, plan: "ExecutionPlan", vm: Any, blocks: List[Callable]):
-        if len(blocks) != len(plan.program.blocks):
-            raise ValueError(
-                f"executor produced {len(blocks)} block callables for a "
-                f"{len(plan.program.blocks)}-block program"
-            )
-        self.plan = plan
-        self.vm = vm
-        self.blocks = blocks
-        # Resolved once per binding: None when the executor left the base
-        # no-op in place, so the profiling step skips the double dispatch
-        # entirely (it fires once per machine step when armed).
-        hook = type(plan.executor).on_block_executed
-        self.block_hook = (
-            None
-            if hook is BlockExecutor.on_block_executed
-            else plan.executor.on_block_executed
-        )
-
-    def on_reset_lanes(self, idx: np.ndarray) -> None:
-        self.plan.executor.on_reset_lanes(self.vm, idx)
-
-    def on_inject_lanes(self, idx: np.ndarray) -> None:
-        self.plan.executor.on_inject_lanes(self.vm, idx)
-
-    def on_retire_lanes(self, idx: np.ndarray) -> None:
-        self.plan.executor.on_retire_lanes(self.vm, idx)
-
-    def on_snapshot_lane(self, lane: int, snapshot: Any) -> None:
-        self.plan.executor.on_snapshot_lane(self.vm, lane, snapshot)
-
-    def on_restore_lane(self, lane: int, snapshot: Any) -> None:
-        self.plan.executor.on_restore_lane(self.vm, lane, snapshot)
-
-    def on_block_executed(self, index: int, idx: np.ndarray) -> None:
-        if self.block_hook is not None:
-            self.block_hook(self.vm, index, idx)
-
-    def __repr__(self) -> str:
-        return f"BoundPlan({self.plan.executor.name!r}, blocks={len(self.blocks)})"
-
-
 @dataclass(frozen=True)
 class ExecutionPlan:
     """A lowered program plus the choice of how to execute its blocks.
@@ -456,7 +373,7 @@ class ExecutionPlan:
         """Compute-kernel launches only (device cost-model accounting)."""
         return self.executor.device_dispatch_count(instr)
 
-    def bind(self, vm: Any) -> BoundPlan:
+    def bind(self, vm: Any) -> List[Callable]:
         """Compile/attach the per-block callables for one machine.
 
         One plan binds to arbitrarily many machines of the same width
@@ -465,9 +382,14 @@ class ExecutionPlan:
         shared, which is what lets a multi-engine cluster serve one code
         cache.  ``self.stats.bind_count`` tracks the bindings.
         """
-        bound = BoundPlan(self, vm, list(self.executor.bind(vm)))
+        blocks = list(self.executor.bind(vm))
+        if len(blocks) != len(self.program.blocks):
+            raise ValueError(
+                f"executor produced {len(blocks)} block callables for a "
+                f"{len(self.program.blocks)}-block program"
+            )
         self.stats.bind_count += 1
-        return bound
+        return blocks
 
     def __repr__(self) -> str:
         return (

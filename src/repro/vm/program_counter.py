@@ -16,7 +16,7 @@ trajectory in tandem with the 8th gradient of another's 2nd).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -66,24 +66,19 @@ class LaneSnapshot:
     ``storages`` maps variable name to the payload its storage class
     captured: a value copy for registers, the logical frames for stacked
     variables, or None while that storage was still unallocated.  Executors
-    with per-lane device state may stash extras in ``executor_state`` via
-    the :meth:`~repro.vm.executors.BlockExecutor.on_snapshot_lane` hook;
-    ``executor`` records which executor captured the lane so transport
-    errors can name it (restore does not require a matching executor —
-    snapshots move freely between eager, fused, and superblock machines).
+    hold no per-lane state, so these four fields are the whole thread and
+    a snapshot moves freely between eager, fused, and superblock machines.
 
     :meth:`to_bytes`/:meth:`from_bytes` round-trip the snapshot through a
     versioned, integrity-checked wire format
-    (:mod:`repro.vm.snapshot_codec`) — the basis for snapshot spilling,
-    journal checkpoints, and cross-process migration.
+    (:mod:`repro.vm.snapshot_codec`) — the basis for snapshot spilling and
+    cross-process migration.
     """
 
     program: StackProgram
     pc: int
     addr_frames: np.ndarray
     storages: Dict[str, Optional[np.ndarray]]
-    executor_state: Dict[str, Any] = field(default_factory=dict)
-    executor: str = ""
 
     def required_depth(self) -> int:
         """Smallest machine ``max_stack_depth`` that can hold these frames.
@@ -104,10 +99,9 @@ class LaneSnapshot:
         """Serialize to the versioned wire format.
 
         Deterministic: identical snapshots encode to identical bytes.
-        Raises :class:`~repro.vm.snapshot_codec.ExecutorStateError` (a
-        ``TypeError``) if an ``executor_state`` extra cannot round-trip —
-        state stashed by an ``on_snapshot_lane`` hook is never dropped
-        silently.
+        Raises :class:`~repro.vm.snapshot_codec.SnapshotCodecError` (a
+        ``ValueError``) naming the storage if one holds an object-dtype
+        array, which has no byte representation.
         """
         from repro.vm.snapshot_codec import encode_snapshot
 
@@ -215,8 +209,7 @@ class ProgramCounterVM:
         # Compile/attach the plan's per-block callables; the step loop only
         # ever dispatches through these.
         self.plan = plan
-        self._bound = plan.bind(self)
-        self._block_fns = self._bound.blocks
+        self._block_fns = plan.bind(self)
         self._steps = 0
         # Region-aware schedulers get the executor's superblock table so
         # they can prefer entry blocks whose chains cover the most lanes.
@@ -309,7 +302,7 @@ class ProgramCounterVM:
             while step() is not None:
                 pass
         # A finished run leaves nothing behind in a shared Instrumentation
-        # (re-attached first, had a kernel or hook read a counter mid-run).
+        # (re-attached first, had a kernel read a counter mid-run).
         self._attach_tallies()
         self.instr.expand_tallies()
         # Copies: the next run() on this machine resets the storages.
@@ -371,9 +364,6 @@ class ProgramCounterVM:
             # gathered lanes under gather-scatter.
             slots = int(idx.size) if self.mode == "gather" else self.batch_size
             instr.record_block(i, int(idx.size), live, slots)
-            hook = self._bound.block_hook
-            if hook is not None:
-                hook(self, i, idx)
 
     # -- lane lifecycle (continuous-batching serving) -----------------------------
     #
@@ -414,7 +404,6 @@ class ProgramCounterVM:
         )
         for st in self.storages.values():
             st.reset_lanes(idx)
-        self._bound.on_reset_lanes(idx)
 
     def inject_lanes(self, idx: np.ndarray, inputs: Sequence[np.ndarray]) -> None:
         """Start new members in the lanes ``idx`` with the given inputs.
@@ -429,7 +418,6 @@ class ProgramCounterVM:
             inputs, idx.size, "injected lane count"
         ):
             self.storage(name).write_at(idx, value)
-        self._bound.on_inject_lanes(idx)
 
     def retire_lanes(self, idx: np.ndarray) -> List[np.ndarray]:
         """Gather the program outputs of the (halted) lanes in ``idx``.
@@ -438,7 +426,6 @@ class ProgramCounterVM:
         lanes themselves stay vacant until the next injection.
         """
         idx = np.asarray(idx, dtype=np.int64)
-        self._bound.on_retire_lanes(idx)
         return [self.storage(name).read_at(idx) for name in self.program.outputs]
 
     # -- lane checkpoint/resume (preemptive serving) -----------------------------
@@ -458,7 +445,7 @@ class ProgramCounterVM:
         machine is not modified.
         """
         lane = int(lane)
-        snapshot = LaneSnapshot(
+        return LaneSnapshot(
             program=self.program,
             pc=int(self.pcreg[lane]),
             addr_frames=np.array(self.addr_stack.frames(lane), copy=True),
@@ -466,10 +453,7 @@ class ProgramCounterVM:
                 name: st.capture_lane(lane)
                 for name, st in self.storages.items()
             },
-            executor=self.plan.name,
         )
-        self._bound.on_snapshot_lane(lane, snapshot)
-        return snapshot
 
     def restore_lane(self, lane: int, snapshot: LaneSnapshot) -> None:
         """Reinstall ``snapshot`` into lane ``lane``, resuming its thread.
@@ -520,7 +504,6 @@ class ProgramCounterVM:
         self.addr_stack.restore_lane(lane, snapshot.addr_frames)
         for name, payload in snapshot.storages.items():
             self.storage(name).restore_lane(lane, payload)
-        self._bound.on_restore_lane(lane, snapshot)
 
     def observed_max_depth(self) -> int:
         """Peak logical stack depth any lane reached on this machine.

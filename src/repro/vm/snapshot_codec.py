@@ -2,9 +2,9 @@
 
 Because the program-counter machine keeps all recursive state explicit, a
 mid-flight lane is just a handful of arrays — which means it can leave
-process memory entirely: spilled to disk under a resident-snapshot cap,
-checkpointed into an admission journal, or shipped to another host.  This
-module is the wire format that makes that safe:
+process memory entirely: spilled to disk under a resident-snapshot cap, or
+shipped to another host.  This module is the wire format that makes that
+safe:
 
 * **Self-describing** — magic, format version, and per-array dtype/shape
   headers, so a decoder never guesses layout.
@@ -25,31 +25,27 @@ module is the wire format that makes that safe:
   *before materializing a single payload array*.  Corrupt, cross-program,
   or forged-depth bytes are rejected with no lane state — not even
   detached arrays — ever allocated.
-* **Executor-extra safe** — ``executor_state`` stashed by
-  ``on_snapshot_lane`` hooks round-trips (ndarray or JSON-serializable
-  values); anything else raises :class:`ExecutorStateError` naming the
-  executor, so device state is never dropped silently in transport.
+* **Lossless or loud** — a storage a user primitive filled with an
+  object-dtype array has no byte form; encoding it raises
+  :class:`SnapshotCodecError` naming the storage instead of dropping it.
 
 Layout (all integers little-endian)::
 
     magic b"RPLS" | u16 version | sha256 fingerprint (32 bytes)
-    | i64 pc | str executor
+    | i64 pc
     | array addr_frames
     | u32 n_storages | { str name | u8 tag (0=None, 1=array) | [array] }*
-    | u32 n_extras   | { str key  | u8 tag (0=array, 1=json)  | payload }*
     | u32 crc32(everything above)
 
 where ``str`` is a u32-length-prefixed UTF-8 string and ``array`` is
 ``str dtype.str | u8 ndim | u64 dim* | u64 nbytes | raw tobytes()``.
-Storages and extras are written in sorted-name order, so identical
-snapshots always encode to identical bytes (checkpoint diffs and
-content-addressed spill stores work).
+Storages are written in sorted-name order, so identical snapshots always
+encode to identical bytes (content-addressed spill stores work).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
@@ -60,11 +56,12 @@ from repro.ir.instructions import StackProgram, VarKind
 from repro.vm.program_counter import LaneSnapshot, SnapshotIncompatibleError
 
 MAGIC = b"RPLS"
-VERSION = 1
+VERSION = 2
 
 
 class SnapshotCodecError(ValueError):
-    """Base class for snapshot wire-format failures.
+    """Base class for snapshot wire-format failures; raised itself when a
+    snapshot cannot be encoded.
 
     Subclasses ``ValueError`` so the serving engine's existing
     fail-only-this-handle resume path catches codec failures without any
@@ -80,15 +77,6 @@ class SnapshotDecodeError(SnapshotCodecError):
 class SnapshotProgramMismatchError(SnapshotCodecError):
     """The bytes were captured under a different program than the one
     offered for decoding (fingerprint mismatch)."""
-
-
-class ExecutorStateError(TypeError):
-    """An ``executor_state`` extra cannot round-trip through the codec.
-
-    Raised at *encode* time, naming the executor and the offending key —
-    the loud-failure half of the never-drop-state-silently contract for
-    :meth:`~repro.vm.executors.BlockExecutor.on_snapshot_lane` hooks.
-    """
 
 
 # -- program fingerprint -------------------------------------------------------
@@ -144,11 +132,13 @@ def _pack_str(text: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def _pack_array(array: np.ndarray) -> bytes:
+def _pack_array(array: np.ndarray, what: str) -> bytes:
     array = np.asarray(array)
     if array.dtype.hasobject:
-        raise ExecutorStateError(
-            f"cannot serialize an object-dtype array (dtype={array.dtype})"
+        raise SnapshotCodecError(
+            f"snapshot {what} holds an object-dtype array "
+            f"(dtype={array.dtype}), which has no byte representation; this "
+            "lane cannot leave process memory"
         )
     # tobytes() copies in C order even for non-contiguous views, and —
     # unlike ascontiguousarray — never promotes 0-d register scalars to 1-D.
@@ -165,14 +155,12 @@ def _pack_array(array: np.ndarray) -> bytes:
 
 def encode_snapshot(snapshot: LaneSnapshot) -> bytes:
     """Serialize ``snapshot`` to the versioned wire format."""
-    executor = getattr(snapshot, "executor", "") or ""
     parts = [
         MAGIC,
         struct.pack("<H", VERSION),
         program_fingerprint(snapshot.program),
         struct.pack("<q", int(snapshot.pc)),
-        _pack_str(executor),
-        _pack_array(np.asarray(snapshot.addr_frames)),
+        _pack_array(snapshot.addr_frames, "address-stack frames"),
         struct.pack("<I", len(snapshot.storages)),
     ]
     for name in sorted(snapshot.storages):
@@ -182,35 +170,7 @@ def encode_snapshot(snapshot: LaneSnapshot) -> bytes:
             parts.append(b"\x00")
         else:
             parts.append(b"\x01")
-            parts.append(_pack_array(np.asarray(payload)))
-    parts.append(struct.pack("<I", len(snapshot.executor_state)))
-    for key in sorted(snapshot.executor_state):
-        value = snapshot.executor_state[key]
-        parts.append(_pack_str(key))
-        if isinstance(value, np.ndarray):
-            try:
-                record = _pack_array(value)
-            except ExecutorStateError as error:
-                raise ExecutorStateError(
-                    f"executor {executor or '<unknown>'!r} stashed "
-                    f"executor_state[{key!r}] as {error}; snapshots of this "
-                    "lane cannot leave process memory until the hook stores "
-                    "a plain-dtype array or a JSON-serializable value"
-                ) from error
-            parts.append(b"\x00" + record)
-        else:
-            try:
-                text = json.dumps(value, sort_keys=True)
-            except (TypeError, ValueError) as error:
-                raise ExecutorStateError(
-                    f"executor {executor or '<unknown>'!r} stashed "
-                    f"executor_state[{key!r}] of type "
-                    f"{type(value).__name__}, which the snapshot codec "
-                    "cannot serialize; on_snapshot_lane must store ndarray "
-                    "or JSON-serializable values for this lane to spill, "
-                    "checkpoint, or migrate"
-                ) from error
-            parts.append(b"\x01" + _pack_str(text))
+            parts.append(_pack_array(payload, f"storage {name!r}"))
     body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
@@ -358,7 +318,6 @@ def decode_snapshot(
             f"snapshot pc {pc} is outside this program's pc range "
             f"[0, {program.exit_index}]"
         )
-    executor = reader.str_()
     addr_header = reader.array_header()
     if len(addr_header[1]) != 1 or addr_header[1][0] < 1:
         raise SnapshotDecodeError(
@@ -390,26 +349,6 @@ def decode_snapshot(
         else:
             raise SnapshotDecodeError(
                 f"snapshot storage {name!r} carries unknown tag {tag}"
-            )
-
-    (n_extras,) = reader.unpack("<I")
-    extra_headers: List[Tuple[str, int, Any]] = []
-    seen_keys: set = set()
-    for _ in range(n_extras):
-        key = reader.str_()
-        if key in seen_keys:
-            raise SnapshotDecodeError(
-                f"snapshot bytes list executor_state[{key!r}] twice"
-            )
-        seen_keys.add(key)
-        (tag,) = reader.unpack("<B")
-        if tag == 0:
-            extra_headers.append((key, tag, reader.array_header()))
-        elif tag == 1:
-            extra_headers.append((key, tag, reader.str_()))
-        else:
-            raise SnapshotDecodeError(
-                f"snapshot executor_state[{key!r}] carries unknown tag {tag}"
             )
     if reader.pos != len(reader.data):
         raise SnapshotDecodeError(
@@ -444,23 +383,9 @@ def decode_snapshot(
     storages: Dict[str, Optional[np.ndarray]] = {}
     for name, header in storage_headers:
         storages[name] = None if header is None else reader.materialize(header)
-    executor_state: Dict[str, Any] = {}
-    for key, tag, payload in extra_headers:
-        if tag == 0:
-            executor_state[key] = reader.materialize(payload)
-        else:
-            try:
-                executor_state[key] = json.loads(payload)
-            except ValueError as error:
-                raise SnapshotDecodeError(
-                    f"snapshot executor_state[{key!r}] holds invalid JSON: "
-                    f"{error}"
-                ) from error
     return LaneSnapshot(
         program=program,
         pc=int(pc),
         addr_frames=addr_frames,
         storages=storages,
-        executor_state=executor_state,
-        executor=executor,
     )

@@ -14,13 +14,19 @@ Three load-bearing properties:
    including same-tick cross-shard migration under work stealing.
 """
 
+import base64
+import hashlib
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import autobatch
+from repro.frontend.registry import default_registry, primitive
 from repro.serve import (
     DiskSpillStore,
     Journal,
@@ -35,7 +41,6 @@ from repro.serve import (
 )
 from repro.serve.aio import AsyncServer
 from repro.vm import (
-    ExecutorStateError,
     LaneSnapshot,
     SnapshotCodecError,
     SnapshotDecodeError,
@@ -44,12 +49,42 @@ from repro.vm import (
     program_fingerprint,
 )
 from repro.vm.program_counter import ProgramCounterVM
+from repro.vm.snapshot_codec import MAGIC, VERSION
 
 from .helpers import assert_results_equal
 from .programs import ALL_EXAMPLES, fib, gcd
 
 CORPUS = sorted(ALL_EXAMPLES)
 EXECUTORS = ["eager", "fused", "superblock"]
+
+#: Wire format v2 of lane 0 of the corpus fib batch after 12 eager steps.
+WIRE_V2_FIB_LEN = 167
+WIRE_V2_FIB_SHA256 = (
+    "e3049e761fc0510e865f3dc33390ddfe7488b8aeae733058002f70a108e2e658"
+)
+
+_boxed_registry = default_registry.child()
+
+
+@primitive(registry=_boxed_registry)
+def box(x):
+    """A user primitive that fills a storage with Python objects."""
+    return np.asarray(x).reshape(-1, 1).astype(object)
+
+
+@primitive(registry=_boxed_registry)
+def unbox(x):
+    return np.asarray(x)[..., 0].astype(np.int64)
+
+
+@autobatch(registry=_boxed_registry)
+def boxed_walk(n):
+    start = box(n)
+    total = 0
+    while n > 0:
+        total = total + n
+        n = n - 1
+    return total + unbox(start)
 
 _PLANS = {}
 _TOTALS = {}
@@ -169,12 +204,15 @@ class TestSnapshotBytesRoundTrip:
             got, expected, context=f"{name}/{executor}@{stop_at}/{total}"
         )
 
-    def test_executor_tag_roundtrips(self):
-        plan = plan_for("fib", "fused")
-        snap = snapshots_at("fib", "fused", 10, max_stack_depth=32)[0]
-        assert snap.executor == plan.name
-        back = LaneSnapshot.from_bytes(snap.to_bytes(), plan.program)
-        assert back.executor == snap.executor
+    def test_wire_format_v2_is_pinned(self):
+        """The bytes of one fixed fib lane, to the bit.  A change to the
+        layout, the field order or the fib lowering (the fingerprint rides
+        in the header) moves this digest; bump ``VERSION`` with the first."""
+        snap = snapshots_at("fib", "eager", 12, max_stack_depth=32)[0]
+        blob = snap.to_bytes()
+        assert blob[:6] == MAGIC + struct.pack("<H", 2) and VERSION == 2
+        assert len(blob) == WIRE_V2_FIB_LEN
+        assert hashlib.sha256(blob).hexdigest() == WIRE_V2_FIB_SHA256
 
 
 class TestSnapshotBytesRejection:
@@ -203,6 +241,18 @@ class TestSnapshotBytesRejection:
         with pytest.raises(SnapshotDecodeError):
             LaneSnapshot.from_bytes(blob + b"\x00", program)
 
+    def test_version_1_blob_refused(self):
+        """A blob otherwise intact but stamped version 1 (which carried an
+        executor name and an extras section) is refused by the version
+        check, not misparsed."""
+        snap, blob = self._blob()
+        body = blob[:4] + struct.pack("<H", 1) + blob[6:-4]
+        v1 = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        with pytest.raises(
+            SnapshotDecodeError, match="format version 1 is not supported"
+        ):
+            LaneSnapshot.from_bytes(v1, plan_for("fib", "eager").program)
+
     def test_cross_program_bytes_rejected(self):
         snap, blob = self._blob()
         wrong = plan_for("gcd", "eager").program
@@ -223,8 +273,6 @@ class TestSnapshotBytesRejection:
                 [snap.addr_frames, np.zeros(200, dtype=snap.addr_frames.dtype)]
             ),
             storages=snap.storages,
-            executor_state=dict(snap.executor_state),
-            executor=snap.executor,
         )
         blob = deep.to_bytes()
         with pytest.raises(SnapshotIncompatibleError):
@@ -252,8 +300,6 @@ class TestSnapshotBytesRejection:
                 ]
             ),
             storages=snap.storages,
-            executor_state=dict(snap.executor_state),
-            executor=snap.executor,
         )
         blob = deep.to_bytes()
         with pytest.raises(ValueError):
@@ -291,34 +337,46 @@ class TestSnapshotBytesRejection:
         assert calls
 
 
-class TestExecutorStateExtras:
-    """Satellite: executor extras round-trip exactly or fail loudly."""
+class TestUnencodableStorage:
+    """A storage a user primitive filled with Python objects has no byte
+    form: encoding refuses it by name, and the engine keeps such a
+    snapshot resident instead of losing it."""
 
-    def test_extras_roundtrip(self):
-        plan = plan_for("fib", "fused")
-        snap = snapshots_at("fib", "fused", 8, max_stack_depth=32)[0]
-        snap.executor_state = {
-            "counters": np.arange(5, dtype=np.int64),
-            "flags": {"warm": True, "epoch": 3},
-            "scale": 1.5,
-        }
-        back = LaneSnapshot.from_bytes(snap.to_bytes(), plan.program)
-        np.testing.assert_array_equal(
-            back.executor_state["counters"], snap.executor_state["counters"]
+    def test_object_dtype_storage_fails_loudly(self):
+        vm = ProgramCounterVM(
+            boxed_walk.execution_plan(), 2, registry=boxed_walk.registry
         )
-        assert back.executor_state["counters"].dtype == np.int64
-        assert back.executor_state["flags"] == {"warm": True, "epoch": 3}
-        assert back.executor_state["scale"] == 1.5
-
-    def test_unserializable_extra_fails_loudly(self):
-        snap = snapshots_at("fib", "fused", 8, max_stack_depth=32)[0]
-        snap.executor_state = {"handle": object()}
-        with pytest.raises(ExecutorStateError) as exc:
+        vm.bind_inputs([np.array([5, 7])])
+        for _ in range(3):
+            vm.step()
+        snap = vm.snapshot_lane(1)
+        assert snap.storages["boxed_walk.start"].dtype == object
+        with pytest.raises(SnapshotCodecError, match="'boxed_walk.start'"):
             snap.to_bytes()
-        message = str(exc.value)
-        assert "handle" in message
-        # The error names the executor whose state could not be encoded.
-        assert snap.executor in message
+
+    @pytest.mark.parametrize("executor", ["eager", "fused"])
+    def test_engine_keeps_the_snapshot_resident(self, executor):
+        alone = boxed_walk.serve(1, executor=executor)
+        expected = alone.submit(np.int64(40))
+        alone.run_until_idle()
+
+        engine = boxed_walk.serve(
+            1, executor=executor, preempt=True, max_resident_snapshots=0
+        )
+        straggler = engine.submit(np.int64(40))
+        for _ in range(5):
+            engine.tick()
+        # One step of urgent work: its budget vacates the lane at the end
+        # of the tick that evicted the straggler, so exactly one spill of
+        # the straggler's snapshot is attempted before it resumes.
+        urgent = engine.submit(np.int64(3), priority=5, step_budget=1)
+        engine.run_until_idle()
+        t = engine.telemetry
+        assert (t.preemptions, t.resumes, t.spills, t.spill_errors) == (1, 1, 0, 1)
+        assert urgent.state == "failed"
+        got, want = straggler.result(), expected.result()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert straggler.steps_used == expected.steps_used
 
 
 class TestArrivalStampDeterminism:
@@ -511,7 +569,6 @@ class TestJournalRecovery:
             executor="fused",
             preempt=PreemptPolicy(),
             journal=journal,
-            checkpoint_interval=2,
             **options,
         )
         handles = []
@@ -599,7 +656,6 @@ class TestJournalRecovery:
                 preempt=PreemptPolicy(),
                 steal=True,
                 journal=journal,
-                checkpoint_interval=2,
             )
             handles = [cluster.submit(np.int64(n)) for n in (13, 14, 15, 16)]
             for _ in range(3):
@@ -659,6 +715,80 @@ class TestJournalRecovery:
             f.write("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             Journal.load(path)
+
+    def test_journal_path_refuses_an_existing_run(self, tmp_path):
+        """Regression: ``Journal(path)`` over a previous run's file appended
+        a second run to it, whose request ids collided with the first's."""
+        path = str(tmp_path / "j.jsonl")
+        self._run(Journal(path))
+        with open(path, "rb") as f:
+            before = f.read()
+        with pytest.raises(FileExistsError, match=r"Journal\.load"):
+            Journal(path)
+        with open(path, "rb") as f:
+            assert f.read() == before
+        empty = str(tmp_path / "empty.jsonl")
+        open(empty, "w").close()
+        assert Journal(empty).path == empty  # an empty file holds no run
+
+    @pytest.mark.parametrize("crash", ["torn record", "lost newline"])
+    def test_journal_continued_after_a_crash_stays_readable(
+        self, tmp_path, crash
+    ):
+        """Regression: ``load`` dropped a torn tail from ``entries`` but left
+        it in the file, so the next append fused with the fragment and a
+        later ``load`` failed on a corrupt line (or dropped both)."""
+        path = str(tmp_path / "j.jsonl")
+        self._run(Journal(path), crash_after=6)
+        intact = Journal.load(path).entries
+        with open(path, "r+b") as f:
+            if crash == "torn record":
+                f.seek(0, os.SEEK_END)
+                f.write(b'{"type": "sub')
+            else:
+                f.truncate(os.path.getsize(path) - 1)
+        journal = Journal.load(path)
+        assert journal.entries == intact
+        engine = fib.serve(2, executor="fused", journal=journal)
+        engine.submit(np.int64(5))
+        engine.run_until_idle()
+        assert len(journal) == len(intact) + 2
+        assert Journal.load(path).entries == journal.entries
+
+    def test_parent_format_journal_with_checkpoints_recovers(self, tmp_path):
+        """Journals written before checkpoints were dropped interleave
+        ``checkpoint`` records with the rest; readers skip them, and replay
+        is bit-identical whether they sit in ``entries`` or in the file."""
+        _, baseline = self._run(Journal())
+        expected = {
+            h.request_id: (int(h.result()), h.finish_tick, h.steps_used)
+            for h in baseline
+        }
+        journal = Journal()
+        engine, _ = self._run(journal, crash_after=6)
+        blob = base64.b64encode(engine.vm.snapshot_lane(0).to_bytes())
+        entries = []
+        for entry in journal.entries:
+            entries.append(entry)
+            if entry["type"] == "submit":
+                entries.append({
+                    "type": "checkpoint",
+                    "tick": entry["tick"] + 1,
+                    "request_id": entry["request_id"],
+                    "steps_used": 1,
+                    "snapshot": blob.decode("ascii"),
+                })
+        journal.entries = entries
+        path = str(tmp_path / "old.jsonl")
+        journal.save(path)
+        for old in (journal, Journal.load(path)):
+            assert sum(e["type"] == "checkpoint" for e in old.entries) == 7
+            run = recover(old, fib, 2, executor="fused", preempt=PreemptPolicy())
+            recovered = {
+                rid: (int(h.result()), h.finish_tick, h.steps_used)
+                for rid, h in run.handles.items()
+            }
+            assert recovered == expected
 
     def test_recover_records_failures(self):
         journal = Journal()

@@ -134,6 +134,27 @@ class TestExecutionPlan:
         with pytest.raises(ValueError, match="not both"):
             ProgramCounterVM(plan, batch_size=2, executor="fused")
 
+    @pytest.mark.parametrize("executor", ["eager", "fused"])
+    def test_bind_returns_the_block_callables(self, executor):
+        plan = ExecutionPlan.compile(fib.stack_program(), executor=executor)
+        blocks = plan.bind(ProgramCounterVM(plan, batch_size=2))
+        assert isinstance(blocks, list)
+        assert len(blocks) == len(plan.program.blocks)
+        assert all(callable(fn) for fn in blocks)
+        assert plan.stats.bind_count == 2
+
+    def test_bind_refuses_a_callable_per_block_short(self):
+        class Short(EagerBlockExecutor):
+            name = "short"
+
+            def bind(self, vm):
+                return super().bind(vm)[:-1]
+
+        plan = ExecutionPlan.compile(fib.stack_program(), executor=Short())
+        with pytest.raises(ValueError, match="block callables for a"):
+            ProgramCounterVM(plan, batch_size=2)
+        assert plan.stats.bind_count == 0
+
     def test_fused_plan_rejects_gather_mode(self):
         with pytest.raises(FusionUnsupported, match="masking"):
             ProgramCounterVM(

@@ -5,8 +5,8 @@ Every option the five entry points (``Engine``, ``fn.serve``, ``Cluster``,
 :class:`~repro.serve.config.ServeConfig`; these tests pin that down as
 properties rather than examples:
 
-* the field set is exactly the 25 options that existed before the config
-  object did, and neither server constructor names one in its signature;
+* the field set is exactly the 24 serving options, and neither server
+  constructor names one in its signature;
 * an unknown option, and each invalid value, is refused identically at
   every entry point — *before* anything is built (no engine attached to a
   shared trace, no spill directory, no journal record);
@@ -60,7 +60,7 @@ OPTIONS = [
     "default_step_budget", "refill", "preempt", "resume_batching",
     "resume_defer_limit", "trace", "max_steps", "instrumentation",
     "max_resident_snapshots", "spill_store", "journal",
-    "checkpoint_interval", "policy", "seed", "steal", "autoscale",
+    "policy", "seed", "steal", "autoscale",
 ]
 FIELDS = [f.name for f in dataclasses.fields(ServeConfig)]
 
@@ -95,8 +95,6 @@ INVALID = [
     (dict(resume_defer_limit=0), ValueError, "resume_defer_limit must be >= 1"),
     (dict(max_resident_snapshots=-1), ValueError,
      "max_resident_snapshots must be >= 0"),
-    (dict(checkpoint_interval=-1), ValueError,
-     "checkpoint_interval must be >= 0"),
     (dict(preempt="nope"), ValueError, "unknown preempt policy"),
     (dict(preempt=3), TypeError, "preempt policy must be"),
     (dict(trace="nope"), ValueError, "unknown trace spec"),
@@ -113,7 +111,7 @@ INVALID_FLEET = [
 class TestDeclaredOnce:
     def test_the_fields_are_exactly_todays_options(self):
         assert sorted(FIELDS) == sorted(OPTIONS)
-        assert len(FIELDS) == 25
+        assert len(FIELDS) == 24
 
     def test_constructors_name_no_serving_option(self):
         engine = list(inspect.signature(Engine.__init__).parameters)
@@ -237,7 +235,6 @@ SHARD_EFFECTS = {
     ),
     "spill_store": (_store, lambda s: s.spill_store is _store),
     "journal": (_journal, lambda s: s.journal is _journal),
-    "checkpoint_interval": (5, lambda s: s.checkpoint_interval == 5),
     "policy": ("least_loaded", lambda s: s.config.policy.name == "least_loaded"),
     "seed": (7, lambda s: s.config.seed == 7),
     "steal": (True, lambda s: isinstance(s.config.steal, StealPolicy)),
