@@ -7,7 +7,8 @@ tick per engine step.  This module adds the process boundary ROADMAP item
 1 asks for: callers ``await server.submit(...)`` from arbitrary
 coroutines, handles become awaitable, ``map`` becomes an async iterator
 yielding results as they complete, and a wall-clock driver paces the tick
-loop at ``tick_interval`` seconds per tick.
+loop at ``tick_interval`` seconds per tick.  Unpaced, it runs ticks back
+to back and yields to the event loop only when someone may be waiting.
 
 The one design rule is that **the logical clock stays the sole source of
 scheduling truth**.  Wall time only decides *when* the driver runs the
@@ -55,6 +56,10 @@ from repro.serve.server import (
     emit_arrive,
     replay,
 )
+
+#: Longest wall-clock stretch an unpaced driver ticks without yielding, so
+#: timers still fire on time; it never changes what a tick computes.
+_YIELD_EVERY_S = 0.0005
 
 
 def replay_arrivals(server: Any, arrivals: Iterable[Arrival]) -> List[ResultHandle]:
@@ -144,8 +149,9 @@ class AsyncServer:
         on the logical clock exactly as in synchronous use.
     tick_interval:
         Wall-clock seconds per logical tick.  ``0.0`` (default) runs the
-        loop as fast as the event loop allows (still yielding between
-        ticks, so submissions interleave).  Positive values pace ticks on
+        loop flat out, yielding only after a tick that resolved an awaited
+        request, while a submitter is parked, or 0.5 ms after the last
+        yield (so timers fire).  Positive values pace ticks on
         an accumulating deadline — steady long-run rate, no drift — that
         resets whenever the loop falls behind or goes idle, so an idle gap
         never causes a catch-up burst.
@@ -186,6 +192,7 @@ class AsyncServer:
         self.arrivals: List[Arrival] = []
         self._waiting: Deque[_PendingSubmit] = deque()
         self._pending: Dict[int, AsyncResultHandle] = {}
+        self._terminal = 0  # completed + failed at the last pending scan
         self._wake = asyncio.Event()
         self._closed = False
         self._crash: Optional[BaseException] = None
@@ -355,14 +362,20 @@ class AsyncServer:
                 )
             )
 
-    def _deliver_completions(self) -> None:
+    def _deliver_completions(self) -> bool:
+        """Wake awaiters of newly finished requests; True if any woke."""
         if not self._pending:
-            return
+            return False
+        t = self.server.telemetry
+        if t.completed + t.failed == self._terminal:
+            return False
+        self._terminal = t.completed + t.failed
         delivered = [
             rid for rid, h in self._pending.items() if h.handle.done()
         ]
         for rid in delivered:
             self._pending.pop(rid)._event.set()
+        return bool(delivered)
 
     def _fail_waiters(self, error: BaseException) -> None:
         while self._waiting:
@@ -394,7 +407,7 @@ class AsyncServer:
     async def _drive_ticks(self) -> None:
         loop = asyncio.get_running_loop()
         watch = ProgressWatch(self.server)
-        deadline = loop.time()
+        deadline = last_yield = loop.time()
         while True:
             self._admit_waiters()
             if not self.server.busy() and not self._waiting:
@@ -405,16 +418,15 @@ class AsyncServer:
                 self._wake.clear()
                 if not self.server.busy() and not self._waiting:
                     await self._wake.wait()
-                deadline = loop.time()
+                deadline = last_yield = loop.time()
                 continue
             self.server.tick()
-            self._deliver_completions()
-            if not self._waiting:
-                watch.reset()
-            elif watch.wedged():
+            delivered = self._deliver_completions()
+            if self._waiting and watch.wedged():
                 # Same wedge detection as the synchronous backpressure
                 # loop: parked waiters must not hang on a fleet that can
-                # never admit (e.g. every shard draining).
+                # never admit (e.g. every shard draining).  Counted only
+                # on ticks with waiters, so it can fire late, never early.
                 watch.reset()
                 self._fail_waiters(
                     QueueFullError(
@@ -432,9 +444,12 @@ class AsyncServer:
                     # Behind schedule: run flat out but carry no debt.
                     deadline = loop.time()
                     await asyncio.sleep(0)
-            else:
-                # Stay cooperative so submitters interleave with ticks.
+            elif delivered or self._waiting or (
+                loop.time() - last_yield >= _YIELD_EVERY_S
+            ):
+                # Let woken awaiters, parked submitters and due timers run.
                 await asyncio.sleep(0)
+                last_yield = loop.time()
 
     def __repr__(self) -> str:
         return (

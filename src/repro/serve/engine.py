@@ -99,15 +99,20 @@ class PreemptPolicy:
         with the running lanes weakest-first: lowest priority, then longest
         in its lane (the straggler), then lowest lane index — a
         deterministic total order.  Stops at the first pair whose priority
-        gap is below the delta (later waiters only have lower priority).
+        gap is below the delta (later waiters only have lower priority),
+        in O(1) if the queue head against the lowest running falls short.
         """
-        if engine.pool.free_count() or not len(engine.queue):
+        pool, queue = engine.pool, engine.queue
+        if pool.free_count() or not len(queue) or (
+            queue.peek().request.priority - min(pool.priorities)
+            < self.priority_delta
+        ):
             return []
         now = engine.now
         evictable = [
             h
-            for h in engine.pool.occupants().values()
-            if h.lane_age(now) >= self.min_age
+            for h in engine.pool.handles
+            if h is not None and h.lane_age(now) >= self.min_age
         ]
         evictable.sort(
             key=lambda h: (h.request.priority, -h.lane_age(now), h.lane)
@@ -178,13 +183,13 @@ class DeadlinePreemptPolicy(PreemptPolicy):
 
     def plan(self, engine: "Engine") -> List[int]:
         """Lanes to evict this tick: slackest victims for urgent waiters."""
-        if engine.pool.free_count() or not len(engine.queue):
+        if engine.pool.free_count() or not engine.queue.deadline_count():
             return []
         now = engine.now
         evictable = [
             h
-            for h in engine.pool.occupants().values()
-            if h.lane_age(now) >= self.min_age
+            for h in engine.pool.handles
+            if h is not None and h.lane_age(now) >= self.min_age
         ]
         # Most slack first; ties fall back to the base policy's weakest-
         # first order (lowest priority, longest resident, lowest lane).
@@ -302,7 +307,6 @@ class Engine(Server):
         # A fresh machine starts every member at the entry block; a fresh
         # *server* starts every lane vacant.
         self.vm.halt_lanes(np.arange(num_lanes, dtype=np.int64))
-        self.vm.track_occupancy = True
         self.pool = LanePool(num_lanes)
         self.queue = RequestQueue(max_depth=config.max_queue_depth)
         self.telemetry = ServeTelemetry(
@@ -462,7 +466,7 @@ class Engine(Server):
         """
         for lane in self.preempt.plan(self):
             lane = int(lane)
-            handle = self.pool.occupant(lane)
+            handle = self.pool.handles[lane]
             snapshot = self.vm.snapshot_lane(lane)
             self.vm.halt_lanes(np.asarray([lane], dtype=np.int64))
             self.pool.release(lane)
@@ -555,14 +559,15 @@ class Engine(Server):
     def _admit(self) -> None:
         """Move queued requests into vacant lanes, per the refill policy."""
         self._resume_sticky_pc = None
-        if self.refill == "drain" and self.pool.busy_count() > 0:
+        pool, queue = self.pool, self.queue
+        if not len(queue) or not pool.free_count() or (
+            self.refill == "drain" and pool.busy_count()
+        ):
             return
         seated: List[ResultHandle] = []
-        while len(self.queue) and self.pool.free_count():
-            handle = (
-                self._pop_next() if self.resume_batching else self.queue.pop()
-            )
-            lane = self.pool.acquire(handle)
+        while len(queue) and pool.free_count():
+            handle = self._pop_next() if self.resume_batching else queue.pop()
+            lane = pool.acquire(handle)
             if handle.snapshot is not None:
                 # A preempted request resumes from its checkpoint instead
                 # of re-injecting its inputs from scratch.
@@ -616,19 +621,18 @@ class Engine(Server):
         self._journal_complete(handle, failed=True)
         self._emit("fail", handle, lane=lane)
 
-    def _retire_finished(self) -> None:
-        """Deliver outputs of every busy lane whose member has halted."""
-        busy = self.pool.busy_lanes()
-        if busy.size == 0:
+    def _retire_finished(self, lanes: Optional[np.ndarray]) -> None:
+        """Deliver outputs of every lane in ``lanes`` whose member halted."""
+        if lanes is None:
             return
-        halted = self.vm.halted_mask()
-        done = busy[halted[busy]]
+        done = lanes[self.vm.pcreg[lanes] >= self.vm.exit_index]
         if done.size == 0:
             return
+        done = np.unique(done)  # a superblock lists a lane once per block
         outputs = self.vm.retire_lanes(done)
         single = len(outputs) == 1
-        for j, lane in enumerate(done):
-            handle = self.pool.release(int(lane))
+        for j, lane in enumerate(done.tolist()):
+            handle = self.pool.release(lane)
             value = outputs[0][j] if single else tuple(o[j] for o in outputs)
             handle._resolve(value, self._tick)
             self._journal_complete(handle)
@@ -642,13 +646,14 @@ class Engine(Server):
             if deadline is not None and self._tick > deadline:
                 # A deadline miss is its own timeline marker, just before
                 # the terminal event at the same tick.
-                self._emit("deadline", handle, lane=int(lane))
-            self._emit("complete", handle, lane=int(lane))
+                self._emit("deadline", handle, lane=lane)
+            self._emit("complete", handle, lane=lane)
 
     def _enforce_budgets(self, stepped: np.ndarray) -> None:
-        """Abort still-running requests that exhausted their step budget."""
-        for lane in stepped:
-            handle = self.pool.occupant(int(lane))
+        """Charge each stepped request a step; abort those over budget."""
+        handles = self.pool.handles
+        for lane in stepped.tolist():
+            handle = handles[lane]
             if handle is None:  # retired in this very tick
                 continue
             handle.steps_used += 1
@@ -656,7 +661,7 @@ class Engine(Server):
             if budget is not None and handle.steps_used >= budget:
                 self._fail_lane(
                     handle,
-                    int(lane),
+                    lane,
                     StepBudgetExceeded(
                         f"request {handle.request_id} exceeded its step "
                         f"budget of {budget} machine steps"
@@ -702,8 +707,11 @@ class Engine(Server):
             self.telemetry.resident_peak = resident
 
     def tick(self) -> bool:
-        """One engine step: preempt, admit, step the machine, retire, enforce
-        budgets.
+        """One engine step: preempt, admit, spill, step the machine, retire,
+        enforce budgets.
+
+        A stage with nothing to do costs O(1); retirement and budgets visit
+        only the lanes the machine stepped, and occupancy is the pool's count.
 
         Returns True while the engine holds queued or in-flight work after
         the tick.  A tick with an empty machine still advances the logical
@@ -711,6 +719,7 @@ class Engine(Server):
         """
         if self.preempt is not None:
             self._preempt_step()
+        resumes = self.telemetry.resumes
         self._admit()
         # Spill after admission: resumes just drained the hot head of the
         # backlog, so the cap is enforced over what actually stays queued.
@@ -726,7 +735,11 @@ class Engine(Server):
         self._tick += 1
         if busy:
             stepped = self.vm.step_lanes()
-            self._retire_finished()
+            if stepped is not None:
+                self.vm.instr.record_occupancy(busy, self.pool.num_lanes)
+            # A member halts by stepping, or by resuming at the exit.
+            resumed = self.telemetry.resumes != resumes
+            self._retire_finished(self.pool.busy_lanes() if resumed else stepped)
             if stepped is not None:
                 self._enforce_budgets(stepped)
         return bool(self.pool.busy_count() or len(self.queue))

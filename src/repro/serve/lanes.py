@@ -10,6 +10,7 @@ bit-comparable against static batches.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -18,52 +19,60 @@ from repro.serve.queue import ResultHandle
 
 
 class LanePool:
-    """Fixed pool of machine lanes with deterministic acquire order."""
+    """Fixed pool of machine lanes with deterministic acquire order.
+
+    Every count is kept by :meth:`acquire` / :meth:`release`, so each
+    query is O(1).  ``handles`` (lane -> handle, None = vacant) and
+    ``priorities`` (priority -> lanes running it) are read-only views.
+    """
 
     def __init__(self, num_lanes: int):
         if num_lanes <= 0:
             raise ValueError(f"num_lanes must be positive, got {num_lanes}")
         self.num_lanes = int(num_lanes)
-        self._occupant: List[Optional[ResultHandle]] = [None] * self.num_lanes
+        self.handles: List[Optional[ResultHandle]] = [None] * self.num_lanes
+        self.priorities: Dict[int, int] = {}
+        self._free: List[int] = list(range(self.num_lanes))  # a min-heap
+        self._busy: Optional[np.ndarray] = None  # None: rebuild on read
 
     # -- queries ------------------------------------------------------------
 
     def free_count(self) -> int:
-        return sum(1 for h in self._occupant if h is None)
+        return len(self._free)
 
     def busy_count(self) -> int:
-        return self.num_lanes - self.free_count()
+        return self.num_lanes - len(self._free)
 
     def busy_lanes(self) -> np.ndarray:
-        """Indices of occupied lanes, ascending."""
-        return np.asarray(
-            [i for i, h in enumerate(self._occupant) if h is not None],
-            dtype=np.int64,
-        )
-
-    def occupant(self, lane: int) -> Optional[ResultHandle]:
-        return self._occupant[lane]
-
-    def occupants(self) -> Dict[int, ResultHandle]:
-        """Mapping of lane -> in-flight handle."""
-        return {
-            i: h for i, h in enumerate(self._occupant) if h is not None
-        }
+        """Indices of occupied lanes, ascending (a read-only array)."""
+        if self._busy is None:
+            self._busy = np.flatnonzero([h is not None for h in self.handles])
+            self._busy.flags.writeable = False
+        return self._busy
 
     # -- transitions --------------------------------------------------------
 
     def acquire(self, handle: ResultHandle) -> int:
         """Seat ``handle`` in the lowest vacant lane; returns the lane."""
-        for lane, occupant in enumerate(self._occupant):
-            if occupant is None:
-                self._occupant[lane] = handle
-                return lane
-        raise RuntimeError("no vacant lane; check free_count() before acquire()")
+        if not self._free:
+            raise RuntimeError("no vacant lane; check free_count() before acquire()")
+        lane = heapq.heappop(self._free)
+        self.handles[lane] = handle
+        self._busy = None
+        priority = handle.request.priority
+        self.priorities[priority] = self.priorities.get(priority, 0) + 1
+        return lane
 
     def release(self, lane: int) -> ResultHandle:
         """Vacate ``lane``; returns the handle that occupied it."""
-        handle = self._occupant[lane]
+        handle = self.handles[lane]
         if handle is None:
             raise RuntimeError(f"lane {lane} is already vacant")
-        self._occupant[lane] = None
+        self.handles[lane] = None
+        heapq.heappush(self._free, int(lane))
+        self._busy = None
+        priority = handle.request.priority
+        self.priorities[priority] -= 1
+        if not self.priorities[priority]:
+            del self.priorities[priority]
         return handle

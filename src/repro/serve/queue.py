@@ -277,6 +277,8 @@ class RequestQueue:
     #: explicit swaps in :meth:`spill_overflow`; what a
     #: ``max_resident_snapshots`` cap bounds.
     _resident: int = 0
+    #: Queued handles carrying a deadline, maintained on push/pop.
+    _deadlines: int = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -333,6 +335,8 @@ class RequestQueue:
             ),
         )
         self._seq += 1
+        if deadline is not None:
+            self._deadlines += 1
         if handle.snapshot is not None:
             self._snapshots += 1
             if not getattr(handle.snapshot, "spilled", False):
@@ -340,7 +344,12 @@ class RequestQueue:
             key = (handle.request.priority, handle.snapshot.pc)
             self._pc_buckets[key] = self._pc_buckets.get(key, 0) + 1
 
-    def _bucket_remove(self, handle: ResultHandle) -> None:
+    def _forget(self, handle: ResultHandle) -> None:
+        """Drop a handle that just left the heap from the running counts."""
+        if handle.request.deadline_ticks is not None:
+            self._deadlines -= 1
+        if handle.snapshot is None:
+            return
         self._snapshots -= 1
         if not getattr(handle.snapshot, "spilled", False):
             self._resident -= 1
@@ -354,8 +363,7 @@ class RequestQueue:
     def pop(self) -> ResultHandle:
         """The highest-priority (then most-urgent, then oldest) queued handle."""
         handle = heapq.heappop(self._heap)[-1]
-        if handle.snapshot is not None:
-            self._bucket_remove(handle)
+        self._forget(handle)
         return handle
 
     def resume_pc_counts(self, priority: int) -> Dict[int, int]:
@@ -399,7 +407,7 @@ class RequestQueue:
             self._heap[best] = last
             heapq.heapify(self._heap)
         handle = entry[-1]
-        self._bucket_remove(handle)
+        self._forget(handle)
         return handle
 
     def peek(self) -> ResultHandle:
@@ -431,6 +439,10 @@ class RequestQueue:
         unstealable entries.
         """
         return self._snapshots
+
+    def deadline_count(self) -> int:
+        """Queued handles carrying a deadline; O(1), like :meth:`snapshot_count`."""
+        return self._deadlines
 
     def resident_snapshots(self) -> int:
         """Queued snapshots held as live arrays (not spilled stubs).

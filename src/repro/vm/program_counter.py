@@ -184,9 +184,6 @@ class ProgramCounterVM:
         self.instr.batch_size = self.batch_size
         self.max_steps = max_steps
         self.exit_index = program.exit_index
-        # Lane-occupancy accounting costs an O(Z) scan per step; only the
-        # serving engine consumes it, so it opts in.
-        self.track_occupancy = False
 
         self.storages: Dict[str, Any] = {}
         self._temps: Dict[str, np.ndarray] = {}
@@ -345,25 +342,25 @@ class ProgramCounterVM:
         instr.host_dispatches += 1
         mask = self.pcreg == i
         idx = mask.nonzero()[0]
-        if self.track_occupancy or instr.track_blocks:
-            self._record_lanes(i, idx)
+        if instr.track_blocks:
+            self._record_block(i, idx)
         # A superblock returns the lanes of every member block it ran in
         # this one dispatch, for per-request step budgets; a block, nothing.
         stepped = self._block_fns[i](self, mask, idx)
         return idx if stepped is None else stepped
 
-    def _record_lanes(self, i: int, idx: np.ndarray) -> None:
-        """Lane occupancy (serving) and per-block profiling, when armed."""
-        instr = self.instr
+    def _record_block(self, i: int, idx: np.ndarray) -> None:
+        """Per-block profiling (an O(Z) scan per step, so only when armed).
+
+        Lane occupancy is not counted here: the serving engine, the one
+        consumer, records it from its lane pool's busy count.
+        """
         live = int(np.count_nonzero(self.pcreg < self.exit_index))
-        if self.track_occupancy:
-            instr.record_occupancy(live, self.batch_size)
-        if instr.track_blocks:
-            # Mirror the primitive-level slot convention: the platform
-            # offers the full batch width under masking but only the
-            # gathered lanes under gather-scatter.
-            slots = int(idx.size) if self.mode == "gather" else self.batch_size
-            instr.record_block(i, int(idx.size), live, slots)
+        # Mirror the primitive-level slot convention: the platform offers
+        # the full batch width under masking but only the gathered lanes
+        # under gather-scatter.
+        slots = int(idx.size) if self.mode == "gather" else self.batch_size
+        self.instr.record_block(i, int(idx.size), live, slots)
 
     # -- lane lifecycle (continuous-batching serving) -----------------------------
     #

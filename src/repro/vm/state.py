@@ -73,10 +73,13 @@ class RegisterStorage:
     # -- lane checkpoint/resume (serving-engine preemption) ------------------
 
     def capture_lane(self, lane: int) -> Optional[np.ndarray]:
-        """One lane's value, or None while the storage is unallocated."""
+        """One lane's value as an array, or None while the storage is
+        unallocated.  Indexing with ``...`` keeps a ``(Z,)`` register's
+        lane a 0-d array, where a plain index would hand back the bare
+        element — a Python object, under object dtype."""
         if self.array is None:
             return None
-        return self.array[lane].copy()
+        return self.array[lane, ...].copy()
 
     def restore_lane(self, lane: int, value: Optional[np.ndarray]) -> None:
         """Reinstall a captured lane value, allocating storage if needed."""
@@ -86,7 +89,9 @@ class RegisterStorage:
             return
         value = np.asarray(value)
         arr = self._ensure(value.shape, value.dtype)
-        arr[lane] = value
+        # Through a view, so a 0-d object value stores its element, not
+        # itself.
+        arr[lane, ...] = value
 
 
 class StackedStorage:

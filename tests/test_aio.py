@@ -226,6 +226,65 @@ class TestArrivalReplay:
             replay_arrivals(engine, arrivals)
 
 
+class TestDriverYields:
+    """Unpaced, the driver runs ticks back to back and yields only when
+    someone waits on it — yet timers, parked submitters and awaiters are
+    all served on time, and the run still replays byte for byte."""
+
+    @pytest.mark.asyncio
+    async def test_open_loop_timers_fire_while_a_backlog_drains(self, tmp_path):
+        from repro.observe import Trace
+
+        def build():
+            return fib.serve(num_lanes=16, max_stack_depth=64, trace=Trace())
+
+        engine = build()
+        loop = asyncio.get_running_loop()
+        woke = []
+        lags = []
+
+        async def awaiter(handle):
+            await handle.wait()
+            woke.append((handle, engine.now))
+
+        async with AsyncServer(engine) as server:
+            backlog = [
+                await server.submit(np.int64(8 + i % 5)) for i in range(200)
+            ]
+            tasks = [asyncio.ensure_future(awaiter(h)) for h in backlog]
+            start = loop.time()
+            for k in range(1, 31):
+                due = start + 0.002 * k
+                await asyncio.sleep(max(0.0, due - loop.time()))
+                handle = await server.submit(np.int64(5))
+                lags.append(loop.time() - due)
+                tasks.append(asyncio.ensure_future(awaiter(handle)))
+            # The open loop ran while the backlog drained, not after it: a
+            # driver that never yielded would have made every sleep above
+            # wait out the whole drain.
+            assert engine.busy()
+            await asyncio.gather(*tasks)
+        assert max(lags) < 0.05, max(lags)
+        # An awaiter wakes before the next tick runs.
+        assert len(woke) == 230
+        for handle, now in woke:
+            assert now == handle.handle.finish_tick
+
+        def chrome_bytes(server_engine, name):
+            path = tmp_path / name
+            server_engine.trace.export_chrome_trace(path)
+            return path.read_bytes()
+
+        fresh = build()
+        replayed = replay_arrivals(fresh, server.arrivals)
+        assert [e.as_dict() for e in fresh.trace.tracer.events] == [
+            e.as_dict() for e in engine.trace.tracer.events
+        ]
+        assert chrome_bytes(fresh, "replay.json") == chrome_bytes(engine, "live.json")
+        for live, rep in zip(backlog, replayed):
+            assert rep.finish_tick == live.handle.finish_tick
+
+
 class _WedgedServer:
     """A server whose admission is full and whose counters never move —
     the shape of a fleet where every shard is draining for retirement."""

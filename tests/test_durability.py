@@ -86,6 +86,27 @@ def boxed_walk(n):
         n = n - 1
     return total + unbox(start)
 
+
+@primitive(registry=_boxed_registry)
+def box_flat(x):
+    """Python objects in a ``(Z,)`` register: one lane is one bare object."""
+    return np.asarray(x).astype(object)
+
+
+@primitive(registry=_boxed_registry)
+def unbox_flat(x):
+    return np.asarray(x).astype(np.int64)
+
+
+@autobatch(registry=_boxed_registry)
+def flat_boxed_walk(n):
+    start = box_flat(n)
+    total = 0
+    while n > 0:
+        total = total + n
+        n = n - 1
+    return total + unbox_flat(start)
+
 _PLANS = {}
 _TOTALS = {}
 
@@ -369,6 +390,40 @@ class TestUnencodableStorage:
         # One step of urgent work: its budget vacates the lane at the end
         # of the tick that evicted the straggler, so exactly one spill of
         # the straggler's snapshot is attempted before it resumes.
+        urgent = engine.submit(np.int64(3), priority=5, step_budget=1)
+        engine.run_until_idle()
+        t = engine.telemetry
+        assert (t.preemptions, t.resumes, t.spills, t.spill_errors) == (1, 1, 0, 1)
+        assert urgent.state == "failed"
+        got, want = straggler.result(), expected.result()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert straggler.steps_used == expected.steps_used
+
+    def test_flat_object_register_captures_an_array(self):
+        vm = ProgramCounterVM(
+            flat_boxed_walk.execution_plan(), 2, registry=flat_boxed_walk.registry
+        )
+        vm.bind_inputs([np.array([5, 7])])
+        for _ in range(3):
+            vm.step()
+        lane = vm.snapshot_lane(1).storages["flat_boxed_walk.start"]
+        assert lane.shape == () and lane.dtype == object and lane[()] == 7
+
+    @pytest.mark.parametrize("executor", ["eager", "fused"])
+    def test_preempting_a_flat_object_register_resumes_exactly(self, executor):
+        """Capturing a ``(Z,)`` object register's lane used to call
+        ``.copy()`` on the bare Python element and crash the tick that
+        preempted it."""
+        alone = flat_boxed_walk.serve(1, executor=executor)
+        expected = alone.submit(np.int64(40))
+        alone.run_until_idle()
+
+        engine = flat_boxed_walk.serve(
+            1, executor=executor, preempt=True, max_resident_snapshots=0
+        )
+        straggler = engine.submit(np.int64(40))
+        for _ in range(5):
+            engine.tick()
         urgent = engine.submit(np.int64(3), priority=5, step_budget=1)
         engine.run_until_idle()
         t = engine.telemetry

@@ -1183,6 +1183,111 @@ class TestPropertyBasedSchedules:
         assert cluster.load() == 0
 
 
+def recount_bookkeeping(engine):
+    """Wrap ``engine.vm.step_lanes`` to recount, by brute force, what the
+    engine's incremental counters must equal; returns the recount."""
+    vm = engine.vm
+    step_lanes = vm.step_lanes
+    recount = {"live": 0, "slots": 0, "steps": {}}
+
+    def counted():
+        live = int(np.count_nonzero(vm.pcreg < vm.exit_index))
+        stepped = step_lanes()
+        if stepped is not None:
+            recount["live"] += live
+            recount["slots"] += vm.batch_size
+            steps = recount["steps"]
+            for lane in stepped.tolist():
+                rid = engine.pool.handles[lane].request_id
+                steps[rid] = steps.get(rid, 0) + 1
+        return stepped
+
+    vm.step_lanes = counted
+    return recount
+
+
+def check_bookkeeping(engine, recount):
+    """The pool's and the queue's running counts, the occupancy the engine
+    recorded and every seated request's ``steps_used`` against recounts."""
+    pool, vm = engine.pool, engine.vm
+    occupied = [lane for lane, h in enumerate(pool.handles) if h is not None]
+    assert pool.busy_count() == len(occupied)
+    assert pool.free_count() == pool.num_lanes - len(occupied)
+    assert pool.busy_lanes().tolist() == occupied
+    priorities = {}
+    for lane in occupied:
+        p = pool.handles[lane].request.priority
+        priorities[p] = priorities.get(p, 0) + 1
+    assert pool.priorities == priorities
+    assert engine.queue.deadline_count() == sum(
+        h.request.deadline_ticks is not None for h in engine.queue.waiting()
+    )
+    # Retirement looks only at lanes that moved, which is sound while every
+    # seated member is unhalted and every vacant lane halted after a tick.
+    halted = vm.pcreg >= vm.exit_index
+    assert [lane for lane in range(pool.num_lanes) if not halted[lane]] == occupied
+    assert (vm.instr.lane_live, vm.instr.lane_slots) == (
+        recount["live"], recount["slots"]
+    )
+    for lane in occupied:
+        handle = pool.handles[lane]
+        assert handle.lane == lane and handle.state == "running"
+        assert handle.steps_used == recount["steps"].get(handle.request_id, 0)
+
+
+class TestIncrementalBookkeeping:
+    """Every count the engine keeps incrementally — free and busy lanes,
+    occupants per priority, queued deadlines, lane occupancy, steps used —
+    equals a brute-force recount after every tick, under preemption, step
+    budgets, a failing injection and resumes."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        schedule=st.lists(
+            st.tuples(
+                st.integers(0, 12),                          # fib argument
+                st.integers(0, 3),                           # arrival gap
+                st.integers(0, 3),                           # priority
+                st.one_of(st.none(), st.integers(0, 300)),   # deadline_ticks
+                st.one_of(st.none(), st.integers(1, 600)),   # step budget
+                st.booleans(),                               # malformed input
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        num_lanes=st.integers(1, 3),
+        preempt=st.sampled_from([True, "deadline"]),
+        executor=st.sampled_from(["fused", "superblock"]),
+    )
+    def test_counts_match_a_recount_after_every_tick(
+        self, schedule, num_lanes, preempt, executor
+    ):
+        engine = fib.serve(
+            num_lanes=num_lanes, max_stack_depth=64, executor=executor,
+            preempt=preempt,
+        )
+        recount = recount_bookkeeping(engine)
+        # A first request allocates the input's storage, so a malformed
+        # input later fails at injection instead of shaping the storage.
+        handles = [engine.submit(np.int64(2))]
+        engine.tick()
+        check_bookkeeping(engine, recount)
+        for n, gap, priority, deadline, budget, malformed in schedule:
+            for _ in range(gap):
+                engine.tick()
+                check_bookkeeping(engine, recount)
+            value = np.array([n, n]) if malformed else np.int64(n)
+            handles.append(engine.submit(
+                value, priority=priority, step_budget=budget,
+                deadline_ticks=deadline,
+            ))
+        while engine.busy():
+            engine.tick()
+            check_bookkeeping(engine, recount)
+        assert all(h.done() for h in handles)
+        assert engine.telemetry.preemptions == engine.telemetry.resumes
+
+
 from .test_random_programs import (  # noqa: E402  (generator reuse)
     compile_source,
     program_strategy,
