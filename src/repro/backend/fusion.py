@@ -17,58 +17,39 @@ separate fused driver loop: the fused machine *is* the ordinary
 program-counter machine bound to a fused
 :class:`~repro.vm.executors.ExecutionPlan`.
 
-Generated blocks are *observationally identical* to interpretation.  Their
-arithmetic runs under ``np.errstate(all="ignore")`` (masked-off lanes must
-never raise spurious floating-point warnings), which no block enters: the
-machine does, once around a whole
-:meth:`~repro.vm.program_counter.ProgramCounterVM.run` and once per
-``step_lanes()`` call, because entering the context costs about what two of
-a block's kernels do.  A reader of
-:class:`~repro.vm.instrumentation.Instrumentation` sees the counts the
-interpreter records op by op.  A block's operation list is static, so the
-generated code does not record operations at all: each execution bumps one
-per-(machine, block) :class:`~repro.vm.instrumentation.BlockTally`
-(``executions`` and the active-lane total), and ``Instrumentation`` expands
-pending tallies through the block's primitive, push, pop and storage-access
-sites whenever one of those counters is read.  Eager and fused runs thus
-produce bit-identical outputs **and** op counts at every step boundary —
-the property the differential tests pin down — from one variant of the
-generated code; the one place they part is the *slots* of a gathered call
-site (below), which are the lanes the kernel ran on under either executor.  (A block that raises part-way is not tallied, where the
-interpreter has recorded the operations before the raise; a raise reaches
-no step boundary, and the machine is not stepped again.)
+Every generated block is *compact*: it runs on the step's live lanes only.
+The step's ``idx`` is the one active-lane set a block uses.  Stored inputs
+are read as their ``idx`` rows (``read_at(idx)``); every temporary and
+constant stays ``(|idx|, …)`` (a constant is a view of a full-width array
+bound once per machine); stored variables are written with
+``write_at(idx, ·)``; pushes take the kernel's result as it comes; and a
+``Branch`` loads its lanes' next pcs out of the block's two-entry target
+table (``targets[cond.astype(np.intp)]``).  Nothing is scattered back to
+full width, so no masked-off lane computes or is written, and a block costs
+what its live lanes cost.  This is the paper's gather-scatter side of its
+first free choice (Section 2).  The paper masks because XLA needs static
+shapes; generated numpy code has no such constraint, so the choice is made
+once, for every block.  The eager executor keeps both modes, as the
+ablation and the op-by-op reference.  Because a compact block touches only
+the lanes of ``idx``, it runs identically whatever the machine's ``mode``.
 
-The step's ``idx`` is the one active-lane set a block uses: light kernels
-and masked storage writes run at full width ``Z`` (the paper's accounting),
-but everything that moves per-lane state — stack pushes and pops, the
-return-address stack, the program-counter update — indexes with ``idx``
-directly instead of re-deriving it from ``mask``.  What is left of that
-bookkeeping is gathers and scatters, not arithmetic: at serving widths a
-ufunc on a ``(Z,)`` array costs three to ten indexed loads, so a ``Branch``
-reads its lanes' next pcs out of the block's two-entry target table
-(``targets[cond[idx]]``, bound once per machine) rather than computing them
-with a select, and the stacks step their pointers through tables too (see
-:mod:`repro.vm.stack`).
-
-The paper's masking-vs-gather trade (masking wastes compute on dead lanes,
-gathering pays memory traffic) is made *per call site*, from the registered
-``cost_weight`` of the site's primitive: at or above
-:data:`GATHER_MIN_COST_WEIGHT` the site reads its inputs' ``idx`` rows,
-calls the kernel on those, and scatters the result rows into a zeroed
-full-width array — so a target log-density or gradient is paid for on live
-lanes only, while scalar arithmetic, where the gather would cost more than
-the waste, stays masked.  The choice is static (the weight comes from the
-registry the machine resolves kernels in, at bind), so there is still one
-generated variant per block and every statement after a gathered site is
-what a masked site emits; such a site is charged ``slots = active`` in
-``Instrumentation`` — the work that ran — where the interpreter under
-``mode="mask"`` charges ``Z``.  A masked-off lane's row of a gathered result
-is zero, and as unobservable as the junk a masked kernel leaves there.  A
-kernel whose rows are independent of their companions returns the same bits
-either way; one that lets BLAS order a sum by the operand's shape (the
-logistic matmuls) differs in the last bits between a gathered and a
-full-width call, exactly as it already does between any batched strategy
-and the ``Z = 1`` reference.
+Generated blocks are *observationally identical* to the eager interpreter
+under ``mode="gather"``: the same outputs and the same
+:class:`~repro.vm.instrumentation.Instrumentation` counts at every step
+boundary — the property the differential tests pin down.  A block's
+operation list is static, so the generated code does not record operations
+at all: each execution bumps one per-(machine, block)
+:class:`~repro.vm.instrumentation.BlockTally` (``executions`` and the
+active-lane total), and ``Instrumentation`` expands pending tallies through
+the block's primitive, push, pop and storage-access sites whenever one of
+those counters is read, charging every site ``slots = active``.  (A block
+that raises part-way is not tallied, where the interpreter has recorded the
+operations before the raise; a raise reaches no step boundary, and the
+machine is not stepped again.)  Outputs also equal eager *masking*'s: every
+registered primitive computes a row from that row alone.  A kernel that
+lets BLAS order a sum by the operand's shape (the logistic matmuls) may
+differ in the last bits between a compact and a full-width call, exactly as
+it already does between any batched strategy and the ``Z = 1`` reference.
 
 That identity extends to lane checkpoint/resume (the serving engine's
 preemption): generated namespaces capture *storage objects* — never the
@@ -78,6 +59,15 @@ reallocates or promotes arrays *within* a storage via its lazy ``_ensure``
 path) leaves every fused closure valid, and a snapshot taken under either
 executor restores under either, bit-identically.  Anything added to the
 bind spec must preserve this indirection.
+
+Blocks still run under ``np.errstate(all="ignore")``, which no block
+enters: the machine does, once around a whole
+:meth:`~repro.vm.program_counter.ProgramCounterVM.run` and once per
+``step_lanes()`` call, because entering the context costs about what two of
+a block's kernels do.  Eager masking needs it, since it computes on junk
+lanes.  Compact blocks compute on none; with the context dropped for them
+alone, the error-hygiene tests and the whole test suite (which fails on any
+``RuntimeWarning``) still pass, so for them it is a wall-clock question.
 
 The same generated executors serve two strategies from the paper's Figure 5:
 
@@ -90,7 +80,7 @@ The same generated executors serve two strategies from the paper's Figure 5:
 from __future__ import annotations
 
 import textwrap
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,32 +123,6 @@ def total_fused_compiles() -> int:
     return _TOTAL_FUSED_COMPILES[0]
 
 
-#: A ``PrimOp`` site gathers its inputs to the step's live lanes when its
-#: primitive's registered ``cost_weight`` (abstract flops per output element)
-#: is at least this.  Measured on the 2-core host the benchmark runs on, one
-#: BLAS thread: ``x[idx]`` + ``np.zeros`` + ``out[idx] = rows`` costs 1–5 µs
-#: per call at 128 lanes (scalar to 20-vector rows), and a masked-off lane
-#: costs 0.2–0.8 ns per abstract flop (logistic log-density and gradient at
-#: 50 to 1,000 data points) — so at weight 500 a dead lane wastes at least
-#: 0.1 µs per output element and 10–50 dead lanes repay the gather.  NUTS on
-#: logistic regression under ``executor="fused"`` with the gather forced on
-#: against forced off, 8 / 16 / 128 lanes, bears that out: gradient and
-#: log-density weights (64, 128) lose 5–14 %; (256, 512) lose 0–3 %;
-#: (800, 2,000) win 0–6 % even at 96–99 % live; (4,000, 40,000) — the
-#: benchmark's problem, 87 % and 62 % live at 128 lanes — win 1.2x.  The
-#: heaviest registered arithmetic or RNG primitive is 20, where a dead lane
-#: costs 4–16 ns and no batch width repays it.
-GATHER_MIN_COST_WEIGHT = 500.0
-
-
-def _scatter_rows(rows, idx: np.ndarray, width: int) -> np.ndarray:
-    """``rows`` (one per lane of ``idx``) as a zeroed width-``width`` batch."""
-    rows = np.asarray(rows)
-    out = np.zeros((width,) + rows.shape[1:], dtype=rows.dtype)
-    out[idx] = rows
-    return out
-
-
 class _CompiledBlock:
     """One block's generated source, compiled code object, and bind spec.
 
@@ -184,12 +148,7 @@ class _CompiledBlock:
     def bind(
         self, vm: Any, registry: PrimitiveRegistry, tallies: TallyTable
     ) -> Callable:
-        namespace: Dict[str, object] = {
-            "np": np,
-            "_el": elements_per_lane,
-            "_rows": _scatter_rows,
-            "_sbp": _superblock_profile,
-        }
+        namespace: Dict[str, object] = {"np": np, "_el": elements_per_lane}
         for name, kind, payload in self.spec:
             if kind == "storage":
                 namespace[name] = vm.storage(payload)
@@ -207,26 +166,11 @@ class _CompiledBlock:
         return fn
 
 
-def _superblock_profile(vm, index: int, idx: np.ndarray) -> None:
-    """Per-member profiling for superblock bodies (mirrors ``step_lanes``).
-
-    The machine loop only profiles the dispatch's *entry* block; superblock
-    members executed in the same dispatch call this instead, so a profiled
-    superblock run feeds :class:`~repro.observe.BlockProfile` the same
-    per-block rows the single-block executors would.  Only called when
-    ``vm.instr.track_blocks`` is armed.
-    """
-    live = int(np.count_nonzero(vm.pcreg < vm.exit_index))
-    vm.instr.record_block(index, int(idx.size), live, vm.batch_size)
-
-
 class _BlockCompiler:
     """Generates the fused executor source for one basic block."""
 
-    def __init__(self, program: StackProgram, gathered: FrozenSet[str] = frozenset()):
+    def __init__(self, program: StackProgram):
         self.program = program
-        #: Primitive names whose call sites run on the live lanes only.
-        self.gathered = gathered
         self.spec: List[tuple] = []
         #: Static operation list of every block emitted so far, by index.
         self.ops: Dict[int, BlockOps] = {}
@@ -244,23 +188,21 @@ class _BlockCompiler:
             self._mangle[var] = f"t{len(self._mangle)}"
         return self._mangle[var]
 
-    def _read_expr(self, var: str, ops: BlockOps, gather: bool = False) -> str:
-        """Expression reading ``var`` (its ``idx`` rows only under ``gather``),
-        counting the interpreter's read record."""
+    def _read_expr(self, var: str, ops: BlockOps) -> str:
+        """Expression reading ``var``'s live rows, counting the interpreter's
+        read record."""
         kind = self.program.kind(var)
         if kind is VarKind.TEMP:
-            local = self._temp_local(var)
-            return f"np.asarray({local})[idx]" if gather else local
+            return self._temp_local(var)
         if kind is VarKind.STACKED:
             ops.stacked_reads += 1
-        storage_name = self._bind("s", "storage", var)
-        return f"{storage_name}.read_at(idx)" if gather else f"{storage_name}.read()"
+        return f"{self._bind('s', 'storage', var)}.read_at(idx)"
 
     def _write_lines(
         self, var: str, expr: str, lines: List[str], ops: BlockOps
     ) -> None:
-        """Statements writing ``expr`` to ``var``, counting the interpreter's
-        storage-write record."""
+        """Statements writing ``expr`` (live rows) to ``var``, counting the
+        interpreter's storage-write record."""
         kind = self.program.kind(var)
         if kind is VarKind.TEMP:
             lines.append(f"{self._temp_local(var)} = {expr}")
@@ -270,16 +212,15 @@ class _BlockCompiler:
         else:
             ops.register_writes += 1
         s = self._bind("s", "storage", var)
-        lines.append(f"{s}.write(mask, np.asarray({expr}))")
+        lines.append(f"{s}.write_at(idx, {expr})")
 
     def emit_block(self, block_index: int, lines: List[str]) -> None:
         """Append block ``block_index``'s body, terminator and tally statements.
 
         Emitted statements are flat (no multi-line constructs), reading the
-        conventional locals ``vm``/``mask``/``idx``/``_na`` — so a caller
-        can splice several blocks into one function body (superblocks) by
-        re-deriving ``mask``/``idx``/``_na`` between members.  Nothing below
-        derives a second lane set: per-lane state moves through ``idx``.
+        conventional locals ``vm``/``idx``/``_na`` — so a caller can splice
+        several blocks into one function body (superblocks) by re-deriving
+        ``idx``/``_na`` between members.  Every value is ``(|idx|, …)``.
         """
         block = self.program.blocks[block_index]
         ops = self.ops[block_index] = BlockOps()
@@ -288,18 +229,12 @@ class _BlockCompiler:
         for j, op in enumerate(block.ops):
             if isinstance(op, ConstOp):
                 const = self._bind("c", "const", op.value)
-                self._write_lines(op.output, const, lines, ops)
+                self._write_lines(op.output, f"{const}[:_na]", lines, ops)
             elif isinstance(op, PrimOp):
                 k = self._bind("k", "prim_fn", op.fn)
-                # A heavy kernel sees the live lanes' rows only; its results
-                # go back into zeroed full-width arrays, so every statement
-                # after this one is what a masked site emits.
-                gather = op.fn in self.gathered
-                args = ", ".join(self._read_expr(v, ops, gather) for v in op.inputs)
+                args = ", ".join(self._read_expr(v, ops) for v in op.inputs)
                 call = f"{k}({args})"
                 if len(op.outputs) == 1:
-                    if gather:
-                        call = f"_rows({call}, idx, vm.batch_size)"
                     out = op.outputs[0]
                     if self.program.kind(out) is VarKind.TEMP:
                         first = self._temp_local(out)
@@ -314,18 +249,15 @@ class _BlockCompiler:
                     ]
                     lines.append(f"{', '.join(tmps)} = {call}")
                     for tmp, out in zip(tmps, op.outputs):
-                        if gather:
-                            lines.append(f"{tmp} = _rows({tmp}, idx, vm.batch_size)")
                         self._write_lines(out, tmp, lines, ops)
                     first = tmps[0]
                 ops.prim_fns.append(op.fn)
-                ops.gathered.append(gather)
                 firsts.append(first)
             elif isinstance(op, PushOp):
                 k = self._bind("k", "prim_fn", op.fn)
                 args = ", ".join(self._read_expr(v, ops) for v in op.inputs)
                 s = self._bind("s", "storage", op.output)
-                lines.append(f"{s}.push_at(idx, np.asarray({k}({args}))[idx])")
+                lines.append(f"{s}.push_at(idx, {k}({args}))")
                 ops.pushes += 1
             elif isinstance(op, PopOp):
                 s = self._bind("s", "storage", op.var)
@@ -343,7 +275,7 @@ class _BlockCompiler:
             # from the block's two targets, not a ufunc.
             tgt = self._bind("g", "targets", (term.false_target, term.true_target))
             lines.append(f"_c = np.asarray({cond}, dtype=bool)")
-            lines.append(f"vm.pcreg[idx] = {tgt}[_c[idx].astype(np.intp)]")
+            lines.append(f"vm.pcreg[idx] = {tgt}[_c.astype(np.intp)]")
         elif isinstance(term, PushJump):
             lines.append(f"vm.addr_stack.push_at(idx, {term.return_target})")
             lines.append(f"vm.pcreg[idx] = {term.jump_target}")
@@ -365,7 +297,7 @@ class _BlockCompiler:
     def _wrap(self, entry_index: int, lines: List[str]) -> _CompiledBlock:
         body = textwrap.indent("\n".join(lines), "    ")
         source = (
-            f"def _fused_block_{entry_index}(vm, mask, idx):\n"
+            f"def _fused_block_{entry_index}(vm, idx):\n"
             f"    _na = idx.size\n"
             f"{body}\n"
         )
@@ -381,21 +313,22 @@ class _BlockCompiler:
         """Generate one guarded multi-block function for a superblock run.
 
         The entry member executes exactly as a plain fused block.  Each
-        later member re-derives its mask from the *current* program
+        later member re-derives its lane set from the *current* program
         counters and runs under an ``if idx.size`` guard, so:
 
         * lanes that left the hot path have already fallen out — the side
           exit costs nothing beyond the pc compare;
         * lanes that were already parked at the member (other requests,
           resumed stragglers) are swept into the same dispatch, which is
-          sound because masked execution makes each lane's results
-          independent of its dispatch companions.
+          sound because each lane's results are independent of its
+          dispatch companions.
 
         Per-member instrumentation matches the machine loop: one step and
-        one block tally per member that ran, profiling via ``_sbp`` when
-        armed, and the active-lane sets of every member concatenated into
-        the callable's return value so serving step budgets charge the same
-        per-block rate as the single-block executors.
+        one block tally per member that ran, profiling through the
+        machine's own ``_record_block`` when armed, and the active-lane
+        sets of every member concatenated into the callable's return value
+        so serving step budgets charge the same per-block rate as the
+        single-block executors.
         """
         start = chain[0]
         if len(chain) == 1:
@@ -406,15 +339,14 @@ class _BlockCompiler:
         for member in chain[1:]:
             body: List[str] = []
             self.emit_block(member, body)
-            lines.append(f"mask = np.equal(vm.pcreg, {member})")
-            lines.append("idx = mask.nonzero()[0]")
+            lines.append(f"idx = (vm.pcreg == {member}).nonzero()[0]")
             lines.append("if idx.size:")
             inner = [
                 "_na = idx.size",
                 "_i.steps += 1",
                 "_stepped.append(idx)",
                 "if _i.track_blocks:",
-                f"    _sbp(vm, {member}, idx)",
+                f"    vm._record_block({member}, idx)",
             ] + body
             lines.extend("    " + stmt for stmt in inner)
         lines.append("if len(_stepped) > 1:")
@@ -429,13 +361,12 @@ class FusedBlockExecutor(BlockExecutor):
     the XLA analog, and the executor behind Figure 5's ``pc_fused`` line
     and the serving engine's ``executor="fused"``.
 
-    The machine must be in masking mode: a whole-machine ``mode="gather"``
-    gives every intermediate a statically indeterminate size, which the
-    paper notes defeats XLA-style compilation and is exactly the constraint
-    here.  Within a masked block, call sites of primitives at or above
-    :data:`GATHER_MIN_COST_WEIGHT` still run on the live lanes only (see
-    the module docstring): one kernel call whose result is scattered back
-    to full width leaves every other shape in the block static.
+    Every block is compact (see the module docstring): it computes and
+    writes its step's live lanes only, so outputs equal eager masking's and
+    every counter equals eager gather-scatter's.  The machine's ``mode``
+    changes nothing here: under ``mode="mask"`` or ``mode="gather"`` the
+    same code runs on the same lanes; only the block profile's offered
+    slots follow it.
     """
 
     name = "fused"
@@ -443,10 +374,9 @@ class FusedBlockExecutor(BlockExecutor):
 
     def __init__(self, registry: Optional[PrimitiveRegistry] = None):
         self.registry = registry
-        # Source generation + compile() happen once per *program* and set of
-        # gathered primitive names (the one thing a registry decides about
-        # the source); every bind only re-resolves the spec's names against
-        # one VM.  The cache is keyed per program (identity), so one executor
+        # Source generation + compile() happen once per *program*; every bind
+        # only re-resolves the spec's names against one VM and its registry.
+        # The cache is keyed per program (identity), so one executor
         # instance can be shared by many plans/machines — a whole serving
         # cluster binds one code cache — and alternating binds across
         # programs never thrash.  The cache holds a strong reference to each
@@ -454,60 +384,36 @@ class FusedBlockExecutor(BlockExecutor):
         # entries live as long as the executor, so a long-lived instance
         # should serve a bounded program population (plans already pin their
         # programs anyway).
-        self._compiled: Dict[
-            Tuple[int, FrozenSet[str]], Tuple[StackProgram, List[_CompiledBlock]]
-        ] = {}
+        self._compiled: Dict[int, Tuple[StackProgram, List[_CompiledBlock]]] = {}
         #: Codegen events this instance has performed, one per cache entry
         #: (the compile-once counter the cluster tests assert on).
         self.compile_count = 0
 
-    def _compile(
-        self, program: StackProgram, gathered: FrozenSet[str]
-    ) -> List[_CompiledBlock]:
+    def _compile(self, program: StackProgram) -> List[_CompiledBlock]:
         return [
-            _BlockCompiler(program, gathered).compile(i)
-            for i in range(len(program.blocks))
+            _BlockCompiler(program).compile(i) for i in range(len(program.blocks))
         ]
 
-    def _compiled_blocks(
-        self, program: StackProgram, registry: PrimitiveRegistry
-    ) -> List[_CompiledBlock]:
-        called = {
-            op.fn
-            for block in program.blocks
-            for op in block.ops
-            if isinstance(op, PrimOp)
-        }
-        gathered = frozenset(
-            fn
-            for fn in called
-            if registry.get(fn).cost_weight >= GATHER_MIN_COST_WEIGHT
-        )
-        entry = self._compiled.get((id(program), gathered))
+    def _compiled_blocks(self, program: StackProgram) -> List[_CompiledBlock]:
+        entry = self._compiled.get(id(program))
         if entry is None:
-            blocks = self._compile(program, gathered)
-            self._compiled[id(program), gathered] = (program, blocks)
+            blocks = self._compile(program)
+            self._compiled[id(program)] = (program, blocks)
             self.compile_count += 1
             _TOTAL_FUSED_COMPILES[0] += 1
             return blocks
         return entry[1]
 
     def bind(self, vm: Any) -> List[Callable]:
-        if vm.mode != "mask":
-            raise FusionUnsupported(
-                "block fusion requires masking mode (gather-scatter has "
-                "statically indeterminate intermediate shapes)"
-            )
         registry = self.registry or vm.registry
-        compiled = self._compiled_blocks(vm.program, registry)
+        compiled = self._compiled_blocks(vm.program)
         # Every block fronts its own compiled entry (a superblock chain
         # starts at it), so the entries' operation lists cover the program.
         tallies = vm._tallies = TallyTable(
             [
                 BlockTally(blk.ops, [registry.get(fn) for fn in blk.ops.prim_fns])
                 for blk in compiled
-            ],
-            vm.batch_size,
+            ]
         )
         return [blk.bind(vm, registry, tallies) for blk in compiled]
 
@@ -530,7 +436,7 @@ class SuperblockExecutor(FusedBlockExecutor):
     machine step, this executor compiles every block's superblock run (see
     :func:`repro.backend.regions.select_regions`) into a single function:
     one dispatch executes the entry block and then falls through the run's
-    members, each guarded by a fresh pc mask.  Lanes that diverge fall out
+    members, each guarded by a fresh pc compare.  Lanes that diverge fall out
     at a side exit with their pcs already set by the member terminator that
     diverted them; lanes parked further down the run are swept in.  Every
     block fronts its own run, so arbitrary entry pcs (preemption resume,
@@ -545,10 +451,10 @@ class SuperblockExecutor(FusedBlockExecutor):
     bypass the :class:`~repro.frontend.api.AutobatchFunction` plan cache),
     so stale compiled regions are structurally impossible.
 
-    Results are bit-identical to the eager and fused executors: masked
-    execution makes each lane's values independent of its dispatch
-    companions, so sweeping extra lanes through a member block changes
-    *when* work happens, never what it computes.  Dispatch accounting uses
+    Results are bit-identical to the eager and fused executors: each lane's
+    values are independent of its dispatch companions, so sweeping extra
+    lanes through a member block changes *when* work happens, never what it
+    computes.  Dispatch accounting uses
     :attr:`~repro.vm.instrumentation.Instrumentation.host_dispatches`
     (one per ``step_lanes`` call) rather than ``steps``; the gap between
     the two is the amortization superblocks buy.
@@ -595,9 +501,7 @@ class SuperblockExecutor(FusedBlockExecutor):
             return table
         return entry[1]
 
-    def _compile(
-        self, program: StackProgram, gathered: FrozenSet[str]
-    ) -> List[_CompiledBlock]:
+    def _compile(self, program: StackProgram) -> List[_CompiledBlock]:
         table = self.regions_for(program)
         # A stale or hand-built table must not reach codegen: every run
         # edge has to exist in this program's CFG.  (Plan verification
@@ -608,7 +512,7 @@ class SuperblockExecutor(FusedBlockExecutor):
 
         verify_region_table(program, table)
         return [
-            _BlockCompiler(program, gathered).compile_chain(table.chain(i))
+            _BlockCompiler(program).compile_chain(table.chain(i))
             for i in range(len(program.blocks))
         ]
 

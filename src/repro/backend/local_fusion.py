@@ -14,8 +14,7 @@ Blocks containing :class:`~repro.ir.instructions.CallOp` cannot fuse —
 calls re-enter the interpreter (that *is* the eager control the hybrid
 keeps) — so the compiler splits each block into a maximal fused prefix of
 primitive/const ops, an optional interpreted call, and continues fusing
-after it.  Masking mode only, as with the PC fusion (gather-scatter's
-dynamic shapes defeat static compilation).
+after it.  Masking mode only: segments are compiled at the batch width.
 """
 
 from __future__ import annotations

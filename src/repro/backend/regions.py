@@ -2,14 +2,14 @@
 
 A *superblock* is a run of basic blocks executed by one host dispatch:
 the entry block runs for the lanes the scheduler selected, then control
-falls through the run — each member block re-derives its own mask from
+falls through the run — each member block re-derives its own lanes from
 the program counters, so lanes that diverged simply fall out at a side
 exit (their pcs already point elsewhere) and lanes that were *already*
-parked at a later member get swept into the same dispatch.  Because the
-machine's masked execution computes full-width and writes per lane under
-the mask, a lane's results are independent of which other lanes share the
-dispatch — which is why superblock outputs stay bit-identical to the
-eager and fused executors no matter how regions are chosen.
+parked at a later member get swept into the same dispatch.  Because every
+primitive computes a lane's row from that row alone, a lane's results are
+independent of which other lanes share the dispatch — which is why
+superblock outputs stay bit-identical to the eager and fused executors no
+matter how regions are chosen.
 
 This module only picks the runs; the codegen lives in
 :mod:`repro.backend.fusion`.  Selection is seeded two ways:

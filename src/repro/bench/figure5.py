@@ -15,7 +15,9 @@ Strategy-to-paper mapping:
 
 ====================  =====================================================
 ``pc_fused``          "Program counter autobatching, compiled entirely with
-                      XLA" (fused basic blocks; sim accounting ``fused``)
+                      XLA" (fused basic blocks; sim accounting ``fused``;
+                      blocks are compact, so its simulated flops are its
+                      live lanes', where the paper's XLA masks)
 ``pc``                the same machine with per-op dispatch (sim ``eager``)
 ``local``             "Local static autobatching, executed entirely with
                       TensorFlow Eager" (sim ``eager``)

@@ -37,6 +37,7 @@ EVENT_KINDS = (
     "inject",    # request seated into a machine lane
     "preempt",   # running request evicted to a snapshot
     "resume",    # evicted request restored into a lane
+    "spill",     # evicted request's queued snapshot moved to the spill store
     "steal",     # queued/evicted request moved to another shard's queue
     "migrate",   # evicted request's snapshot carried across shards
     "drain",     # request re-seated off a draining shard
@@ -300,7 +301,8 @@ def validate_timeline(events: Sequence[TraceEvent]) -> str:
       path (a ``fail`` may strand one eviction — a failed restore);
     * cross-shard moves only happen off-lane: ``steal``/``drain`` while
       queued or evicted, ``migrate`` only while evicted (it is the
-      snapshot that migrates);
+      snapshot that migrates); ``spill`` only while evicted too (it is
+      the snapshot that leaves memory);
     * ``arrive`` (the async front door logging a wall-clock arrival)
       only while queued — it trails the ``submit`` at the same tick;
       ``deadline`` (an SLO miss marker) only while running, immediately
@@ -344,9 +346,9 @@ def validate_timeline(events: Sequence[TraceEvent]) -> str:
         elif kind in ("steal", "drain"):
             if state not in ("queued", "evicted"):
                 raise ValueError(f"{kind} while {state}")
-        elif kind == "migrate":
+        elif kind in ("migrate", "spill"):
             if state != "evicted":
-                raise ValueError(f"migrate while {state}")
+                raise ValueError(f"{kind} while {state}")
         elif kind == "arrive":
             if state != "queued":
                 raise ValueError(f"arrive while {state}")

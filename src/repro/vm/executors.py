@@ -1,7 +1,7 @@
 """The pluggable block-executor layer.
 
 The program-counter machine's step loop is strategy-agnostic: select a
-block, compute its mask, execute it.  *How* a block executes — op-at-a-time
+block, find its lanes, execute it.  *How* a block executes — op-at-a-time
 interpretation (the TF-Eager analog) or one pre-compiled fused callable per
 block (the XLA analog) — is a backend choice, and this module is the seam
 where backends plug in:
@@ -52,15 +52,19 @@ class BlockExecutor:
     """Strategy object turning a program's blocks into per-block callables.
 
     Subclasses implement :meth:`bind`; everything else in the machine —
-    scheduling, masking, lane lifecycle — is executor-independent.  Each
-    bound callable has the signature ``(vm, mask, idx)`` and must leave the
-    machine state (storages, pc register, address stack, instrumentation)
-    exactly as the eager interpreter would: executors are *observationally
-    interchangeable*, which the differential tests enforce bit-for-bit.  It
-    returns None — or, having run further blocks in the same dispatch, the
-    lanes that were active in any of them (for per-request step budgets) —
-    and runs under the machine's ``np.errstate(all="ignore")``: it does not
-    enter one itself.
+    scheduling, lane selection, lane lifecycle — is executor-independent.
+    Each bound callable has the signature ``(vm, idx)``, where ``idx`` holds
+    the lanes whose pc is at the block, and must leave the machine state
+    (storages, pc register, address stack) exactly as the eager interpreter
+    would: executors are *observationally interchangeable*, which the
+    differential tests enforce bit-for-bit.  Instrumentation counts are the
+    interpreter's under the mode the executor computes in: eager follows
+    the machine's ``mode``, and generated blocks, which run on ``idx``
+    alone, count as ``mode="gather"`` does.  A callable returns None — or,
+    having run further blocks in the same dispatch, the lanes that were
+    active in any of them (for per-request step budgets) — and runs under
+    the machine's ``np.errstate(all="ignore")``: it does not enter one
+    itself.
 
     An executor holds no per-lane state.  Everything a logical thread owns
     — pc, return-address stack, variable storages — lives in the machine,
@@ -112,9 +116,10 @@ class BlockExecutor:
 class _InterpretedBlock:
     """One block's op-at-a-time execution plan (the eager path)."""
 
-    __slots__ = ("steps",)
+    __slots__ = ("index", "steps")
 
-    def __init__(self, vm: Any, block) -> None:
+    def __init__(self, vm: Any, index: int, block) -> None:
+        self.index = index
         registry = vm.registry
         steps: List[tuple] = []
         for op in block.ops:
@@ -141,7 +146,8 @@ class _InterpretedBlock:
             raise TypeError(f"unexpected terminator in stack IR: {term!r}")
         self.steps = steps
 
-    def __call__(self, vm: Any, mask: np.ndarray, idx: np.ndarray) -> None:
+    def __call__(self, vm: Any, idx: np.ndarray) -> None:
+        mask = vm.pcreg == self.index
         temps = vm._temps
         temps.clear()
         gather = vm.mode == "gather"
@@ -212,15 +218,17 @@ class EagerBlockExecutor(BlockExecutor):
     """Op-at-a-time interpretation: one Python dispatch per primitive.
 
     This is the reference executor — the paper's "TensorFlow Eager"
-    analog — and the only one that supports gather-scatter mode (fusion
-    requires the statically known shapes of masking).
+    analog — and the only one whose blocks follow the machine's ``mode``:
+    masking computes every lane, gather-scatter the block's lanes only.
     """
 
     name = "eager"
     accounting = "eager"
 
     def bind(self, vm: Any) -> List[Callable]:
-        return [_InterpretedBlock(vm, blk) for blk in vm.program.blocks]
+        return [
+            _InterpretedBlock(vm, i, blk) for i, blk in enumerate(vm.program.blocks)
+        ]
 
     def dispatch_count(self, instr: Instrumentation) -> int:
         """Every batched array op the host issues is one eager dispatch:

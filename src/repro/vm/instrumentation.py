@@ -10,11 +10,10 @@ name and per tag, so utilization can be reported for any class of primitives
 — Figure 6 uses the target-density gradient.
 
 *Slots* are the lanes the kernel was run on, per call site: ``Z`` per
-execution where the site is masked (every site under ``mode="mask"`` in the
-interpreters, and every light site of a fused block), ``a`` where it gathers
-(every site under ``mode="gather"``, and the heavy sites of a fused block —
-see :data:`repro.backend.fusion.GATHER_MIN_COST_WEIGHT`).  ``flops`` follow
-slots, so both read as the work that ran.
+execution under ``mode="mask"`` in the interpreters, ``a`` under
+``mode="gather"`` and in every generated block (fused blocks are compact —
+see :mod:`repro.backend.fusion`).  ``flops`` follow slots, so both read as
+the work that ran.
 """
 
 from __future__ import annotations
@@ -86,13 +85,12 @@ class BlockOps:
     """What one execution of a basic block counts: its static operation list."""
 
     __slots__ = (
-        "prim_fns", "gathered", "pushes", "pops", "stacked_reads",
-        "stacked_writes", "register_writes",
+        "prim_fns", "pushes", "pops", "stacked_reads", "stacked_writes",
+        "register_writes",
     )
 
     def __init__(self) -> None:
         self.prim_fns: List[str] = []  # one per PrimOp site, in block order
-        self.gathered: List[bool] = []  # per site: ran on the live lanes only
         self.pushes = 0
         self.pops = 0
         self.stacked_reads = 0
@@ -124,18 +122,17 @@ class BlockTally:
 
 
 class TallyTable:
-    """One machine's :class:`BlockTally` per block, at batch width ``slots``.
+    """One machine's :class:`BlockTally` per block.
 
     ``attached`` is true while the machine's :class:`Instrumentation` lists
     the table as holding uncounted executions; the machine re-attaches it on
     its next step after every expansion.
     """
 
-    __slots__ = ("blocks", "slots", "attached")
+    __slots__ = ("blocks", "attached")
 
-    def __init__(self, blocks: List[BlockTally], slots: int):
+    def __init__(self, blocks: List[BlockTally]):
         self.blocks = blocks
-        self.slots = slots
         self.attached = False
 
 
@@ -215,9 +212,9 @@ class Instrumentation:
     def record_block(self, index: int, active: int, live: int, slots: int) -> None:
         """Count one basic-block execution's lane accounting (profiling).
 
-        Only called when ``track_blocks`` is set; ``slots`` mirrors the
-        primitive-level convention (batch width under masking, the
-        gathered index size under gather-scatter).
+        Only called when ``track_blocks`` is set; ``slots`` follows the
+        machine's mode whatever the executor (batch width under masking,
+        the block's lane count under gather-scatter).
         """
         counter = self.by_block.get(index)
         if counter is None:
@@ -292,16 +289,15 @@ class Instrumentation:
         ``n`` times the site's per-execution flops (equal to ``n`` separate
         additions whenever those are exactly representable, as they are for
         the integer-valued weights every registered primitive carries).  A
-        site that gathers ran its kernel on the active lanes only, so its
-        slots are ``a`` and its flops follow — what the interpreter records
-        under ``mode="gather"``.
+        generated block runs its kernels on the active lanes only, so every
+        site's slots are ``a`` and its flops follow — what the interpreter
+        records under ``mode="gather"``.
         Tables are detached afterwards, so an ``Instrumentation`` keeps no
         reference to a machine that has stopped stepping.
         """
         tables, self._tables = self._tables, []
         for table in tables:
             table.attached = False
-            slots = table.slots
             for tally in table.blocks:
                 n, active = tally.executions, tally.active
                 if not n:
@@ -315,19 +311,11 @@ class Instrumentation:
                 self._stacked_reads += n * ops.stacked_reads
                 self._stacked_writes += n * ops.stacked_writes
                 self._register_writes += n * ops.register_writes
-                for prim, gathered, elements in zip(
-                    tally.prims, ops.gathered, tally.elements or ()
-                ):
-                    if gathered:  # the kernel ran on the live lanes only
-                        self._count_prim(
-                            prim.name, prim.tags, n, active, active,
-                            prim.cost_weight * elements * active,
-                        )
-                    else:
-                        self._count_prim(
-                            prim.name, prim.tags, n, active, n * slots,
-                            n * (prim.cost_weight * elements * slots),
-                        )
+                for prim, elements in zip(tally.prims, tally.elements or ()):
+                    self._count_prim(
+                        prim.name, prim.tags, n, active, active,
+                        prim.cost_weight * elements * active,
+                    )
 
     # -- derived metrics ---------------------------------------------------
 

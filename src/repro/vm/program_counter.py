@@ -329,8 +329,8 @@ class ProgramCounterVM:
 
     def _step(self) -> Optional[np.ndarray]:
         """One step, for a caller that holds ``np.errstate(all="ignore")``:
-        masked-off lanes compute on junk, and no block (generated or
-        interpreted) enters the context itself."""
+        eager masking computes masked-off lanes on junk, and no block
+        (generated or interpreted) enters the context itself."""
         i = self.scheduler.select(self.pcreg, self.exit_index)
         if i is None:
             return None
@@ -340,24 +340,24 @@ class ProgramCounterVM:
         instr = self.instr
         instr.steps += 1
         instr.host_dispatches += 1
-        mask = self.pcreg == i
-        idx = mask.nonzero()[0]
+        idx = (self.pcreg == i).nonzero()[0]
         if instr.track_blocks:
             self._record_block(i, idx)
         # A superblock returns the lanes of every member block it ran in
         # this one dispatch, for per-request step budgets; a block, nothing.
-        stepped = self._block_fns[i](self, mask, idx)
+        stepped = self._block_fns[i](self, idx)
         return idx if stepped is None else stepped
 
     def _record_block(self, i: int, idx: np.ndarray) -> None:
         """Per-block profiling (an O(Z) scan per step, so only when armed).
 
-        Lane occupancy is not counted here: the serving engine, the one
+        Superblock members call it too, for each member that runs.  Lane
+        occupancy is not counted here: the serving engine, the one
         consumer, records it from its lane pool's busy count.
         """
         live = int(np.count_nonzero(self.pcreg < self.exit_index))
-        # Mirror the primitive-level slot convention: the platform offers
-        # the full batch width under masking but only the gathered lanes
+        # The machine's mode sets the lane-slots offered, whatever the
+        # executor: the full batch width under masking, the block's lanes
         # under gather-scatter.
         slots = int(idx.size) if self.mode == "gather" else self.batch_size
         self.instr.record_block(i, int(idx.size), live, slots)

@@ -25,6 +25,14 @@ def assert_results_equal(expected, actual, context=""):
         )
 
 
+def assert_results_identical(expected, actual, context=""):
+    """Bitwise output comparison: same arity, every output array-equal."""
+    expected, actual = as_tuple(expected), as_tuple(actual)
+    assert len(expected) == len(actual), f"{context}: arity mismatch"
+    for i, (e, a) in enumerate(zip(expected, actual)):
+        assert np.array_equal(e, a), f"{context}: output {i} differs"
+
+
 def assert_instrumentation_identical(a, b, context=""):
     """Field-by-field op-count comparison (names the divergent counter)."""
     for field in (

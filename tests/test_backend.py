@@ -7,11 +7,7 @@ import pytest
 
 from repro import autobatch, primitive
 from repro.backend.device import CPU_DEVICE, GPU_DEVICE, DeviceModel
-from repro.backend.fusion import (
-    GATHER_MIN_COST_WEIGHT,
-    FusedBlockExecutor,
-    FusionUnsupported,
-)
+from repro.backend.fusion import FusedBlockExecutor
 from repro.backend.kernels import KernelLibrary
 from repro.frontend.registry import PrimitiveRegistry, default_registry
 from repro.vm.executors import ExecutionPlan
@@ -39,12 +35,13 @@ class TestFusion:
         assert "def _fused_block_0" in executors[0].__fused_source__
         # The generated code is straight-line: no interpreter loop artifacts.
         assert "for " not in executors[0].__fused_source__
-        # Across the corpus: a block takes its lane set from the step (no
-        # mask-form stack call, no second flatnonzero) and tallies its
-        # execution instead of recording each op; a superblock derives
-        # exactly one more lane set per member it falls through to.
+        # Across the corpus: a block takes its lane set from the step and
+        # touches nothing else (no mask, no full-width read or write, no
+        # second flatnonzero) and tallies its execution instead of recording
+        # each op; a superblock derives exactly one more lane set per member
+        # it falls through to.
         banned = (
-            "for ", "flatnonzero", ".push(mask", ".pop(mask",
+            "for ", "flatnonzero", "mask", ".read()", ".write(",
             "record_prim", "record_push", "record_pop",
         )
         for name, (fn, _) in sorted(ALL_EXAMPLES.items()):
@@ -64,10 +61,29 @@ class TestFusion:
                 assert source.count("nonzero") == members - 1, f"{name} entry {i}"
                 assert source.count(".executions += 1") == members, f"{name} entry {i}"
 
-    def test_gather_mode_rejected(self):
-        plan = ExecutionPlan.compile(fib.stack_program(), executor="fused")
-        with pytest.raises(FusionUnsupported, match="masking"):
-            ProgramCounterVM(plan, batch_size=2, mode="gather")
+    def test_profiled_slots_follow_the_machine_mode(self):
+        """Generated blocks run the same code under either mode; the block
+        profile offers the batch width under masking and a member's own
+        lanes under gather-scatter, chain members included."""
+        ns = np.array([9, 4, 11, 6, 13], dtype=np.int64)
+        for executor in ("fused", "superblock"):
+            rows = {}
+            for mode in ("mask", "gather"):
+                instr = Instrumentation(track_blocks=True)
+                out = fib.run_pc(
+                    ns, executor=executor, mode=mode, instrumentation=instr
+                )
+                np.testing.assert_array_equal(out, fib.run_reference(ns))
+                rows[mode] = instr.by_block
+                assert instr.utilization() == 1.0
+            assert rows["mask"].keys() == rows["gather"].keys()
+            for i, row in rows["gather"].items():
+                assert row.slots == row.active, (executor, i)
+                masked = rows["mask"][i]
+                assert masked.slots == masked.executions * ns.size, (executor, i)
+                assert (masked.executions, masked.active) == (
+                    row.executions, row.active
+                ), (executor, i)
 
     def test_fused_fewer_python_dispatches(self):
         """Fusion's whole point: fewer per-op Python-level dispatches."""
@@ -84,21 +100,21 @@ class TestFusion:
         assert lib_fused.stats.calls == lib_eager.stats.calls
 
 
-_heavy_registry = PrimitiveRegistry(parent=default_registry)
+_weighted_registry = PrimitiveRegistry(parent=default_registry)
 
 
-@primitive(registry=_heavy_registry, cost_weight=GATHER_MIN_COST_WEIGHT)
-def heavy_step(x):
+@primitive(registry=_weighted_registry, cost_weight=500.0)
+def weighted_step(x):
     """Elementwise, so a row's value does not depend on its companions."""
     return np.asarray(x) * 0.75 + 1.0
 
 
-@autobatch(registry=_heavy_registry)
-def _heavy_descent(x, n):
+@autobatch(registry=_weighted_registry)
+def _descent(x, n):
     if n <= 0:
         return x
-    y = heavy_step(x)
-    return _heavy_descent(y, n - 1) + y * 0.5
+    y = weighted_step(x)
+    return _descent(y, n - 1) + y * 0.5
 
 
 def _sources(plan, **vm_options):
@@ -106,26 +122,19 @@ def _sources(plan, **vm_options):
     return [block.__fused_source__ for block in vm._block_fns]
 
 
-class TestCostDirectedGather:
-    """A fused block runs a heavy primitive on the step's live lanes only;
-    nothing else about any block changes."""
+class TestCompactBlocks:
+    """Every generated block runs on the step's live lanes: one variant per
+    program, whatever the registry's weights, and nothing observable."""
 
     X = np.array([0.5, -2.0, 3.25, 8.0, -0.125])
     N = np.array([3, 0, 7, 1, 5], dtype=np.int64)
 
-    def test_corpus_blocks_have_no_gathered_site(self):
-        for name, (fn, _) in sorted(ALL_EXAMPLES.items()):
-            for executor in ("fused", "superblock"):
-                for i, source in enumerate(_sources(fn.execution_plan(executor))):
-                    assert "_rows(" not in source, f"{name}/{executor} block {i}"
-                    assert "read_at" not in source, f"{name}/{executor} block {i}"
-
     def test_fib_generated_source_is_the_parents(self):
         """The no-collateral pin for ``fib_*`` and ``serve_*``: every
         generated fib block, byte for byte (digest re-taken at the commit
-        that made the branch a table lookup and moved ``errstate`` into the
-        machine; tests' ``fib`` and the benchmark's are the same source) —
-        and what that commit's blocks, NUTS's included, no longer contain."""
+        that made every block compact; tests' ``fib`` and the benchmark's
+        are the same source) — and what no block, NUTS's included,
+        contains."""
         from repro.nuts.kernel import NutsKernel
         from repro.targets.logistic import BayesianLogisticRegression
 
@@ -138,64 +147,57 @@ class TestCostDirectedGather:
                 plan = fn.execution_plan(executor)
                 sources = _sources(plan, registry=fn.registry)
                 for i, source in enumerate(sources):
-                    assert "np.where" not in source, f"{executor} block {i}"
-                    assert "errstate" not in source, f"{executor} block {i}"
+                    for banned in ("np.where", "errstate", "mask", ".read()"):
+                        assert banned not in source, f"{executor} block {i}"
                 if fn is fib:
                     text += "".join(sources)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "c7ce1eec5e2977e4e4f2414382ea19e49e9498abb673eea2da17b91f51703c25"
+            "c19855fc24b58b7e709ada202e5aac5b28e406913e2cb7629c71bf57517c5860"
         )
 
-    def test_heavy_site_gathers_and_matches_every_executor(self):
-        plan = _heavy_descent.execution_plan("fused")
-        sources = _sources(plan, registry=_heavy_registry)
-        assert sum(source.count("_rows(") for source in sources) == 1
-        expected = _heavy_descent.run_reference(self.X, self.N)
+    def test_matches_every_executor(self):
+        expected = _descent.run_reference(self.X, self.N)
         for executor in ("eager", "fused", "superblock"):
-            out = _heavy_descent.run_pc(self.X, self.N, executor=executor)
+            out = _descent.run_pc(self.X, self.N, executor=executor)
             assert np.array_equal(out, expected), executor
 
-    def test_one_plan_two_registries_each_runs_its_own_variant(self):
-        """The compiled-code cache is keyed by the program *and* the gathered
-        names: the weight is the registry's to give."""
-        light = PrimitiveRegistry(parent=_heavy_registry)
-        primitive(registry=light, name="heavy_step", cost_weight=1.0)(heavy_step.fn)
-        plan = _heavy_descent.execution_plan(FusedBlockExecutor())  # own cache
-
-        def gathered_sites(registry):
-            return sum(
-                source.count("_rows(") for source in _sources(plan, registry=registry)
-            )
-
-        assert gathered_sites(_heavy_registry) == 1
-        assert gathered_sites(light) == 0
-        assert gathered_sites(_heavy_registry) == 1
-        assert plan.executor.compile_count == 2  # one per variant, not per bind
-        expected = _heavy_descent.run_reference(self.X, self.N)
-        for registry in (light, _heavy_registry):
+    def test_one_plan_two_registries_one_compile(self):
+        """The compiled-code cache is keyed by the program alone: a registry
+        only resolves the kernels and weights each machine binds."""
+        light = PrimitiveRegistry(parent=_weighted_registry)
+        primitive(registry=light, name="weighted_step", cost_weight=1.0)(
+            weighted_step.fn
+        )
+        plan = _descent.execution_plan(FusedBlockExecutor())  # own cache
+        assert _sources(plan, registry=_weighted_registry) == _sources(
+            plan, registry=light
+        )
+        assert plan.executor.compile_count == 1
+        expected = _descent.run_reference(self.X, self.N)
+        for registry in (light, _weighted_registry):
             instr = Instrumentation(batch_size=5)
-            out = _heavy_descent.run_pc(
-                self.X, self.N, executor="fused", registry=registry,
+            out = _descent.run_pc(
+                self.X, self.N, executor=plan.executor, registry=registry,
                 instrumentation=instr,
             )
             assert np.array_equal(out, expected)
-            counter = instr.count(prim="heavy_step")
-            gathers = registry is _heavy_registry
+            counter = instr.count(prim="weighted_step")
+            weight = registry.get("weighted_step").cost_weight
             assert counter.active == int(self.N.sum())
-            assert counter.slots == (
-                counter.active if gathers else counter.executions * 5
-            )
+            assert counter.slots == counter.active
+            assert counter.flops == weight * counter.active
+        assert plan.executor.compile_count == 1
 
     def test_snapshot_restore_across_executors_mid_run(self):
-        expected = _heavy_descent.run_reference(self.X, self.N)
+        expected = _descent.run_reference(self.X, self.N)
         plans = {
-            name: _heavy_descent.execution_plan(name) for name in ("fused", "eager")
+            name: _descent.execution_plan(name) for name in ("fused", "eager")
         }
 
         def machine(name):
             return ProgramCounterVM(
                 plans[name], batch_size=5, max_stack_depth=32,
-                registry=_heavy_registry,
+                registry=_weighted_registry,
             )
 
         vm = machine("fused")

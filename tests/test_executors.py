@@ -2,8 +2,9 @@
 
 The contract under test: executors are *observationally interchangeable*.
 For any program, the eager interpreter and the fused code generator must
-produce bit-identical outputs and bit-identical
-:class:`~repro.vm.instrumentation.Instrumentation` op counts — whether the
+produce bit-identical outputs and — fused blocks being compact, eager
+counting under gather-scatter — bit-identical
+:class:`~repro.vm.instrumentation.Instrumentation` op counts, whether the
 machine runs a static batch (``run_pc``) or recycles lanes under the
 serving engine.
 """
@@ -16,12 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import autobatch, ops, primitive
-from repro.backend.fusion import (
-    GATHER_MIN_COST_WEIGHT,
-    FusedBlockExecutor,
-    FusionUnsupported,
-    SuperblockExecutor,
-)
+from repro.backend.fusion import FusedBlockExecutor, SuperblockExecutor
 from repro.frontend.registry import PrimitiveRegistry, default_registry
 from repro.lowering.pipeline import LoweringOptions
 from repro.serve.engine import Engine
@@ -34,7 +30,11 @@ from repro.vm.executors import (
 from repro.vm.instrumentation import Instrumentation
 from repro.vm.program_counter import ProgramCounterVM
 
-from .helpers import assert_instrumentation_identical, assert_results_equal
+from .helpers import (
+    assert_instrumentation_identical,
+    assert_results_equal,
+    assert_results_identical,
+)
 from .programs import ALL_EXAMPLES, fib, gcd
 
 
@@ -155,11 +155,23 @@ class TestExecutionPlan:
             ProgramCounterVM(plan, batch_size=2)
         assert plan.stats.bind_count == 0
 
-    def test_fused_plan_rejects_gather_mode(self):
-        with pytest.raises(FusionUnsupported, match="masking"):
-            ProgramCounterVM(
-                fib.execution_plan("fused"), batch_size=2, mode="gather"
-            )
+    @pytest.mark.parametrize("name", sorted(ALL_EXAMPLES))
+    def test_generated_blocks_ignore_the_machine_mode(self, name):
+        """A compact block touches only its lanes, so ``mode="gather"``
+        runs the same code to the same bits and the same counts."""
+        fn, inputs = ALL_EXAMPLES[name]
+        for executor in ("fused", "superblock"):
+            instr, outs = {}, {}
+            for mode in ("mask", "gather"):
+                instr[mode] = Instrumentation()
+                outs[mode] = fn.run_pc(
+                    *inputs, executor=executor, mode=mode,
+                    instrumentation=instr[mode], max_stack_depth=64,
+                )
+            context = f"{name}/{executor}"
+            assert_results_identical(outs["mask"], outs["gather"], context)
+            assert_instrumentation_identical(instr["mask"], instr["gather"], context)
+            assert instr["mask"].host_dispatches == instr["gather"].host_dispatches
 
     def test_fused_compile_counter_once_across_machines(self):
         """The code-cache-sharing regression: one fused plan bound to two
@@ -284,19 +296,26 @@ class TestExecutionPlan:
 class TestEagerFusedDifferential:
     @pytest.mark.parametrize("name", sorted(ALL_EXAMPLES))
     def test_outputs_and_opcounts_identical(self, name):
+        """Fused outputs are eager masking's bit for bit; its counts are eager
+        gather-scatter's, every site charged its live lanes."""
         fn, inputs = ALL_EXAMPLES[name]
         instr = {}
         outs = {}
-        for executor in ("eager", "fused"):
-            instr[executor] = Instrumentation()
-            outs[executor] = fn.run_pc(
+        runs = (("eager", "mask"), ("eager", "gather"), ("fused", "mask"))
+        for executor, mode in runs:
+            instr[executor, mode] = Instrumentation()
+            outs[executor, mode] = fn.run_pc(
                 *inputs,
                 executor=executor,
-                instrumentation=instr[executor],
+                mode=mode,
+                instrumentation=instr[executor, mode],
                 max_stack_depth=64,
             )
-        assert_results_equal(outs["eager"], outs["fused"], context=name)
-        assert_instrumentation_identical(instr["eager"], instr["fused"])
+        for run in runs[1:]:
+            assert_results_identical(outs["eager", "mask"], outs[run], name)
+        assert_instrumentation_identical(
+            instr["eager", "gather"], instr["fused", "mask"], name
+        )
 
     @pytest.mark.parametrize("name", sorted(ALL_EXAMPLES))
     def test_superblock_outputs_identical(self, name):
@@ -313,14 +332,16 @@ class TestEagerFusedDifferential:
             max_stack_depth=64,
         )
         expected = fn.run_pc(*inputs, executor="eager", max_stack_depth=64)
-        assert_results_equal(got, expected, context=name)
+        assert_results_identical(expected, got, name)
         assert instr.host_dispatches <= instr.steps
 
     def test_tallies_are_invisible(self):
         """Generated blocks tally block executions instead of recording each
         op; whoever reads an ``Instrumentation`` — at any dispatch boundary,
-        around lane surgery, mid-serve — sees the interpreter's counts."""
+        around lane surgery, mid-serve — sees the interpreter's counts
+        (under gather-scatter, the mode compact blocks compute in)."""
         executors = ("eager", "fused", "superblock")
+        modes = {"eager": "gather", "fused": "mask", "superblock": "mask"}
 
         def assert_counters_identical(instrs, context):
             for name in executors[1:]:
@@ -352,6 +373,7 @@ class TestEagerFusedDifferential:
             e: ProgramCounterVM(
                 fib.execution_plan(e),
                 batch_size=4,
+                mode=modes[e],
                 max_stack_depth=32,
                 instrumentation=instrs[e],
             )
@@ -381,7 +403,7 @@ class TestEagerFusedDifferential:
         instrs = {e: Instrumentation() for e in executors}
         engines = {
             e: Engine(
-                fib, num_lanes=1, executor=e, max_stack_depth=32,
+                fib, num_lanes=1, executor=e, mode=modes[e], max_stack_depth=32,
                 instrumentation=instrs[e],
             )
             for e in executors
@@ -420,23 +442,23 @@ class TestEagerFusedDifferential:
             assert t_fused < t_eager
 
 
-_gather_registry = PrimitiveRegistry(parent=default_registry)
+_walk_registry = PrimitiveRegistry(parent=default_registry)
 
 
-@primitive(registry=_gather_registry, cost_weight=GATHER_MIN_COST_WEIGHT)
-def heavy_features(x):
+@primitive(registry=_walk_registry)
+def row_features(x):
     """``(Z,) -> (Z, 3)``, elementwise per row and BLAS-free: a row's bits do
     not depend on which rows it is computed with."""
     x = np.asarray(x, dtype=np.float64)
     return np.stack([x * 0.5, 1.0 / (1.0 + x * x), np.sqrt(np.abs(x))], axis=-1)
 
 
-@autobatch(registry=_gather_registry)
+@autobatch(registry=_walk_registry)
 def _feature_walk(x, n):
-    f = heavy_features(x)               # every lane live
+    f = row_features(x)                 # every lane live
     while n > 0:                        # lanes drop out one by one
         x = x * 0.5 + ops.sum_last(f) * 0.125
-        f = heavy_features(x)
+        f = row_features(x)
         n = n - 1
     return x + ops.sum_last(f)
 
@@ -446,9 +468,9 @@ _walk_members = st.tuples(
 )
 
 
-class TestGatheredSiteDifferential:
-    """A heavy call site runs on the step's live lanes and scatters its rows
-    back; a light one runs full width.  Neither is observable."""
+class TestCompactBlockDifferential:
+    """Every site of a fused block runs on the step's live lanes, with
+    event-shaped values, as lanes drop out one by one.  Not observable."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_walk_members, min_size=1, max_size=9))
@@ -456,20 +478,24 @@ class TestGatheredSiteDifferential:
     def test_fused_matches_eager_masking(self, members):
         x = np.array([m[0] for m in members])
         n = np.array([m[1] for m in members], dtype=np.int64)
-        instr = Instrumentation()
+        instr, gathered = Instrumentation(), Instrumentation()
         fused = _feature_walk.run_pc(x, n, executor="fused", instrumentation=instr)
         eager = _feature_walk.run_pc(x, n, executor="eager", mode="mask")
+        _feature_walk.run_pc(
+            x, n, executor="eager", mode="gather", instrumentation=gathered
+        )
         assert np.array_equal(fused, eager)
         assert np.array_equal(fused, _feature_walk.run_reference(x, n))
+        assert_instrumentation_identical(gathered, instr)
         # One execution per loop trip of the longest member (plus the entry
         # site), one live lane per member trip: whenever one member outlasts
-        # the rest, the tail's steps ran the kernel on a single row.
-        heavy = instr.count(prim="heavy_features")
-        assert heavy.executions == 1 + int(n.max())
-        assert heavy.active == len(members) + int(n.sum())
-        assert heavy.slots == heavy.active
-        light = instr.count(prim="sum_last")
-        assert light.slots == light.executions * len(members)
+        # the rest, the tail's steps ran every kernel on a single row.
+        features = instr.count(prim="row_features")
+        assert features.executions == 1 + int(n.max())
+        assert features.active == len(members) + int(n.sum())
+        for prim in ("row_features", "sum_last"):
+            counter = instr.count(prim=prim)
+            assert counter.slots == counter.active, prim
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(_walk_members, min_size=5, max_size=14))
@@ -488,19 +514,49 @@ class TestServingDifferential:
         expected = fib.run_pc(ns, max_stack_depth=64)
         results = {}
         engines = {}
-        for executor in ("eager", "fused"):
-            engine = Engine(fib, num_lanes=3, executor=executor, max_stack_depth=64)
-            results[executor] = engine.map([(n,) for n in ns])
+        for executor, mode in (
+            ("eager", "mask"), ("eager", "gather"), ("fused", "mask")
+        ):
+            engine = Engine(
+                fib, num_lanes=3, executor=executor, mode=mode, max_stack_depth=64
+            )
+            results[executor, mode] = engine.map([(n,) for n in ns])
+            engines[executor, mode] = engine
+            np.testing.assert_array_equal(np.stack(results[executor, mode]), expected)
+        assert_instrumentation_identical(
+            engines["eager", "gather"].vm.instr, engines["fused", "mask"].vm.instr
+        )
+        eager, fused = engines["eager", "mask"], engines["fused", "mask"]
+        # Equal throughput on the tick clock, at no more than a third of
+        # the host dispatches (one per block instead of one per primitive).
+        assert fused.telemetry.ticks == eager.telemetry.ticks
+        assert 3 * fused.dispatch_count() <= eager.dispatch_count()
+
+    def test_engine_preempts_and_restores_mid_flight(self):
+        """Lanes injected, retired, preempted and restored mid-flight: every
+        result is the static batch's, and fused counts are eager's under
+        gather-scatter."""
+        low, high = [13, 15, 11, 14], [6, 9, 4]
+        expected = fib.run_pc(np.array(low + high, dtype=np.int64))
+        engines = {}
+        for executor, mode in (("eager", "gather"), ("fused", "mask")):
+            engine = Engine(
+                fib, num_lanes=2, executor=executor, mode=mode, preempt=True,
+                max_stack_depth=64,
+            )
+            handles = [engine.submit(np.int64(n)) for n in low]
+            for _ in range(5):
+                engine.tick()
+            handles += [engine.submit(np.int64(n), priority=5) for n in high]
+            engine.run_until_idle()
+            assert engine.telemetry.preemptions > 0
+            assert engine.telemetry.resumes == engine.telemetry.preemptions
+            got = np.stack([h.result() for h in handles])
+            np.testing.assert_array_equal(got, expected)
             engines[executor] = engine
-        np.testing.assert_array_equal(np.stack(results["eager"]), expected)
-        np.testing.assert_array_equal(np.stack(results["fused"]), expected)
         assert_instrumentation_identical(
             engines["eager"].vm.instr, engines["fused"].vm.instr
         )
-        # Equal throughput on the tick clock, at no more than a third of
-        # the host dispatches (one per block instead of one per primitive).
-        assert engines["fused"].telemetry.ticks == engines["eager"].telemetry.ticks
-        assert 3 * engines["fused"].dispatch_count() <= engines["eager"].dispatch_count()
 
     def test_fused_lane_recycling_multi_input(self):
         pairs = [(48, 36), (7, 0), (12, 18), (27, 6), (9, 9), (100, 8)]

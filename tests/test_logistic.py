@@ -1,10 +1,9 @@
 """The paper's workload, pinned: the logistic kernels bit for bit, and NUTS on
 logistic regression differentially across every strategy.
 
-Two layers changed together in the PR that added this file — the kernels'
-bodies (mask-free ``_sigmoid`` / ``_softplus``) and where fused blocks run
-them (on the live lanes only) — so the checks are kept together too and run
-as a CI fast gate: a kernel or codegen regression fails here in seconds.
+The kernels' bodies (mask-free ``_sigmoid`` / ``_softplus``) and where fused
+blocks run them (on the live lanes only) are checked together, as a CI fast
+gate: a kernel or codegen regression fails here in seconds.
 """
 
 import hashlib
@@ -13,11 +12,12 @@ import numpy as np
 import pytest
 
 from repro.autodiff import ops as ad
-from repro.backend.fusion import GATHER_MIN_COST_WEIGHT
 from repro.frontend.primitives import _sigmoid, _softplus
 from repro.nuts.kernel import KERNEL_STRATEGIES, NutsKernel
 from repro.ops import sigmoid
 from repro.targets.logistic import BayesianLogisticRegression
+
+from .helpers import assert_instrumentation_identical
 
 
 def _two_branch_sigmoid(x):
@@ -88,8 +88,8 @@ class TestKernelsBitwise:
     def test_kernels_do_not_depend_on_batch_shape(self):
         """Elementwise and size-independent: a row computed alone, in a
         gathered subset, or in the full batch is the same bits — what lets
-        the gathered call sites, the full-width ones and the ``Z = 1``
-        reference agree."""
+        compact fused blocks, eager masking and the ``Z = 1`` reference
+        agree."""
         x = np.random.RandomState(2).randn(32, 203) * 5
         rows = np.array([0, 3, 4, 17, 31])
         for fn in (_sigmoid, _softplus):
@@ -131,10 +131,14 @@ def logistic_runs():
     target = BayesianLogisticRegression(n_data=200, n_features=5)
     kernel = NutsKernel(target)
     q0 = target.initial_state(Z, seed=0)
-    return target, {
+    runs = {
         strategy: kernel.run(q0, strategy=strategy, instrument=True, **ARGS)
         for strategy in KERNEL_STRATEGIES
     }
+    runs["pc/gather"] = kernel.run(
+        q0, strategy="pc", mode="gather", instrument=True, **ARGS
+    )
+    return target, runs
 
 
 class TestLogisticNutsDifferential:
@@ -159,36 +163,31 @@ class TestLogisticNutsDifferential:
         assert eager.utilization(tag="gradient") < 1.0
         assert eager.utilization(tag="logp") < 1.0
 
-    def test_heavy_sites_are_charged_their_live_lanes(self, logistic_runs):
+    def test_fused_counts_as_eager_gather_scatter(self, logistic_runs):
+        """Fused blocks are compact: every counter is eager gather-scatter's,
+        every site is charged its live lanes, and against eager masking only
+        slots and flops move."""
         target, runs = logistic_runs
-        prims = target.primitives()
-        assert prims.grad_log_prob.cost_weight >= GATHER_MIN_COST_WEIGHT
-        assert prims.log_prob.cost_weight >= GATHER_MIN_COST_WEIGHT
-        eager = runs["pc"].instrumentation
+        gather = runs["pc/gather"].instrumentation
         fused = runs["pc_fused"].instrumentation
+        assert_instrumentation_identical(gather, fused)
+        assert np.array_equal(runs["pc/gather"].positions, runs["pc_fused"].positions)
+        assert fused.utilization() == 1.0
+        prims = target.primitives()
         for tag, prim in (
             ("gradient", prims.grad_log_prob), ("logp", prims.log_prob)
         ):
-            e, f = eager.count(tag=tag), fused.count(tag=tag)
-            assert f.slots == f.active, tag
-            assert e.slots == e.executions * Z, tag
-            assert (f.active, f.executions) == (e.active, e.executions), tag
+            f = fused.count(tag=tag)
             elements = target.dim if tag == "gradient" else 1
             assert f.flops == prim.cost_weight * elements * f.active, tag
             assert fused.count(prim=prim.name) == f, tag
-
-    def test_every_other_primitive_counts_as_eager_does(self, logistic_runs):
-        target, runs = logistic_runs
         eager = runs["pc"].instrumentation
-        fused = runs["pc_fused"].instrumentation
-        prims = target.primitives()
-        heavy = {prims.log_prob.name, prims.grad_log_prob.name}
         assert set(eager.by_prim) == set(fused.by_prim)
         for name, counter in eager.by_prim.items():
-            if name not in heavy:
-                assert fused.by_prim[name] == counter, name
-        for tag in set(eager.by_tag) - {"gradient", "logp", "target"}:
-            assert fused.by_tag[tag] == eager.by_tag[tag], tag
+            f = fused.by_prim[name]
+            assert counter.slots == counter.executions * Z, name
+            assert f.executions == counter.executions, name
+            assert f.active == counter.active, name
         for field in (
             "steps", "kernel_calls", "pushes", "pops", "push_lanes",
             "pop_lanes", "stacked_reads", "stacked_writes", "register_writes",

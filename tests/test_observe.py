@@ -244,7 +244,7 @@ class TestValidateTimeline:
         assert validate_timeline(self._tl("submit", "inject", "complete")) == "complete"
         assert validate_timeline(
             self._tl("submit", "steal", "inject", "preempt", "migrate",
-                     "resume", "complete")
+                     "spill", "resume", "complete")
         ) == "complete"
         assert validate_timeline(self._tl("submit", "inject", "fail")) == "fail"
         # A fail may strand one eviction (failed restore).
@@ -262,6 +262,8 @@ class TestValidateTimeline:
              "resume while running"),
             (self._tl("submit", "inject", "inject"), "inject while running"),
             (self._tl("submit", "migrate"), "migrate while queued"),
+            (self._tl("submit", "inject", "spill", "complete"),
+             "spill while running"),
             (self._tl("submit", "inject", "complete", "complete"),
              "after terminal"),
             (self._tl("submit", "submit", "complete"), "duplicate submit"),
@@ -452,6 +454,30 @@ class TestEngineIntegration:
         assert doc["events"]["counts"]["submit"] == 3
         path = tmp_path / "engine_trace.json"
         trace.export_chrome_trace(path)
+        assert validate_chrome_trace(path) > 0
+
+    def test_traced_engine_that_spills(self, tmp_path):
+        """A preempted request's snapshot spilled out of memory is one more
+        event on its timeline, between its preempt and its resume."""
+        engine = fib.serve(
+            1, preempt=True, max_resident_snapshots=0, trace=True,
+            max_stack_depth=64,
+        )
+        handles = [engine.submit(np.int64(15))]
+        for _ in range(5):
+            engine.tick()
+        handles.append(engine.submit(np.int64(6), priority=5))
+        engine.run_until_idle()
+        assert engine.telemetry.spills == engine.trace.tracer.count("spill") == 1
+        for h in handles:
+            assert validate_timeline(h.trace()) == "complete"
+        kinds = [e.kind for e in handles[0].trace()]
+        assert kinds.index("preempt") < kinds.index("spill") < kinds.index("resume")
+        np.testing.assert_array_equal(
+            [h.result() for h in handles], fib.run_reference(np.array([15, 6]))
+        )
+        path = tmp_path / "spilled.json"
+        engine.trace.export_chrome_trace(path)
         assert validate_chrome_trace(path) > 0
 
     def test_profile_only_spec(self):

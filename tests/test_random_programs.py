@@ -179,8 +179,10 @@ def test_generated_program_all_strategies_agree(spec, a_vals, b_vals, depth):
     st.integers(0, 4),
 )
 def test_generated_program_eager_vs_fused_executors(spec, a_vals, b_vals, depth):
-    """Executors must be bitwise interchangeable: identical outputs AND
-    identical instrumentation op counts on every generated program."""
+    """Executors must be bitwise interchangeable: outputs identical to eager
+    masking, and instrumentation op counts identical to eager gather-scatter
+    (a fused block is compact, so it runs and counts each site on its live
+    lanes) on every generated program."""
     from repro.vm.instrumentation import Instrumentation
 
     fn = compile_source(render_program(spec))
@@ -188,14 +190,18 @@ def test_generated_program_eager_vs_fused_executors(spec, a_vals, b_vals, depth)
     a = np.asarray(a_vals[:z], dtype=np.int64)
     b = np.asarray(b_vals[:z], dtype=np.int64)
     n = np.full(z, depth, dtype=np.int64)
-    instr = {"eager": Instrumentation(), "fused": Instrumentation()}
+    runs = {"eager": ("eager", "gather"), "fused": ("fused", "mask")}
+    instr = {name: Instrumentation() for name in runs}
     outs = {
-        ex: fn.run_pc(
-            a, b, n, executor=ex, instrumentation=instr[ex], max_stack_depth=16
+        name: fn.run_pc(
+            a, b, n, executor=ex, mode=mode, instrumentation=instr[name],
+            max_stack_depth=16,
         )
-        for ex in ("eager", "fused")
+        for name, (ex, mode) in runs.items()
     }
-    np.testing.assert_array_equal(outs["eager"], outs["fused"])
+    masked = fn.run_pc(a, b, n, executor="eager", mode="mask", max_stack_depth=16)
+    np.testing.assert_array_equal(outs["fused"], masked)
+    np.testing.assert_array_equal(outs["eager"], masked)
     assert_instrumentation_identical(instr["eager"], instr["fused"])
 
 
@@ -208,7 +214,8 @@ def test_generated_program_eager_vs_fused_executors(spec, a_vals, b_vals, depth)
 )
 def test_generated_program_eager_vs_fused_serving(spec, a_vals, b_vals, depth):
     """Lane-recycled serving through either executor must match the static
-    batch bit-for-bit and record identical op counts."""
+    batch bit-for-bit and record identical op counts (eager counting under
+    gather-scatter, as compact fused blocks do)."""
     fn = compile_source(render_program(spec))
     z = min(len(a_vals), len(b_vals))
     a = np.asarray(a_vals[:z], dtype=np.int64)
@@ -216,8 +223,8 @@ def test_generated_program_eager_vs_fused_serving(spec, a_vals, b_vals, depth):
     n = np.full(z, depth, dtype=np.int64)
     expected = fn.run_pc(a, b, n, max_stack_depth=16)
     engines = {}
-    for ex in ("eager", "fused"):
-        engine = fn.serve(num_lanes=2, executor=ex, max_stack_depth=16)
+    for ex, mode in (("eager", "gather"), ("fused", "mask")):
+        engine = fn.serve(num_lanes=2, executor=ex, mode=mode, max_stack_depth=16)
         results = engine.map([(a[i], b[i], n[i]) for i in range(z)])
         np.testing.assert_array_equal(np.stack(results), expected)
         engines[ex] = engine
