@@ -252,21 +252,19 @@ class AutobatchFunction:
     ) -> Any:
         """A sharded :class:`~repro.serve.cluster.Cluster` of serving engines.
 
-        ``num_engines`` machines of width ``num_lanes`` each, behind one
-        ``submit``/``map``/``run_until_idle`` façade with pluggable request
-        routing, plus opt-in rebalancing::
+        A fixed fleet of ``num_engines`` machines of width ``num_lanes``
+        each, behind one ``submit``/``map``/``run_until_idle`` façade with
+        pluggable request routing, plus opt-in work stealing::
 
             cluster = fib.serve_cluster(4, num_lanes=8, policy="least_loaded",
                                         executor="fused",
-                                        steal=True,       # cross-shard work stealing
-                                        autoscale=True)   # shard elasticity
+                                        steal=True)  # work stealing
             results = cluster.map([(np.int64(n),) for n in sizes])
             print(cluster.telemetry.summary())
 
         ``options`` are the fields of
         :class:`~repro.serve.config.ServeConfig` — the same object every
-        shard is built from.  Every shard, including ones added by
-        autoscale, binds this function's *one* cached
+        shard is built from.  Every shard binds this function's *one* cached
         :class:`~repro.vm.executors.ExecutionPlan` (per executor/options),
         so fused block code is generated once for the whole fleet, and
         shares the fleet's one trace, journal and spill store.

@@ -40,7 +40,6 @@ EVENT_KINDS = (
     "spill",     # evicted request's queued snapshot moved to the spill store
     "steal",     # queued/evicted request moved to another shard's queue
     "migrate",   # evicted request's snapshot carried across shards
-    "drain",     # request re-seated off a draining shard
     "deadline",  # request finished past its deadline (precedes terminal)
     "complete",  # terminal: result resolved
     "fail",      # terminal: budget exceeded / trap / failed restore
@@ -54,7 +53,7 @@ class TraceEvent:
     """One scheduling decision, stamped with the logical tick.
 
     ``src`` is the *source* shard for cross-shard events (``steal``,
-    ``migrate``, ``drain``); ``shard`` is always where the request ended
+    ``migrate``); ``shard`` is always where the request ended
     up.  Lane ids are only meaningful for events that touch a lane
     (``inject``, ``preempt``, ``resume``, ``complete``, ``fail``).
     """
@@ -343,9 +342,9 @@ def validate_timeline(events: Sequence[TraceEvent]) -> str:
                 raise ValueError(f"resume while {state}")
             state = "running"
             resumes += 1
-        elif kind in ("steal", "drain"):
+        elif kind == "steal":
             if state not in ("queued", "evicted"):
-                raise ValueError(f"{kind} while {state}")
+                raise ValueError(f"steal while {state}")
         elif kind in ("migrate", "spill"):
             if state != "evicted":
                 raise ValueError(f"{kind} while {state}")

@@ -68,9 +68,9 @@ Module map
   control (bounded queue, per-request step budgets), preempt policies,
   and the ``refill="drain"`` baseline discipline for benchmarking.
 * :mod:`repro.serve.cluster` — :class:`Cluster`: N engine shards behind
-  the same ``submit``/``map``/``run_until_idle`` surface, scaling past
-  one machine's SIMD width: pluggable routing, spillover admission,
-  cross-shard work stealing, shard elasticity, one shared execution plan
+  the same ``submit``/``map``/``run_until_idle`` surface: a fixed fleet
+  with pluggable routing (``round_robin``, ``least_loaded``), spillover
+  admission, cross-shard work stealing, and one shared execution plan
   (fused code is generated once for the whole fleet).
 * :mod:`repro.serve.queue` — :class:`ServeRequest`, :class:`ResultHandle`,
   the bounded priority :class:`RequestQueue`, and the serving errors.
@@ -98,16 +98,13 @@ machine, ``Cluster(fn, num_engines, num_lanes)`` /
 
 from repro.serve.aio import AsyncResultHandle, AsyncServer, replay_arrivals
 from repro.serve.cluster import (
-    AutoscalePolicy,
     Cluster,
     LeastLoadedPolicy,
-    PowerOfTwoPolicy,
     ROUTING_POLICIES,
     RoundRobinPolicy,
     RoutingPolicy,
     STEAL_POLICIES,
     StealPolicy,
-    resolve_autoscale,
     resolve_policy,
     resolve_steal_policy,
 )
@@ -144,7 +141,6 @@ __all__ = [
     "Arrival",
     "AsyncResultHandle",
     "AsyncServer",
-    "AutoscalePolicy",
     "Cluster",
     "ClusterTelemetry",
     "DeadlinePreemptPolicy",
@@ -162,11 +158,9 @@ __all__ = [
     "PreemptPolicy",
     "STEAL_POLICIES",
     "StealPolicy",
-    "resolve_autoscale",
     "resolve_preempt_policy",
     "resolve_steal_policy",
     "LeastLoadedPolicy",
-    "PowerOfTwoPolicy",
     "REFILL_POLICIES",
     "ROUTING_POLICIES",
     "RoundRobinPolicy",

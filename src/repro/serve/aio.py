@@ -424,9 +424,9 @@ class AsyncServer:
             delivered = self._deliver_completions()
             if self._waiting and watch.wedged():
                 # Same wedge detection as the synchronous backpressure
-                # loop: parked waiters must not hang on a fleet that can
-                # never admit (e.g. every shard draining).  Counted only
-                # on ticks with waiters, so it can fire late, never early.
+                # loop: parked waiters must not hang on a server that can
+                # never admit.  Counted only on ticks with waiters, so it
+                # can fire late, never early.
                 watch.reset()
                 self._fail_waiters(
                     QueueFullError(

@@ -5,17 +5,17 @@ width — ``num_lanes`` requests in flight, one block execution per tick.
 :class:`Cluster` scales past that by owning ``num_engines`` engine shards,
 each with its own lane pool and logical machine, behind the same
 ``submit``/``map``/``run_until_idle`` surface.  A cluster tick ticks every
-shard once (the shards' logical clocks stay in lock-step), so aggregate
-throughput grows with the shard count while per-request trajectories stay
-bit-identical to a single machine: lanes are independent under masked
-execution, so *where* a request runs never changes *what* it computes.
+shard once (the shards' logical clocks stay in lock-step), so requests
+completed per fleet tick grow with the shard count.  That is a tick-clock
+figure: in one process every shard's tick costs wall time of its own.
+Per-request trajectories stay bit-identical to a single machine: lanes
+are independent under masked execution, so *where* a request runs never
+changes *what* it computes.
 
 Routing is pluggable (:class:`RoutingPolicy`): ``round_robin`` cycles
-shards, ``least_loaded`` picks the shard with the fewest outstanding
-requests (queue depth plus busy lanes — vacant lanes lower the score), and
-``power_of_two`` samples two shards with a seeded RNG and takes the less
-loaded (the classic load-balancing compromise: almost least-loaded balance
-at O(1) cost).  Admission spills over: if the routed shard's queue is
+shards and ``least_loaded`` picks the shard with the fewest outstanding
+requests (queue depth plus busy lanes — vacant lanes lower the score).
+Admission spills over: if the routed shard's queue is
 full, the next shard in preference order takes the request, and only when
 *every* shard's queue is full does ``submit`` raise
 :class:`~repro.serve.queue.QueueFullError`.
@@ -28,32 +28,25 @@ so N fused engines share one generated-code cache — the fused executor's
 ``tests/test_cluster.py`` asserts.
 
 Routing alone cannot fix load *skew*: a mispredicted or adversarial
-arrival pattern leaves one shard backlogged while neighbors idle, and a
-fixed shard count cannot follow offered load.  Two rebalancing layers run
-between cluster ticks:
+arrival pattern leaves one shard backlogged while neighbors idle.
+Cross-shard work stealing (``steal=``) rebalances between cluster ticks:
+every shard with vacant lanes and an empty queue steals queued requests
+from the most backlogged shard, per a pluggable :class:`StealPolicy`
+(threshold + batch size).  Migration moves the
+:class:`~repro.serve.queue.ServeRequest` with its priority, arrival stamp,
+and step budget intact (so the ``(-priority, arrival)`` service order
+survives the move), updates ``handle.shard``, and is accounted in
+:class:`~repro.serve.telemetry.ClusterTelemetry` (``steals``/
+``steal_ticks``).  Placement never changes results: lanes are independent
+under masked execution.
 
-* **cross-shard work stealing** (``steal=``): each tick, every shard with
-  vacant lanes and an empty queue steals queued requests from the most
-  backlogged shard, per a pluggable :class:`StealPolicy` (threshold +
-  batch size).  Migration moves the :class:`~repro.serve.queue.ServeRequest`
-  with its priority, arrival stamp, and step budget intact (so the
-  ``(-priority, arrival)`` service order survives the move), updates
-  ``handle.shard``, and is accounted in
-  :class:`~repro.serve.telemetry.ClusterTelemetry` (``steals``/
-  ``steal_ticks``).  Placement never changes results: lanes are
-  independent under masked execution.
-* **shard elasticity** (``autoscale=``): an :class:`AutoscalePolicy`
-  grows the fleet under sustained queue pressure and shrinks it when the
-  remaining work would fit on fewer shards.  New shards bind the *shared*
-  :class:`~repro.vm.executors.ExecutionPlan` (the fused compile counter
-  stays at 1 across grow events) and join the lock-step logical clock;
-  shrunk shards drain — admission closes, their queue migrates to the
-  survivors, in-flight lanes run to completion — and only then retire, so
-  no handle is ever lost.
+The fleet is fixed-size.  Shard elasticity was measured and deleted: it
+halved the tick count of a 360-request backlog and served no more
+requests per second.
 
 Entry points: ``Cluster(fn, num_engines, num_lanes)`` directly, or
 ``fn.serve_cluster(num_engines, num_lanes)`` on any autobatched function,
-with ``steal=``/``autoscale=`` opting into rebalancing.
+with ``steal=`` opting into rebalancing.
 """
 
 from __future__ import annotations
@@ -61,8 +54,6 @@ from __future__ import annotations
 import copy
 import itertools
 from typing import Any, List, Optional, Sequence, Tuple, Type, Union
-
-import numpy as np
 
 from repro.serve.config import resolve_spec
 from repro.serve.engine import Engine
@@ -77,15 +68,12 @@ class RoutingPolicy:
     :meth:`preference` returns shard indices in descending preference; the
     cluster seats the request on the first shard in that order with queue
     space (spillover), so a policy only has to rank, not to reject.
-    Policies may hold state (cursors, RNGs) — one instance belongs to one
+    Policies may hold state (cursors) — one instance belongs to one
     cluster.
     """
 
     #: Name used in ``policy="..."`` selection.
     name: str = "abstract"
-
-    def __init__(self, seed: int = 0):
-        del seed  # deterministic policies ignore it
 
     def preference(self, cluster: "Cluster") -> Sequence[int]:
         """Shard indices, most preferred first; must cover every shard."""
@@ -100,8 +88,7 @@ class RoundRobinPolicy(RoutingPolicy):
 
     name = "round_robin"
 
-    def __init__(self, seed: int = 0):
-        super().__init__(seed)
+    def __init__(self) -> None:
         self._next = 0
 
     def preference(self, cluster: "Cluster") -> Sequence[int]:
@@ -128,36 +115,10 @@ class LeastLoadedPolicy(RoutingPolicy):
         )
 
 
-class PowerOfTwoPolicy(RoutingPolicy):
-    """Sample two shards (seeded RNG), route to the less loaded one.
-
-    The "power of two choices" scheme: nearly least-loaded balance while
-    inspecting only two shards per request.  The RNG is seeded at
-    construction, so a replayed submission sequence routes identically.
-    """
-
-    name = "power_of_two"
-
-    def __init__(self, seed: int = 0):
-        super().__init__(seed)
-        self._rng = np.random.RandomState(seed)
-
-    def preference(self, cluster: "Cluster") -> Sequence[int]:
-        n = len(cluster.engines)
-        if n == 1:
-            return [0]
-        i, j = (int(x) for x in self._rng.choice(n, size=2, replace=False))
-        key = lambda k: (cluster.engines[k].load(), k)  # noqa: E731
-        first, second = (i, j) if key(i) <= key(j) else (j, i)
-        spill = [k for k in range(n) if k != first and k != second]
-        return [first, second] + spill
-
-
 #: Routing-policy factories by selection name.
 ROUTING_POLICIES = {
     RoundRobinPolicy.name: RoundRobinPolicy,
     LeastLoadedPolicy.name: LeastLoadedPolicy,
-    PowerOfTwoPolicy.name: PowerOfTwoPolicy,
 }
 
 
@@ -165,7 +126,7 @@ class StealPolicy:
     """Threshold work stealing: idle-laned shards rob the most backlogged.
 
     Each cluster tick, :meth:`plan` proposes migrations as
-    ``(victim, thief, count)`` triples over the *active* shards.  The
+    ``(victim, thief, count)`` triples over the shards.  The
     default policy qualifies a shard as a thief when it has vacant lanes
     and an empty queue (so stealing never starves the thief's own
     natives), picks as its victim the shard with the deepest remaining
@@ -254,98 +215,13 @@ def resolve_steal_policy(spec: Any) -> Optional[StealPolicy]:
     return resolve_spec(spec, "steal policy", StealPolicy, STEAL_POLICIES, StealPolicy)
 
 
-class AutoscalePolicy:
-    """Grow/shrink the shard fleet on sustained pressure vs. sustained slack.
-
-    Called once per cluster tick (:meth:`decide`), before stealing and the
-    shard ticks.  The default signals:
-
-    * **grow** (+1) when the fleet-wide queue backlog exceeds the vacant
-      lanes for ``grow_patience`` consecutive ticks — lanes cannot absorb
-      the queue, so routing/stealing alone cannot help — and the fleet is
-      below ``max_engines``;
-    * **shrink** (-1) when all outstanding work (queued + in flight) would
-      fit on one fewer shard for ``shrink_patience`` consecutive ticks and
-      the fleet is above ``min_engines``;
-    * **hold** (0) otherwise.  Patience counters reset whenever their
-      condition breaks, so one-tick blips never resize the fleet.
-
-    ``max_engines=None`` is resolved by the cluster to twice its initial
-    shard count.
-    """
-
-    name = "pressure"
-
-    def __init__(
-        self,
-        min_engines: int = 1,
-        max_engines: Optional[int] = None,
-        grow_patience: int = 2,
-        shrink_patience: int = 8,
-    ):
-        if min_engines < 1:
-            raise ValueError(f"min_engines must be >= 1, got {min_engines}")
-        if max_engines is not None and max_engines < min_engines:
-            raise ValueError(
-                f"max_engines={max_engines} is below min_engines={min_engines}"
-            )
-        if grow_patience < 1 or shrink_patience < 1:
-            raise ValueError("grow_patience and shrink_patience must be >= 1")
-        self.min_engines = int(min_engines)
-        self.max_engines = max_engines
-        self.grow_patience = int(grow_patience)
-        self.shrink_patience = int(shrink_patience)
-        self._pressure_streak = 0
-        self._slack_streak = 0
-
-    def decide(self, cluster: "Cluster") -> int:
-        """+1 to grow, -1 to start draining a shard, 0 to hold."""
-        engines = cluster.engines
-        n = len(engines)
-        queued = sum(len(e.queue) for e in engines)
-        busy = sum(e.pool.busy_count() for e in engines)
-        free = n * cluster.num_lanes - busy
-        unbounded = self.max_engines is None  # cluster resolution missed
-        if queued > free and (unbounded or n < self.max_engines):
-            self._pressure_streak += 1
-            self._slack_streak = 0
-            if self._pressure_streak >= self.grow_patience:
-                self._pressure_streak = 0
-                return 1
-            return 0
-        self._pressure_streak = 0
-        if n > self.min_engines and queued + busy <= (n - 1) * cluster.num_lanes:
-            self._slack_streak += 1
-            if self._slack_streak >= self.shrink_patience:
-                self._slack_streak = 0
-                return -1
-            return 0
-        self._slack_streak = 0
-        return 0
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(min={self.min_engines}, "
-            f"max={self.max_engines}, grow_patience={self.grow_patience}, "
-            f"shrink_patience={self.shrink_patience})"
-        )
-
-
-def resolve_autoscale(spec: Any) -> Optional[AutoscalePolicy]:
-    """Turn an ``autoscale=`` argument into an :class:`AutoscalePolicy`."""
-    return resolve_spec(
-        spec, "autoscale policy", AutoscalePolicy, default=AutoscalePolicy
-    )
-
-
 def resolve_policy(
     spec: Union[str, RoutingPolicy, Type[RoutingPolicy], None],
-    seed: int = 0,
 ) -> RoutingPolicy:
     """Turn a ``policy=`` argument into a :class:`RoutingPolicy` instance."""
     return resolve_spec(
         RoundRobinPolicy if spec is None else spec,
-        "routing policy", RoutingPolicy, ROUTING_POLICIES, seed=seed,
+        "routing policy", RoutingPolicy, ROUTING_POLICIES,
     )
 
 
@@ -361,8 +237,8 @@ class Cluster(Server):
     ``num_lanes`` lanes each (the fleet holds ``num_engines * num_lanes``
     requests in flight at most); ``options`` are the fields of
     :class:`~repro.serve.config.ServeConfig`, documented there.  Every
-    shard — grown ones included — is built from the one validated config
-    object, so no option can be lost between the fleet and its engines.
+    shard is built from the one validated config object, so no option can
+    be lost between the fleet and its engines.
     """
 
     GAUGES = ("queue_depth", "busy_lanes", "active_shards")
@@ -375,43 +251,25 @@ class Cluster(Server):
         self.policy = config.policy
         self.steal = config.steal
         self.preempt = config.preempt
-        self.autoscale = config.autoscale
-        if self.autoscale is not None:
-            # The cluster owns a private copy: it resolves the default cap
-            # and drives the patience streaks, so a caller's policy
-            # instance is never mutated or shared between clusters.
-            self.autoscale = copy.copy(self.autoscale)
-            if self.autoscale.max_engines is None:
-                self.autoscale.max_engines = max(2 * num_engines, 2)
-        self._next_shard_id = 0
-        #: One request-id counter for the whole fleet (grown shards
-        #: included): ids are fleet-unique, so the shared tracer's
-        #: per-request index never conflates two shards' requests.
+        #: One request-id counter for the whole fleet: ids are
+        #: fleet-unique, so the shared tracer's per-request index never
+        #: conflates two shards' requests.
         self._ids = itertools.count()
         self.telemetry = ClusterTelemetry()
-        #: Shards being retired: closed to admission and routing, still
-        #: ticking until their in-flight lanes complete.
-        self.draining: List[Engine] = []
-        self._retired_dispatches = 0
         self.engines: List[Engine] = [
-            self._spawn_engine() for _ in range(num_engines)
+            self._spawn_engine(shard_id) for shard_id in range(num_engines)
         ]
         self.set_journal(self.journal)
 
-    def _spawn_engine(self) -> Engine:
-        """Build one shard from the fleet's config, plan and clock."""
+    def _spawn_engine(self, shard_id: int) -> Engine:
+        """Build one shard from the fleet's config, plan and id source."""
         engine = Engine.from_config(self.plan, self.config, self._num_lanes)
         # Each shard owns a private deep copy of the preempt policy, so a
         # stateful custom policy (even one with mutable attributes) never
         # leaks decisions across shards.
         engine.preempt = copy.deepcopy(self.preempt)
-        engine.journal = self.journal
-        engine.shard_id = self._next_shard_id
-        self._next_shard_id += 1
+        engine.shard_id = shard_id
         engine._ids = self._ids
-        # Join the fleet's lock-step logical clock mid-flight, so queue
-        # waits and finish ticks stay comparable across grow events.
-        engine._tick = self._tick
         self.telemetry.shards.append(engine.telemetry)
         return engine
 
@@ -419,14 +277,14 @@ class Cluster(Server):
         """Attach (or detach, with None) one admission journal fleet-wide:
         one :meth:`schedule_record`, then every shard records into it."""
         super().set_journal(journal)
-        for engine in self.engines + self.draining:
+        for engine in self.engines:
             engine.journal = journal
 
     # -- introspection -------------------------------------------------------
 
     @property
     def num_engines(self) -> int:
-        """Active (routable) shards; draining shards are not counted."""
+        """Shard count."""
         return len(self.engines)
 
     @property
@@ -436,21 +294,11 @@ class Cluster(Server):
 
     def load(self) -> int:
         """Outstanding requests fleet-wide (queued plus in flight)."""
-        return sum(e.load() for e in self.engines) + sum(
-            e.load() for e in self.draining
-        )
+        return sum(e.load() for e in self.engines)
 
     def dispatch_count(self) -> int:
-        """Host→device launches summed across every shard's machine.
-
-        Includes draining shards and the final tallies of shards already
-        retired by autoscale, so the count never moves backwards.
-        """
-        return (
-            sum(e.dispatch_count() for e in self.engines)
-            + sum(e.dispatch_count() for e in self.draining)
-            + self._retired_dispatches
-        )
+        """Host→device launches summed across every shard's machine."""
+        return sum(e.dispatch_count() for e in self.engines)
 
     def _series_prefix(self) -> str:
         return "fleet/"
@@ -468,17 +316,13 @@ class Cluster(Server):
 
         The routing policy ranks the shards; the first with queue space
         admits the request (``handle.shard`` records which).  Raises
-        :class:`QueueFullError` only when every shard's queue is full —
-        and in that case *before* consulting the routing policy, so a
-        rejected submission leaves policy state (round-robin cursor,
-        power-of-two RNG) untouched and a replayed trace with rejections
-        routes identically to one without.
+        :class:`QueueFullError` only when every shard's queue is full.  An
+        invalid or rejected submission is refused *before* the routing
+        policy is consulted, so it leaves policy state (the round-robin
+        cursor) untouched and a replayed journal, which holds accepted
+        submissions only, routes identically to the live run.
         """
-        n_expected = len(self.engines[0].vm.program.inputs)
-        if len(inputs) != n_expected:
-            raise ValueError(
-                f"program takes {n_expected} inputs, got {len(inputs)}"
-            )
+        self._check_request(inputs, step_budget, deadline_ticks)
         if self.admission_full():
             self.telemetry.cluster_rejected += 1
             self._emit("reject", priority=priority)
@@ -491,11 +335,8 @@ class Cluster(Server):
             engine = self.engines[shard]
             if engine.queue.full():
                 continue
-            handle = engine.submit(
-                *inputs,
-                priority=priority,
-                step_budget=step_budget,
-                deadline_ticks=deadline_ticks,
+            handle = engine._enqueue(
+                inputs, priority, step_budget, deadline_ticks
             )
             handle.shard = engine.shard_id
             if shard != order[0]:
@@ -513,27 +354,18 @@ class Cluster(Server):
     # -- the fleet loop ------------------------------------------------------
 
     def busy(self) -> bool:
-        """True while any shard (including draining) holds work."""
-        return any(e.busy() for e in self.engines) or any(
-            e.busy() for e in self.draining
-        )
+        """True while any shard holds work."""
+        return any(e.busy() for e in self.engines)
 
     def admission_full(self) -> bool:
-        """True while no active shard can queue a new submission."""
+        """True while no shard can queue a new submission."""
         return all(e.queue.full() for e in self.engines)
 
     def progress_signature(self) -> Tuple[Tuple[int, ...], ...]:
-        """Fleet fingerprint that changes iff some shard makes progress.
-
-        The per-shard :meth:`Engine.progress_signature` tuples (draining
-        shards included) plus the fleet shape, so growth, shrinkage, and
-        drain-retirement all register as progress.  Like the shard version
-        it excludes the logical clock, which advances unconditionally.
-        """
-        shape = (len(self.engines), len(self.draining))
-        return (shape,) + tuple(
-            e.progress_signature() for e in self.engines + self.draining
-        )
+        """Fleet fingerprint that changes iff some shard makes progress:
+        the per-shard :meth:`Engine.progress_signature` tuples, which
+        exclude the logical clock (it advances unconditionally)."""
+        return tuple(e.progress_signature() for e in self.engines)
 
     # -- rebalancing ---------------------------------------------------------
 
@@ -547,11 +379,9 @@ class Cluster(Server):
         ``preempted_migrations``.
         """
         moved = migrated_snapshots = 0
-        # Custom StealPolicy subclasses may predate the knob; default on.
-        include_preempted = getattr(self.steal, "include_preempted", True)
         for victim, thief, count in self.steal.plan(self):
             handles = victim.export_queue(
-                count, include_preempted=include_preempted
+                count, include_preempted=self.steal.include_preempted
             )
             if not handles:
                 continue
@@ -579,100 +409,38 @@ class Cluster(Server):
             self.telemetry.steal_ticks += 1
             self.telemetry.preempted_migrations += migrated_snapshots
 
-    def _autoscale_step(self) -> None:
-        decision = self.autoscale.decide(self)
-        cap = self.autoscale.max_engines
-        if decision > 0 and (cap is None or len(self.engines) < cap):
-            self._grow()
-        elif decision < 0 and len(self.engines) > self.autoscale.min_engines:
-            self._shrink()
-
-    def _grow(self) -> None:
-        """Add one shard bound to the shared plan (no recompilation)."""
-        self.engines.append(self._spawn_engine())
-        self.telemetry.grow_events += 1
-
-    def _shrink(self) -> None:
-        """Send the least-loaded shard into drain-retirement.
-
-        The shard leaves the routing set immediately, its queued requests
-        migrate to the surviving shards (preserving priority/arrival
-        order), and its in-flight lanes keep running until it goes idle —
-        no handle is lost or duplicated.
-        """
-        # Least loaded drains fastest; ties retire the youngest shard.
-        victim = min(
-            self.engines, key=lambda e: (e.load(), -(e.shard_id or 0))
-        )
-        self.engines.remove(victim)
-        self.draining.append(victim)
-        self.telemetry.shrink_events += 1
-        orphans = victim.begin_drain()
-        for handle in orphans:
-            # Seat each orphan on the currently least-loaded survivor
-            # (ties to the lower index), like a fresh spillover would.
-            target = min(
-                range(len(self.engines)),
-                key=lambda i: (self.engines[i].load(), i),
-            )
-            self.engines[target].requeue([handle])
-            handle.shard = self.engines[target].shard_id
-            self._emit(
-                "drain", handle, shard=handle.shard, src=victim.shard_id
-            )
-        self.telemetry.drain_migrations += len(orphans)
-
-    def _retire_drained(self) -> None:
-        for engine in [e for e in self.draining if not e.busy()]:
-            self.draining.remove(engine)
-            self._retired_dispatches += engine.dispatch_count()
-            engine.telemetry.retired = True
-            self.telemetry.shards_retired += 1
-
     # -- the tick ------------------------------------------------------------
 
     def tick(self) -> bool:
         """One cluster step: rebalance, then tick every shard in order.
 
-        Between ticks the autoscale policy may grow the fleet or start
-        draining a shard, and the steal policy may migrate queued requests
-        onto idle lanes; then every shard (draining ones included) ticks
-        once.  Idle shards still tick (advancing their logical clocks), so
-        the fleet's clocks stay aligned and per-shard telemetry is
-        comparable.  Returns True while any shard holds work after the
-        tick.
+        Between ticks the steal policy may migrate queued requests onto
+        idle lanes; then every shard ticks once.  Idle shards still tick
+        (advancing their logical clocks), so the fleet's clocks stay
+        aligned and per-shard telemetry is comparable.  Returns True while
+        any shard holds work after the tick.
         """
-        if self.autoscale is not None:
-            self._autoscale_step()
         if self.steal is not None:
             self._steal_step()
         if self.trace is not None and self.trace.metrics is not None:
             self._sample(
                 float(sum(len(e.queue) for e in self.engines)),
-                float(
-                    sum(e.pool.busy_count() for e in self.engines)
-                    + sum(e.pool.busy_count() for e in self.draining)
-                ),
+                float(sum(e.pool.busy_count() for e in self.engines)),
                 float(len(self.engines)),
             )
         self._tick += 1
         pending = False
-        for engine in self.engines + self.draining:
+        for engine in self.engines:
             if engine.tick():
                 pending = True
-        self._retire_drained()
         return pending
 
     def __repr__(self) -> str:
         extras = ""
         if self.steal is not None:
             extras += f", steal={self.steal.name!r}"
-        if self.autoscale is not None:
-            extras += f", autoscale={self.autoscale.name!r}"
         if self.preempt is not None:
             extras += f", preempt={self.preempt.name!r}"
-        if self.draining:
-            extras += f", draining={len(self.draining)}"
         return (
             f"Cluster(engines={self.num_engines}, lanes={self.num_lanes}, "
             f"policy={self.policy.name!r}, executor={self.plan.name!r}, "

@@ -22,7 +22,7 @@ from repro.serve.durability import resolve_spill_store
 REFILL_POLICIES = ("continuous", "drain")
 
 #: Options only a fleet reads; a single engine rejects them.
-FLEET_OPTIONS = ("policy", "seed", "steal", "autoscale")
+FLEET_OPTIONS = ("policy", "steal")
 
 #: The fields that determine the schedule by value (see
 #: :meth:`ServeConfig.schedule_record`); policies are recorded by ``repr``.
@@ -43,10 +43,10 @@ def resolve_spec(
 ) -> Any:
     """Turn a policy argument into an instance of ``base`` (or None = off).
 
-    The one ladder behind ``preempt=``, ``steal=``, ``autoscale=`` and
-    ``policy=``: an instance passes through, a subclass or a ``registry``
-    name is constructed with ``kwargs``, and — for on/off options, those
-    with a ``default`` class — ``None``/``False`` is off and ``True`` the
+    The one ladder behind ``preempt=``, ``steal=`` and ``policy=``: an
+    instance passes through, a subclass or a ``registry`` name is
+    constructed with ``kwargs``, and — for on/off options, those with a
+    ``default`` class — ``None``/``False`` is off and ``True`` the
     default.
     """
     if default is not None:
@@ -113,13 +113,14 @@ class ServeConfig:
         ``max_stack_depth`` the stacks pre-size from the proven bound
         instead of the depth-32 guess.
     max_queue_depth:
-        Per-engine queue bound (``None`` = unbounded).  An engine raises
-        :class:`~repro.serve.queue.QueueFullError` beyond it; a cluster
-        spills over to the next shard in preference order and raises only
-        when every shard is full.
+        Per-engine queue bound, >= 0 (``None`` = unbounded).  An engine
+        raises :class:`~repro.serve.queue.QueueFullError` beyond it; a
+        cluster spills over to the next shard in preference order and
+        raises only when every shard is full.
     default_step_budget:
-        Per-request cap on machine steps in which the request's member is
-        active (overridable per ``submit``); exhausted requests fail with
+        Per-request cap, >= 1, on machine steps in which the request's
+        member is active (overridable per ``submit``, with the same
+        floor); exhausted requests fail with
         :class:`~repro.serve.queue.StepBudgetExceeded` and their lane is
         recycled.
     refill:
@@ -139,25 +140,20 @@ class ServeConfig:
         together, so resumed stragglers re-converge into shared masked
         steps; the queue head is passed over at most
         ``resume_defer_limit`` times (``Engine._pop_next`` has the rule).
-    policy, seed:
+    policy:
         Fleet only.  Routing policy name (``"round_robin"``,
-        ``"least_loaded"``, ``"power_of_two"``), instance, or class, and
-        the seed stochastic policies draw from.
+        ``"least_loaded"``), instance, or class.
     steal:
         Fleet only.  Cross-shard work stealing between ticks: ``True`` or
         a name for the default :class:`~repro.serve.cluster.StealPolicy`,
         an instance for tuned thresholds, ``None``/``False`` (default) off.
-    autoscale:
-        Fleet only.  Shard elasticity: ``True`` for the default
-        :class:`~repro.serve.cluster.AutoscalePolicy`, an instance for
-        tuned bounds/patience, ``None``/``False`` (default) a fixed fleet.
     trace:
         Observability, off by default at zero cost: ``True`` for a full
         :class:`~repro.observe.Trace`, ``"events"``/``"metrics"``/
         ``"profile"`` for one piece, or an instance.  Stamped with the
         logical clock, so identical runs trace byte-identically.  A fleet
         *shares* the one resolved ``Trace`` (unlike per-shard policies):
-        one event stream including ``steal``/``migrate``/``drain``,
+        one event stream including ``steal``/``migrate``,
         gauges under ``shard<N>/`` and ``fleet/``, a merged block profile.
     max_resident_snapshots:
         Cap (per engine) on queued preempted-lane snapshots held as live
@@ -198,19 +194,13 @@ class ServeConfig:
     spill_store: Any = None
     journal: Any = None
     policy: Any = "round_robin"
-    seed: int = 0
     steal: Any = None
-    autoscale: Any = None
     num_engines: InitVar[Optional[int]] = None
 
     def __post_init__(self, num_engines: Optional[int]) -> None:
         # Lazy: the policy classes live beside the servers that run them,
         # and those modules import this one.
-        from repro.serve.cluster import (
-            resolve_autoscale,
-            resolve_policy,
-            resolve_steal_policy,
-        )
+        from repro.serve.cluster import resolve_policy, resolve_steal_policy
         from repro.serve.engine import resolve_preempt_policy
 
         resolved: Dict[str, Any] = {}
@@ -244,6 +234,8 @@ class ServeConfig:
                 "never resume ahead of the drain"
             )
         for name, floor in (
+            ("max_queue_depth", 0),
+            ("default_step_budget", 1),
             ("resume_defer_limit", 1),
             ("max_resident_snapshots", 0),
         ):
@@ -255,9 +247,8 @@ class ServeConfig:
             resume_batching=bool(self.resume_batching),
             resume_defer_limit=int(self.resume_defer_limit),
             max_resident_snapshots=None if cap is None else int(cap),
-            policy=resolve_policy(self.policy, seed=self.seed),
+            policy=resolve_policy(self.policy),
             steal=resolve_steal_policy(self.steal),
-            autoscale=resolve_autoscale(self.autoscale),
             trace=resolve_trace(self.trace),
         )
         # Last, once nothing above can still reject: resolving a path

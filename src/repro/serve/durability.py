@@ -40,6 +40,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+from dataclasses import fields
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -466,7 +467,8 @@ def _reconcile(
     return plausible outputs.  Policies are recorded by ``repr``; an
     omitted one is rebuilt only when a registered name constructs it.
     """
-    from repro.serve.cluster import AutoscalePolicy, ROUTING_POLICIES, STEAL_POLICIES
+    from repro.serve.cluster import ROUTING_POLICIES, STEAL_POLICIES
+    from repro.serve.config import ServeConfig
     from repro.serve.engine import PREEMPT_POLICIES
     from repro.serve.server import configure
 
@@ -474,9 +476,17 @@ def _reconcile(
         "preempt": PREEMPT_POLICIES.values(),
         "policy": ROUTING_POLICIES.values(),
         "steal": STEAL_POLICIES.values(),
-        "autoscale": (AutoscalePolicy,),
         "optimize": (),
     }
+    known = {"type", "num_lanes", "num_engines"} | {
+        f.name for f in fields(ServeConfig)
+    }
+    gone = [name for name in header if name not in known]
+    if gone:
+        raise ValueError(
+            f"the journal records {', '.join(gone)}, which this version of "
+            "the server no longer has, so it cannot replay that schedule"
+        )
     if num_lanes is None:
         num_lanes, num_engines = header["num_lanes"], header["num_engines"]
     options = dict(options)

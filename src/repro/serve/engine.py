@@ -312,9 +312,6 @@ class Engine(Server):
         self.telemetry = ServeTelemetry(
             num_lanes=num_lanes, instrumentation=self.vm.instr
         )
-        #: True once the engine is being retired: no new submissions, the
-        #: in-flight lanes run to completion and the queue has been exported.
-        self.draining = False
         # Attach last: a construction that failed above leaves no
         # half-built engine in a shared trace's block profile.
         if self.trace is not None:
@@ -347,26 +344,15 @@ class Engine(Server):
 
         ``inputs`` are *per-example* (unbatched) values, one per program
         input.  Raises :class:`QueueFullError` at ``max_queue_depth``.
-        ``deadline_ticks`` attaches a relative SLO deadline: the request
+        ``step_budget`` (>= 1) overrides ``default_step_budget``.
+        ``deadline_ticks`` (>= 0) attaches a relative SLO deadline: the request
         should finish within that many ticks of now.  Queue service order
         becomes earliest-deadline-first within the request's priority
         level, :class:`DeadlinePreemptPolicy` may evict slack-rich lanes
         for it, and ``telemetry.slo_attainment("deadline")`` scores its
         completion against its own deadline.
         """
-        if deadline_ticks is not None and deadline_ticks < 0:
-            raise ValueError(
-                f"deadline_ticks must be >= 0, got {deadline_ticks}"
-            )
-        n_expected = len(self.vm.program.inputs)
-        if len(inputs) != n_expected:
-            raise ValueError(
-                f"program takes {n_expected} inputs, got {len(inputs)}"
-            )
-        if self.draining:
-            raise RuntimeError(
-                "engine is draining for retirement and accepts no new requests"
-            )
+        self._check_request(inputs, step_budget, deadline_ticks)
         if self.queue.full():
             self.telemetry.rejected += 1
             # No request id is ever assigned to a rejected submission.
@@ -374,6 +360,16 @@ class Engine(Server):
             raise QueueFullError(
                 f"request queue is at max_depth={self.queue.max_depth}"
             )
+        return self._enqueue(inputs, priority, step_budget, deadline_ticks)
+
+    def _enqueue(
+        self,
+        inputs: Tuple[Any, ...],
+        priority: int,
+        step_budget: Optional[int],
+        deadline_ticks: Optional[int],
+    ) -> ResultHandle:
+        """Queue one request already checked and known to have room."""
         request = ServeRequest(
             request_id=next(self._ids),
             inputs=split_request_inputs(inputs),
@@ -390,14 +386,14 @@ class Engine(Server):
         self.queue.push(handle)
         self.telemetry.submitted += 1
         if self.journal is not None:
-            # Only *accepted* submits are journaled (rejections raised
-            # above), so replaying the journal reproduces the admission
+            # Only *accepted* submits are journaled (refusals never get
+            # here), so replaying the journal reproduces the admission
             # sequence exactly.
             self.journal.record_submit(handle)
         self._emit("submit", handle)
         return handle
 
-    # -- queue migration (cluster work stealing / shard retirement) ----------
+    # -- queue migration (cluster work stealing) ------------------------------
 
     def export_queue(
         self,
@@ -440,17 +436,6 @@ class Engine(Server):
         """
         for handle in handles:
             self.queue.requeue(handle)
-
-    def begin_drain(self) -> List[ResultHandle]:
-        """Start retiring this engine: close admission, export the queue.
-
-        Returns the queued handles for the caller to re-seat elsewhere.
-        In-flight lanes are left running — keep ticking the engine until
-        :meth:`busy` goes False, then it can be dropped without losing any
-        handle.
-        """
-        self.draining = True
-        return self.export_queue()
 
     # -- the continuous-batching loop -----------------------------------------
 

@@ -23,17 +23,16 @@ from repro.vm.executors import ExecutionPlan
 
 #: Consecutive full-admission ticks with an unchanged progress signature
 #: tolerated before a server is declared wedged.  Large enough to outlast
-#: transient plateaus (autoscale patience counters, steal cooldowns) that
-#: resolve themselves without any counter moving.
+#: transient plateaus that resolve themselves without any counter moving.
 NO_PROGRESS_LIMIT = 64
 
 
 class ProgressWatch:
     """Counts consecutive ticks over which a server made no progress.
 
-    The logical clock advances on every tick, so a wedged fleet (e.g.
-    every shard draining for retirement with nowhere to re-seat its queue)
-    looks busy forever; ``server.progress_signature()`` excludes the clock,
+    The logical clock advances on every tick, so a wedged server (one
+    whose admission stays full while no request moves) looks busy
+    forever; ``server.progress_signature()`` excludes the clock,
     and a backpressure loop that sees it unchanged for
     :data:`NO_PROGRESS_LIMIT` ticks can fail its waiters instead of
     spinning.
@@ -87,8 +86,7 @@ def serve_all(
                 raise QueueFullError(
                     f"admission is full but {watch.stalled} consecutive ticks "
                     f"made no progress; the "
-                    f"{type(server).__name__.lower()} can never admit "
-                    "(is every shard draining for retirement?)"
+                    f"{type(server).__name__.lower()} can never admit"
                 )
         handles.append(
             server.submit(
@@ -207,9 +205,8 @@ class Server:
     :attr:`GAUGES`.
     """
 
-    #: Stable shard identity within a cluster (None for a standalone
-    #: engine and for the cluster itself); survives fleet grow/shrink,
-    #: unlike a position in the cluster's active-engine list.
+    #: Shard index within a cluster (None for a standalone engine and for
+    #: the cluster itself).
     shard_id: Optional[int] = None
     #: Metric series sampled each tick while ``trace.metrics`` is on.
     GAUGES: Tuple[str, ...] = ()
@@ -224,7 +221,7 @@ class Server:
         self.config = config
         self.plan = plan
         self._num_lanes = int(num_lanes)
-        self._initial_engines = num_engines
+        self._num_engines = num_engines
         #: Resolved observability hub (None = fully off; the hot paths pay
         #: one ``is None`` check).  A cluster's shards all hold the
         #: cluster's instance, so the fleet shares an event stream.
@@ -249,7 +246,7 @@ class Server:
         """What the journal opens with; see
         :meth:`~repro.serve.config.ServeConfig.schedule_record`."""
         return self.config.schedule_record(
-            self._num_lanes, self._initial_engines, self.plan.name
+            self._num_lanes, self._num_engines, self.plan.name
         )
 
     def set_journal(self, journal: Any) -> None:
@@ -258,6 +255,26 @@ class Server:
         self.journal = journal
         if journal is not None:
             journal.record_config(self.schedule_record())
+
+    def _check_request(
+        self,
+        inputs: Tuple[Any, ...],
+        step_budget: Optional[int],
+        deadline_ticks: Optional[int],
+    ) -> None:
+        """Refuse a malformed submission before anything (queue, routing
+        cursor, journal, trace) sees it."""
+        for name, value, floor in (
+            ("step_budget", step_budget, 1),
+            ("deadline_ticks", deadline_ticks, 0),
+        ):
+            if value is not None and value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
+        n_expected = len(self.plan.program.inputs)
+        if len(inputs) != n_expected:
+            raise ValueError(
+                f"program takes {n_expected} inputs, got {len(inputs)}"
+            )
 
     # -- observability -------------------------------------------------------
 

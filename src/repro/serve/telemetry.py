@@ -217,9 +217,6 @@ class ServeTelemetry(_Derived):
     )
     #: deadline-carrying completions that finished past their own deadline
     deadline_misses: int = 0
-    #: set once the owning shard was drained and dropped by autoscale;
-    #: its counters freeze, and the fleet skew metrics exclude it
-    retired: bool = False
     #: the machine-level counters (primitive/batch utilization etc.)
     instrumentation: Optional[Instrumentation] = None
 
@@ -315,8 +312,8 @@ def _worst(values: Iterable[int]) -> int:
 
 
 #: How each fleet-level value of :class:`ClusterTelemetry` rolls up from
-#: the same-named :class:`ServeTelemetry` field of every shard (retired
-#: ones included, so totals never go backwards): ``name -> (fold, own)``,
+#: the same-named :class:`ServeTelemetry` field of every shard:
+#: ``name -> (fold, own)``,
 #: where ``own`` names a cluster-level field added on top.
 FLEET_ROLLUPS = {
     **dict.fromkeys(
@@ -354,10 +351,8 @@ class ClusterTelemetry(_Derived):
     property.  Only events the shards cannot see are recorded here
     directly: the admission counters (``cluster_rejected`` — every
     shard's queue was full — and ``spillovers`` — the preferred shard was
-    full but another accepted), the work-stealing counters
-    (``steals``/``steal_ticks``), and the autoscale counters
-    (``grow_events``/``shrink_events``/``shards_retired``/
-    ``drain_migrations``).
+    full but another accepted) and the work-stealing counters
+    (``steals``/``steal_ticks``).
     """
 
     shards: List[ServeTelemetry] = field(default_factory=list)
@@ -369,11 +364,6 @@ class ClusterTelemetry(_Derived):
     #: stolen requests that carried a preempted-lane snapshot — evicted on
     #: one shard, resumed mid-flight on another
     preempted_migrations: int = 0
-    # -- elasticity (autoscale) --
-    grow_events: int = 0       # shards added under sustained queue pressure
-    shrink_events: int = 0     # shards sent into drain-retirement
-    shards_retired: int = 0    # drained shards actually dropped from the fleet
-    drain_migrations: int = 0  # queued requests re-seated off a retiring shard
 
     @property
     def num_shards(self) -> int:
@@ -382,15 +372,14 @@ class ClusterTelemetry(_Derived):
     # -- derived (the rest comes from _Derived, over the rollups) -------------
 
     def latencies(self, priority: Optional[int] = None) -> List[int]:
-        """Completion latencies across every shard, retired ones included
-        (their completions happened and stay in the fleet's record)."""
+        """Completion latencies across every shard."""
         return [l for s in self.shards for l in s.latencies(priority)]
 
     def deadline_outcomes(
         self, priority: Optional[int] = None
     ) -> List[Tuple[int, int]]:
         """Deadline-carrying ``(latency, deadline_ticks)`` completions
-        pooled across every shard (retired ones included)."""
+        pooled across every shard."""
         return [p for s in self.shards for p in s.deadline_outcomes(priority)]
 
     def priorities(self) -> List[int]:
@@ -403,15 +392,11 @@ class ClusterTelemetry(_Derived):
     aggregate_throughput = _Derived.throughput
 
     def first_result_tick(self) -> Optional[int]:
-        """Earliest completion tick across *every* shard ever in the fleet.
+        """Earliest completion tick across every shard.
 
-        Retired shards are **included**: their telemetries stay in
-        ``shards`` after autoscale drops them, and a completion that
-        happened on a since-retired shard is still the fleet's first
-        result.  The min is meaningful across shards because they tick in
-        lock-step — every shard's clock (grown shards included, which
-        join at the cluster's current tick) reads the same logical time.
-        None until any shard completes a request.
+        The min is meaningful across shards because they tick in
+        lock-step: every shard's clock reads the same logical time.  None
+        until any shard completes a request.
         """
         firsts = [
             s.first_result_tick
@@ -423,22 +408,14 @@ class ClusterTelemetry(_Derived):
     def completed_per_shard(self) -> List[int]:
         return [s.completed for s in self.shards]
 
-    def live_shards(self) -> List[ServeTelemetry]:
-        """Shards still in the fleet (retired telemetries keep counting
-        toward the totals above, but not toward the skew metrics)."""
-        return [s for s in self.shards if not s.retired]
-
     def completion_skew(self) -> float:
         """Relative completion imbalance: (max - min) / mean across shards.
 
         0.0 for a perfectly balanced fleet (and for an idle or empty one);
         1.0 means the busiest shard completed one whole mean-share more
-        than the idlest.  Computed over the live shards only — a shard
-        retired by autoscale stopped accumulating and would otherwise
-        depress the minimum forever; note a late-grown shard still counts
-        from its birth, so elastic fleets naturally show some skew.
+        than the idlest.
         """
-        per_shard = [s.completed for s in self.live_shards()]
+        per_shard = self.completed_per_shard()
         if not per_shard:
             return 0.0
         mean = sum(per_shard) / len(per_shard)
@@ -447,15 +424,14 @@ class ClusterTelemetry(_Derived):
         return (max(per_shard) - min(per_shard)) / mean
 
     def utilization_skew(self) -> float:
-        """Max minus min lane utilization across the live shards."""
-        utils = [s.lane_utilization() for s in self.live_shards()]
+        """Max minus min lane utilization across the shards."""
+        utils = [s.lane_utilization() for s in self.shards]
         return max(utils) - min(utils) if utils else 0.0
 
     def summary(self) -> str:
         """Human-readable multi-line fleet summary."""
         lines = [
-            f"shards={self.num_shards} (retired={self.shards_retired}) "
-            f"ticks={self.ticks} "
+            f"shards={self.num_shards} ticks={self.ticks} "
             f"fleet_utilization={self.fleet_utilization():.3f}",
             f"requests: submitted={self.submitted} rejected={self.rejected} "
             f"spillovers={self.spillovers} injected={self.injected} "
@@ -475,12 +451,6 @@ class ClusterTelemetry(_Derived):
                 f"(preempted-lane migrations={self.preempted_migrations})"
             )
         lines.extend(self._feature_lines())
-        if self.grow_events or self.shrink_events:
-            lines.append(
-                f"elasticity: grown={self.grow_events} shrunk="
-                f"{self.shrink_events} retired={self.shards_retired} "
-                f"drain_migrations={self.drain_migrations}"
-            )
         return "\n".join(lines)
 
 

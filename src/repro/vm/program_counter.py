@@ -368,7 +368,8 @@ class ProgramCounterVM:
     # machine's masked steps never touch it, so its storage can be recycled
     # for a fresh logical thread without disturbing in-flight neighbors.
     # These hooks let :class:`repro.serve.Engine` retire finished members
-    # and inject queued requests mid-flight instead of draining the batch.
+    # and inject queued requests mid-flight, never waiting for the batch
+    # to empty.
 
     @property
     def entry_index(self) -> int:

@@ -287,7 +287,7 @@ class TestDriverYields:
 
 class _WedgedServer:
     """A server whose admission is full and whose counters never move —
-    the shape of a fleet where every shard is draining for retirement."""
+    the shape of a server that can never admit."""
 
     def __init__(self, busy_ticks):
         self.now = 0

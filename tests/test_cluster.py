@@ -7,11 +7,10 @@ Three load-bearing properties:
   static ``run_pc`` batch and every other policy;
 * **code-cache sharing** — one :class:`~repro.vm.executors.ExecutionPlan`
   is compiled once and bound to every shard: the fused executor's compile
-  counter stays at 1 for a whole fleet, including shards added by
-  autoscale grow events;
-* **rebalancing safety** — work stealing and shard elasticity may move a
-  request anywhere, but never lose or duplicate a handle, never demote its
-  priority/arrival order, and never change its bits.
+  counter stays at 1 for a whole fleet;
+* **rebalancing safety** — work stealing may move a request to any shard,
+  but never loses or duplicates a handle, never demotes its
+  priority/arrival order, and never changes its bits.
 
 The CI workflow runs this file as a fast gate before the full suite.
 """
@@ -23,12 +22,11 @@ from hypothesis import strategies as st
 
 from repro import autobatch
 from repro.serve import (
-    AutoscalePolicy,
     Cluster,
     ClusterTelemetry,
     DeadlinePreemptPolicy,
+    Journal,
     LeastLoadedPolicy,
-    PowerOfTwoPolicy,
     PreemptPolicy,
     QueueFullError,
     RequestQueue,
@@ -38,7 +36,7 @@ from repro.serve import (
     ServeTelemetry,
     StealPolicy,
     StepBudgetExceeded,
-    resolve_autoscale,
+    recover,
     resolve_policy,
     resolve_steal_policy,
 )
@@ -156,14 +154,14 @@ class TestClusterCorrectness:
 
 class TestRoutingPolicies:
     def test_policy_differential_same_result_set(self):
-        """The satellite contract: one trace, three policies, identical
+        """The satellite contract: one trace, every policy, identical
         results request-for-request — only telemetry may differ."""
         ns = np.array([12, 3, 14, 5, 9, 1, 13, 7, 2, 11, 4, 8], dtype=np.int64)
         results = {}
         telem = {}
         for policy in POLICIES:
             cluster = fib.serve_cluster(
-                3, num_lanes=2, policy=policy, max_queue_depth=4, seed=7
+                3, num_lanes=2, policy=policy, max_queue_depth=4
             )
             results[policy] = np.stack(cluster.map(rows_of((ns,))))
             telem[policy] = cluster.telemetry
@@ -204,22 +202,10 @@ class TestRoutingPolicies:
         assert c.shard == 0  # tie on load breaks to the lower index
         cluster.run_until_idle()
 
-    def test_power_of_two_is_seed_deterministic(self):
-        def shards(seed):
-            cluster = fib.serve_cluster(
-                4, num_lanes=1, policy="power_of_two", seed=seed
-            )
-            hs = [cluster.submit(np.int64(4)) for _ in range(10)]
-            cluster.run_until_idle()
-            return [h.shard for h in hs]
-
-        assert shards(3) == shards(3)
-        assert all(0 <= s < 4 for s in shards(0))
-
     def test_resolve_policy_forms(self):
         assert isinstance(resolve_policy(None), RoundRobinPolicy)
         assert isinstance(resolve_policy("least_loaded"), LeastLoadedPolicy)
-        assert isinstance(resolve_policy(PowerOfTwoPolicy), PowerOfTwoPolicy)
+        assert isinstance(resolve_policy(RoundRobinPolicy), RoundRobinPolicy)
         inst = LeastLoadedPolicy()
         assert resolve_policy(inst) is inst
         with pytest.raises(ValueError, match="unknown routing policy"):
@@ -355,6 +341,18 @@ class TestClusterTelemetry:
         assert t.utilization_skew() == 0.0
         assert isinstance(t.summary(), str)
 
+    def test_skew_metrics_fold_over_every_shard(self):
+        even_a = ServeTelemetry(num_lanes=1, completed=5)
+        even_b = ServeTelemetry(num_lanes=1, completed=5)
+        assert ClusterTelemetry(shards=[even_a, even_b]).completion_skew() == 0.0
+        # A fixed fleet has no shard to leave out: a lagging shard counts
+        # in the totals and in the skew alike.
+        lagging = ServeTelemetry(num_lanes=1, completed=1)
+        t = ClusterTelemetry(shards=[even_a, even_b, lagging])
+        assert t.completed == 11
+        assert t.completed_per_shard() == [5, 5, 1]
+        assert t.completion_skew() == pytest.approx((5 - 1) / (11 / 3))
+
     def test_rejected_includes_shard_level_rejections(self):
         """Out-of-band submissions straight to a shard stay consistent
         with the summed fleet counters."""
@@ -400,9 +398,9 @@ FIB_REF = {
 
 
 class TestRejectionLeavesPolicyStateUntouched:
-    """The PR-4 bugfix: a fully-rejected ``Cluster.submit`` must not
-    advance the routing policy's cursor or RNG, so a replayed trace with
-    rejections routes identically to one without."""
+    """A fully-rejected ``Cluster.submit`` must not advance the routing
+    policy's cursor, so a replayed trace with rejections routes
+    identically to one without."""
 
     def test_round_robin_cursor_unmoved_by_rejection(self):
         cluster = fib.serve_cluster(
@@ -415,18 +413,41 @@ class TestRejectionLeavesPolicyStateUntouched:
         assert cluster.policy._next == cursor
         assert cluster.telemetry.cluster_rejected == 4
 
-    def test_power_of_two_rng_unmoved_by_rejection(self):
-        cluster = fib.serve_cluster(
-            3, num_lanes=1, policy="power_of_two", seed=7, max_queue_depth=0
+    @pytest.mark.parametrize(
+        "refused,message",
+        [
+            (dict(deadline_ticks=-1), "deadline_ticks must be >= 0"),
+            (dict(step_budget=0), "step_budget must be >= 1"),
+        ],
+        ids=["deadline_ticks", "step_budget"],
+    )
+    def test_refused_invalid_submit_replays_identically(
+        self, tmp_path, refused, message
+    ):
+        """Regression: the shard checked a submit's arguments only after
+        the routing policy had ranked the shards, so a refused
+        ``deadline_ticks=-1`` moved the round-robin cursor.  The journal
+        holds accepted submits only, so recover() used to seat the next
+        request on another shard and finish it at another tick."""
+        path = str(tmp_path / "fleet.jsonl")
+        cluster = fib.serve_cluster(2, num_lanes=1, journal=Journal(path))
+        handles = [cluster.submit(np.int64(9))]
+        cursor = cluster.policy._next
+        with pytest.raises(ValueError, match=message):
+            cluster.submit(np.int64(9), **refused)
+        assert cluster.policy._next == cursor
+        handles.append(cluster.submit(np.int64(10)))
+        cluster.run_until_idle()
+        run = recover(Journal.load(path), fib)
+        replayed = [run.handles[h.request_id] for h in handles]
+        assert [h.shard for h in replayed] == [h.shard for h in handles]
+        assert [h.finish_tick for h in replayed] == [
+            h.finish_tick for h in handles
+        ]
+        assert (
+            run.server.telemetry.completed_per_shard()
+            == cluster.telemetry.completed_per_shard()
         )
-        before = cluster.policy._rng.get_state()
-        for _ in range(4):
-            with pytest.raises(QueueFullError):
-                cluster.submit(np.int64(5))
-        after = cluster.policy._rng.get_state()
-        assert before[0] == after[0]
-        np.testing.assert_array_equal(before[1], after[1])
-        assert before[2:] == after[2:]
 
     def test_partial_preference_order_is_reported_as_policy_bug(self):
         """A policy that ranks only some shards breaks its contract; when
@@ -447,7 +468,7 @@ class TestRejectionLeavesPolicyStateUntouched:
             cluster.submit(np.int64(5))
         cluster.run_until_idle()
 
-    @pytest.mark.parametrize("policy", ["round_robin", "power_of_two"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_replayed_trace_with_rejections_routes_identically(self, policy):
         """Replay determinism: the same accepted submissions land on the
         same shards whether or not rejected submissions happened between
@@ -455,7 +476,7 @@ class TestRejectionLeavesPolicyStateUntouched:
 
         def route_trace(inject_rejections):
             cluster = fib.serve_cluster(
-                3, num_lanes=1, policy=policy, seed=9, max_queue_depth=1
+                3, num_lanes=1, policy=policy, max_queue_depth=1
             )
             # Fill every shard's queue, optionally hammer the full fleet
             # with submissions that must all be rejected, then drain and
@@ -501,8 +522,7 @@ class TestWorkStealing:
 
     def test_steal_beats_no_steal_on_a_pinned_trace(self):
         """Tick clock (deterministic): under total skew stealing drains
-        the burst in <= 1/1.8 of the no-steal ticks, and so does an
-        elastic fleet that starts at one shard and grows into it."""
+        the burst in <= 1/1.8 of the no-steal ticks."""
         ns = np.arange(15, dtype=np.int64)
 
         def drain(num_engines, **options):
@@ -516,11 +536,6 @@ class TestWorkStealing:
 
         no_steal = drain(4).now
         assert drain(4, steal=True).now * 1.8 <= no_steal
-        elastic = drain(
-            1, steal=True, autoscale=AutoscalePolicy(max_engines=4, grow_patience=1)
-        )
-        assert elastic.now * 1.8 <= no_steal
-        assert elastic.telemetry.grow_events >= 1
 
     def test_stolen_request_keeps_step_budget_and_priority(self):
         cluster = fib.serve_cluster(
@@ -729,9 +744,9 @@ class TestPreemptedLaneMigration:
             ]
         assert results["migrated"] == results["home"]
 
-    def test_drain_retirement_migrates_preempted_snapshot(self):
-        """A shard retired by autoscale exports its queue — including a
-        preempted request's snapshot — and the survivor resumes it."""
+    def test_exported_preempted_snapshot_resumes_on_another_shard(self):
+        """A shard's exported queue carries a preempted request's
+        snapshot, and the shard it is requeued on resumes it."""
         cluster = fib.serve_cluster(
             2, num_lanes=1, policy=PinnedPolicy(), preempt=True
         )
@@ -740,20 +755,44 @@ class TestPreemptedLaneMigration:
         vip = cluster.submit(np.int64(12), priority=5)
         cluster.tick()  # straggler evicted, waiting with its snapshot
         assert strag.state == "preempted" and strag.snapshot is not None
-        # Manually retire shard 0 (the autoscale drain path).
-        victim = cluster.engines[0]
-        cluster.engines.remove(victim)
-        cluster.draining.append(victim)
-        orphans = victim.begin_drain()
+        orphans = cluster.engines[0].export_queue()
         assert orphans == [strag]
-        cluster.engines[0].requeue(orphans)
-        strag.shard = cluster.engines[0].shard_id
+        cluster.engines[1].requeue(orphans)
+        strag.shard = cluster.engines[1].shard_id
         cluster.run_until_idle()
         assert strag.state == "done" and strag.preemptions == 1
+        assert [s.resumes for s in cluster.telemetry.shards] == [0, 1]
         np.testing.assert_array_equal(
             np.array([int(strag.result()), int(vip.result())]),
             fib.run_pc(np.array([14, 12], dtype=np.int64)),
         )
+
+    def test_export_queue_leaves_in_flight_lanes(self):
+        cluster = fib.serve_cluster(2, num_lanes=1, policy="round_robin")
+        handles = [cluster.submit(np.int64(9)) for _ in range(6)]
+        cluster.tick()  # seat each shard's first request in its lane
+        queued_on_1 = [h for h in handles if h.shard == 1][1:]
+        orphans = cluster.engines[1].export_queue()
+        assert orphans == queued_on_1  # in-flight lane stays; queue exports
+        cluster.engines[0].requeue(orphans)
+        for h in orphans:
+            h.shard = cluster.engines[0].shard_id
+        cluster.run_until_idle()
+        assert all(int(h.result()) == FIB_REF[9] for h in handles)
+
+    def test_engine_keeps_admitting_after_export_queue(self):
+        """Exporting a queue is not a one-way drain: the engine finishes
+        its in-flight lane and still admits new work afterwards."""
+        engine = fib.serve(num_lanes=1)
+        engine.submit(np.int64(8))
+        engine.submit(np.int64(9))
+        engine.tick()
+        orphans = engine.export_queue()
+        assert len(orphans) == 1 and engine.pool.busy_count() == 1
+        late = engine.submit(np.int64(5))
+        engine.run_until_idle()
+        assert int(late.result()) == FIB_REF[5]
+        assert engine.pool.busy_count() == 0 and engine.load() == 0
 
     def test_failed_restore_fails_only_its_handle(self):
         """A snapshot migrated onto a machine too shallow for its frames
@@ -835,154 +874,13 @@ class TestPreemptedLaneMigration:
         assert t.preemptions > 0
 
 
-class TestAutoscale:
-    def test_grows_under_pressure_without_recompiling(self):
-        cluster = tri.serve_cluster(
-            1,
-            num_lanes=2,
-            executor="fused",
-            steal=True,
-            autoscale=AutoscalePolicy(max_engines=4, grow_patience=1),
-        )
-        ns = np.array([9, 2, 13, 5, 11, 3, 7, 14, 1, 8, 6, 12], dtype=np.int64)
-        handles = [cluster.submit(np.int64(n)) for n in ns]
-        cluster.run_until_idle()
-        t = cluster.telemetry
-        assert t.grow_events >= 1
-        # The acceptance criterion: one fused compile across grow events
-        # (each grown shard binds the shared plan instead of recompiling).
-        assert cluster.plan.executor.compile_count == 1
-        assert cluster.plan.stats.bind_count >= 1 + t.grow_events
-        np.testing.assert_array_equal(
-            np.array([h.result() for h in handles]), tri.run_pc(ns)
-        )
-        assert t.completed == len(ns) and t.failed == 0
-
-    def test_shrinks_back_when_load_subsides(self):
-        cluster = fib.serve_cluster(
-            1,
-            num_lanes=2,
-            steal=True,
-            autoscale=AutoscalePolicy(
-                max_engines=4, grow_patience=1, shrink_patience=2
-            ),
-        )
-        cluster.map([(np.int64(n),) for n in range(14)])
-        assert cluster.telemetry.grow_events >= 1
-        for _ in range(20):  # idle ticks let the slack streak mature
-            cluster.tick()
-        assert cluster.num_engines == 1
-        assert cluster.telemetry.shrink_events >= 1
-        assert cluster.telemetry.shards_retired == cluster.telemetry.shrink_events
-        assert not cluster.draining
-
-    def test_drain_preserves_in_flight_handles(self):
-        cluster = fib.serve_cluster(
-            2,
-            num_lanes=2,
-            policy="round_robin",
-            autoscale=AutoscalePolicy(min_engines=1, shrink_patience=1),
-        )
-        slow = cluster.submit(np.int64(20))  # lands on shard 0
-        assert slow.shard == 0
-        # Load (1) fits one shard, so the very next tick starts a drain;
-        # ties on load retire the youngest shard (1), but keep ticking
-        # until whichever shard holds the slow request finishes.
-        cluster.run_until_idle()
-        assert cluster.telemetry.shrink_events == 1
-        assert cluster.telemetry.shards_retired == 1
-        assert cluster.num_engines == 1
-        assert int(slow.result()) == int(fib.run_pc(np.array([20]))[0])
-
-    def test_drain_migrates_queued_natives_to_survivors(self):
-        cluster = fib.serve_cluster(2, num_lanes=1, policy="round_robin")
-        handles = [cluster.submit(np.int64(9)) for _ in range(6)]
-        cluster.tick()  # seat each shard's first request in its lane
-        queued_on_1 = [h for h in handles if h.shard == 1][1:]
-        victim = cluster.engines[1]
-        cluster.engines.remove(victim)
-        cluster.draining.append(victim)
-        orphans = victim.begin_drain()
-        assert orphans == queued_on_1  # in-flight lane stays; queue exports
-        cluster.engines[0].requeue(orphans)
-        for h in orphans:
-            h.shard = cluster.engines[0].shard_id
-        cluster.run_until_idle()
-        assert all(int(h.result()) == FIB_REF[9] for h in handles)
-        assert not cluster.draining  # the drained shard retired itself
-
-    def test_draining_engine_rejects_new_submissions(self):
-        engine = fib.serve(num_lanes=1)
-        engine.submit(np.int64(8))
-        engine.submit(np.int64(9))
-        engine.tick()
-        orphans = engine.begin_drain()
-        assert len(orphans) == 1 and engine.draining
-        with pytest.raises(RuntimeError, match="draining"):
-            engine.submit(np.int64(5))
-        engine.run_until_idle()
-        assert engine.pool.busy_count() == 0
-
-    def test_resolve_autoscale_forms(self):
-        assert resolve_autoscale(None) is None
-        assert resolve_autoscale(False) is None
-        assert isinstance(resolve_autoscale(True), AutoscalePolicy)
-        inst = AutoscalePolicy(min_engines=2, max_engines=6)
-        assert resolve_autoscale(inst) is inst
-        assert isinstance(resolve_autoscale(AutoscalePolicy), AutoscalePolicy)
-        with pytest.raises(TypeError):
-            resolve_autoscale("pressure-cooker")
-        with pytest.raises(ValueError, match="min_engines"):
-            AutoscalePolicy(min_engines=0)
-        with pytest.raises(ValueError, match="below min_engines"):
-            AutoscalePolicy(min_engines=3, max_engines=2)
-        with pytest.raises(ValueError, match="patience"):
-            AutoscalePolicy(grow_patience=0)
-
-    def test_default_max_engines_is_twice_the_initial_fleet(self):
-        cluster = fib.serve_cluster(3, num_lanes=1, autoscale=True)
-        assert cluster.autoscale.max_engines == 6
-        assert cluster.autoscale.min_engines == 1
-
-    def test_caller_policy_instance_is_never_mutated_or_shared(self):
-        """The cluster works on a private copy: resolving the default cap
-        must not write into the caller's AutoscalePolicy, and two clusters
-        given the same instance must not share patience streaks."""
-        shared = AutoscalePolicy()
-        big = fib.serve_cluster(4, num_lanes=1, autoscale=shared)
-        small = fib.serve_cluster(1, num_lanes=1, autoscale=shared)
-        assert shared.max_engines is None  # caller's instance untouched
-        assert big.autoscale is not shared and small.autoscale is not shared
-        assert big.autoscale.max_engines == 8
-        assert small.autoscale.max_engines == 2
-        # Streak state is per-cluster: pressuring one must not advance the
-        # other's grow decision.
-        for _ in range(5):
-            small.submit(np.int64(12))
-        small.tick()
-        assert big.autoscale._pressure_streak == 0
-        small.run_until_idle()
-
-    def test_skew_metrics_ignore_retired_shards(self):
-        live_a = ServeTelemetry(num_lanes=1, completed=5)
-        live_b = ServeTelemetry(num_lanes=1, completed=5)
-        dead = ServeTelemetry(num_lanes=1, completed=1, retired=True)
-        t = ClusterTelemetry(shards=[live_a, live_b, dead])
-        # Totals still count the retired shard; skew does not.
-        assert t.completed == 11
-        assert t.completion_skew() == 0.0
-        assert t.utilization_skew() == 0.0
-        assert len(t.live_shards()) == 2
-
-
 # -- property-based rebalancing schedules -------------------------------------
 #
-# The PR-3 schedule generator, extended with priorities plus
-# steal/autoscale/preempt toggles: whatever the rebalancers and the
-# preemptor do — including migrating preempted-lane snapshots between
-# shards — no handle is lost or duplicated, every eviction resumes exactly
-# once, results stay bit-identical to the unbatched reference, and the
-# fleet returns to within the policy's bounds.
+# The PR-3 schedule generator, extended with priorities plus steal and
+# preempt toggles: whatever the rebalancer and the preemptor do — including
+# migrating preempted-lane snapshots between shards — no handle is lost or
+# duplicated, every eviction resumes exactly once, and results stay
+# bit-identical to the unbatched reference.
 
 rebalance_schedule = st.lists(
     st.tuples(
@@ -1004,32 +902,21 @@ class TestRebalancingSchedules:
         num_engines=st.integers(1, 3),
         num_lanes=st.integers(1, 2),
         policy=st.sampled_from(POLICIES + ["pinned"]),
-        seed=st.integers(0, 3),
         steal=st.booleans(),
-        autoscale=st.booleans(),
         preempt=st.sampled_from([None, "priority", "deadline"]),
         trace=st.booleans(),
         executor=st.sampled_from(["eager", "superblock"]),
         resume_batching=st.booleans(),
     )
     def test_random_schedule_invariants(
-        self, schedule, num_engines, num_lanes, policy, seed, steal,
-        autoscale, preempt, trace, executor, resume_batching
+        self, schedule, num_engines, num_lanes, policy, steal, preempt,
+        trace, executor, resume_batching
     ):
-        max_engines = num_engines + 2
         cluster = fib.serve_cluster(
             num_engines,
             num_lanes=num_lanes,
             policy=PinnedPolicy() if policy == "pinned" else policy,
-            seed=seed,
             steal=StealPolicy() if steal else None,
-            autoscale=(
-                AutoscalePolicy(
-                    max_engines=max_engines, grow_patience=1, shrink_patience=2
-                )
-                if autoscale
-                else None
-            ),
             preempt={
                 None: None,
                 "priority": PreemptPolicy(),
@@ -1091,11 +978,7 @@ class TestRebalancingSchedules:
         # Deadline accounting reconstructs from the handles fleet-wide.
         check_deadline_invariants(handles, t)
         assert cluster.load() == 0
-        assert not cluster.draining
-        if autoscale:
-            assert 1 <= cluster.num_engines <= max_engines
-        else:
-            assert cluster.num_engines == num_engines
+        assert cluster.num_engines == num_engines
         # Every traced timeline is well-formed and the event counts agree
         # one-for-one with the fleet's telemetry counters.
         if trace:
@@ -1108,8 +991,8 @@ class TestRebalancingSchedules:
 #
 # Tracing rides the logical clock, so two identical schedules must produce
 # *byte-identical* artifacts: the Chrome-trace export and the metrics series
-# are pure functions of (program, schedule, seed), even under the full
-# rebalancing stack (steal + preempt + autoscale).
+# are pure functions of (program, schedule), even under the full
+# rebalancing stack (steal + preempt).
 
 
 class TestClusterObservability:
@@ -1121,11 +1004,7 @@ class TestClusterObservability:
             2,
             num_lanes=1,
             policy=PinnedPolicy(),
-            seed=7,
             steal=StealPolicy(),
-            autoscale=AutoscalePolicy(
-                max_engines=4, grow_patience=1, shrink_patience=2
-            ),
             preempt=PreemptPolicy(min_age=0),
             trace=trace,
             max_stack_depth=64,
@@ -1161,42 +1040,14 @@ class TestClusterObservability:
             [(None, h) for h in handles_a], cluster_a.telemetry, trace_a
         )
 
-    def test_first_result_tick_includes_retired_shards(self):
-        # A completion on a since-retired shard is still the fleet's first
-        # result: autoscale retirement keeps the shard's telemetry in the
-        # rollup, and the lock-step clock keeps the min meaningful.
-        early = ServeTelemetry(num_lanes=1, completed=3, retired=True)
+    def test_first_result_tick_is_the_fleet_minimum(self):
+        # Shards tick in lock-step, so the earliest completion on any
+        # shard is the fleet's first result.
+        early = ServeTelemetry(num_lanes=1, completed=3)
         early.first_result_tick = 2
         late = ServeTelemetry(num_lanes=1, completed=5)
         late.first_result_tick = 9
-        t = ClusterTelemetry(shards=[early, late], shards_retired=1)
+        idle = ServeTelemetry(num_lanes=1)
+        t = ClusterTelemetry(shards=[late, idle, early])
         assert t.first_result_tick() == 2
-        assert "retired=1" in t.summary()
-
-    def test_first_result_tick_live_cluster_retirement(self):
-        # End-to-end: force an autoscale shrink after completions, then
-        # check the rollup still reports the pre-retirement first result.
-        cluster = fib.serve_cluster(
-            2,
-            num_lanes=2,
-            policy=PinnedPolicy(),
-            autoscale=AutoscalePolicy(
-                min_engines=1, max_engines=2, shrink_patience=1
-            ),
-            max_stack_depth=64,
-        )
-        handles = [cluster.submit(np.int64(n)) for n in (8, 9, 10, 11)]
-        cluster.run_until_idle()
-        first = cluster.telemetry.first_result_tick()
-        assert first is not None
-        # Idle ticks trigger the shrink; the retired shard's telemetry
-        # stays in the rollup, so the fleet's first result is unchanged.
-        for _ in range(20):
-            cluster.tick()
-            if cluster.telemetry.shards_retired:
-                break
-        assert cluster.telemetry.shards_retired == 1
-        assert any(s.retired for s in cluster.telemetry.shards)
-        assert cluster.telemetry.first_result_tick() == first
-        assert all(int(h.result()) == FIB_REF[int(a)]
-                   for h, a in zip(handles, (8, 9, 10, 11)))
+        assert ClusterTelemetry(shards=[idle]).first_result_tick() is None

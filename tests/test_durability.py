@@ -977,6 +977,26 @@ class TestJournalConfigRecord:
         with pytest.raises(ValueError, match="steal=None"):
             recover(journal, fib, 2, num_engines=2, steal=False)
 
+    @pytest.mark.parametrize(
+        "gone", [("seed",), ("autoscale",), ("seed", "autoscale")]
+    )
+    def test_fleet_journal_naming_a_deleted_option_is_refused(self, gone):
+        """Fleet journals once recorded a routing ``seed`` and an
+        ``autoscale`` policy.  Neither exists now, so such a journal names
+        a schedule this server cannot rebuild: refused by name, never a
+        ``TypeError`` from deep inside the config."""
+        journal = Journal()
+        cluster = fib.serve_cluster(2, 1, journal=journal)
+        cluster.submit(np.int64(5))
+        cluster.run_until_idle()
+        journal.entries[0].update(dict.fromkeys(gone, 0))
+        for call in (
+            lambda: recover(journal, fib),
+            lambda: recover(journal, fib, 1, num_engines=2),
+        ):
+            with pytest.raises(ValueError, match=", ".join(gone)):
+                call()
+
     def test_late_attachment_writes_the_record_once(self):
         journal = Journal()
         engine = fib.serve(num_lanes=2, executor="fused")

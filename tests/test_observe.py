@@ -166,7 +166,7 @@ class TestTracer:
     def test_event_kinds_frozen_set(self):
         assert set(EVENT_KINDS) >= {
             "submit", "reject", "inject", "preempt", "resume",
-            "steal", "migrate", "drain", "complete", "fail",
+            "steal", "migrate", "complete", "fail",
         }
 
 

@@ -787,9 +787,9 @@ class TestDeadlineEviction:
         assert validate_timeline(missed.trace()) == "complete"
 
 
-class _DrainingFleet:
+class _WedgedFleet:
     """Admission full, clock advancing, every other counter frozen — the
-    observable shape of a fleet whose every shard is draining away."""
+    observable shape of a server that can never admit."""
 
     def __init__(self):
         self.now = 0
@@ -805,7 +805,7 @@ class _DrainingFleet:
         return True
 
     def progress_signature(self):
-        return ("draining",)
+        return ("wedged",)
 
 
 class TestBackpressureWedge:
@@ -815,7 +815,7 @@ class TestBackpressureWedge:
         clock always advances; the progress signature excludes it."""
         from repro.serve.engine import serve_all
 
-        stub = _DrainingFleet()
+        stub = _WedgedFleet()
         with pytest.raises(QueueFullError, match="no progress"):
             serve_all(stub, [(np.int64(1),)])
         assert stub.now == NO_PROGRESS_LIMIT  # bounded, not forever
@@ -953,7 +953,6 @@ def check_trace_invariants(handles, telemetry, trace):
     assert tracer.count("migrate") == getattr(
         telemetry, "preempted_migrations", 0
     )
-    assert tracer.count("drain") == getattr(telemetry, "drain_migrations", 0)
 
 
 def check_preemption_invariants(handles, telemetry):
@@ -1149,17 +1148,15 @@ class TestPropertyBasedSchedules:
         schedule=schedule_strategy,
         num_engines=st.integers(1, 3),
         num_lanes=st.integers(1, 2),
-        policy=st.sampled_from(["round_robin", "least_loaded", "power_of_two"]),
-        seed=st.integers(0, 3),
+        policy=st.sampled_from(["round_robin", "least_loaded"]),
     )
     def test_cluster_random_schedule_invariants(
-        self, schedule, num_engines, num_lanes, policy, seed
+        self, schedule, num_engines, num_lanes, policy
     ):
         cluster = fib.serve_cluster(
             num_engines,
             num_lanes=num_lanes,
             policy=policy,
-            seed=seed,
             max_stack_depth=64,
         )
         handles = []

@@ -5,15 +5,15 @@ Every option the five entry points (``Engine``, ``fn.serve``, ``Cluster``,
 :class:`~repro.serve.config.ServeConfig`; these tests pin that down as
 properties rather than examples:
 
-* the field set is exactly the 24 serving options, and neither server
+* the field set is exactly the 22 serving options, and neither server
   constructor names one in its signature;
 * an unknown option, and each invalid value, is refused identically at
   every entry point — *before* anything is built (no engine attached to a
   shared trace, no spill directory, no journal record);
 * every field — read from ``dataclasses.fields``, so a future one cannot
-  be forgotten — set on a cluster takes effect on its first shard *and* on
-  a shard grown by autoscale (``Cluster(verify=False)`` was once silently
-  dropped on exactly that path);
+  be forgotten — set on a cluster takes effect on every shard
+  (``Cluster(verify=False)`` was once silently dropped on the way to a
+  shard);
 * every declared fleet rollup equals the fold over the shards recomputed
   by hand, and an engine and a one-shard cluster summarize the same run in
   the same words.
@@ -35,7 +35,6 @@ from repro.frontend.registry import default_registry
 from repro.lowering.pipeline import normalize_lowering_options
 from repro.observe import Trace
 from repro.serve import (
-    AutoscalePolicy,
     Cluster,
     Engine,
     Journal,
@@ -46,6 +45,7 @@ from repro.serve import (
     StealPolicy,
     recover,
 )
+from repro.serve.config import FLEET_OPTIONS
 from repro.serve.telemetry import FLEET_ROLLUPS
 from repro.vm.instrumentation import Instrumentation
 
@@ -60,7 +60,7 @@ OPTIONS = [
     "default_step_budget", "refill", "preempt", "resume_batching",
     "resume_defer_limit", "trace", "max_steps", "instrumentation",
     "max_resident_snapshots", "spill_store", "journal",
-    "policy", "seed", "steal", "autoscale",
+    "policy", "steal",
 ]
 FIELDS = [f.name for f in dataclasses.fields(ServeConfig)]
 
@@ -95,6 +95,9 @@ INVALID = [
     (dict(resume_defer_limit=0), ValueError, "resume_defer_limit must be >= 1"),
     (dict(max_resident_snapshots=-1), ValueError,
      "max_resident_snapshots must be >= 0"),
+    (dict(max_queue_depth=-1), ValueError, "max_queue_depth must be >= 0"),
+    (dict(default_step_budget=0), ValueError,
+     "default_step_budget must be >= 1"),
     (dict(preempt="nope"), ValueError, "unknown preempt policy"),
     (dict(preempt=3), TypeError, "preempt policy must be"),
     (dict(trace="nope"), ValueError, "unknown trace spec"),
@@ -102,7 +105,6 @@ INVALID = [
 INVALID_FLEET = [
     (dict(steal="nope"), ValueError, "unknown steal policy"),
     (dict(policy="nope"), ValueError, "unknown routing policy"),
-    (dict(autoscale="pressure"), TypeError, "autoscale policy must be"),
     (dict(instrumentation=Instrumentation()), ValueError,
      "shared across shards"),
 ]
@@ -111,7 +113,8 @@ INVALID_FLEET = [
 class TestDeclaredOnce:
     def test_the_fields_are_exactly_todays_options(self):
         assert sorted(FIELDS) == sorted(OPTIONS)
-        assert len(FIELDS) == 24
+        assert len(FIELDS) == 22
+        assert FLEET_OPTIONS == ("policy", "steal")
 
     def test_constructors_name_no_serving_option(self):
         engine = list(inspect.signature(Engine.__init__).parameters)
@@ -127,12 +130,30 @@ class TestDeclaredOnce:
         with pytest.raises(TypeError, match="lane_count"):
             ENTRY_POINTS[entry](lane_count=4)
 
+    @pytest.mark.parametrize("option", ["seed", "autoscale"])
+    def test_deleted_fleet_options_are_unknown_everywhere(self, option):
+        """The fleet is fixed-size and routes without an RNG: neither
+        ``seed`` nor ``autoscale`` is an option at any entry point."""
+        for make in [*ENTRY_POINTS.values(), *FLEET_ENTRY_POINTS.values()]:
+            with pytest.raises(TypeError, match=option):
+                make(**{option: 1})
+
     @pytest.mark.parametrize("entry", ["Engine", "fn.serve", "recover"])
-    @pytest.mark.parametrize("option", ["policy", "seed", "steal", "autoscale"])
+    @pytest.mark.parametrize("option", FLEET_OPTIONS)
     def test_single_engine_refuses_fleet_options(self, entry, option):
-        value = {"policy": "least_loaded", "seed": 3}.get(option, True)
+        value = {"policy": "least_loaded"}.get(option, True)
         with pytest.raises(TypeError, match=option):
             ENTRY_POINTS[entry](**{option: value})
+
+    @pytest.mark.parametrize("kind", ["engine", "cluster"])
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_step_budget_below_one_is_refused_before_admission(
+        self, kind, budget
+    ):
+        server = fib.serve_cluster(2, 2) if kind == "cluster" else fib.serve(2)
+        with pytest.raises(ValueError, match="step_budget must be >= 1"):
+            server.submit(np.int64(3), step_budget=budget)
+        assert server.telemetry.submitted == 0 and server.load() == 0
 
     @pytest.mark.parametrize("options,exc,message", INVALID)
     def test_invalid_value_same_message_everywhere(self, options, exc, message):
@@ -236,10 +257,7 @@ SHARD_EFFECTS = {
     "spill_store": (_store, lambda s: s.spill_store is _store),
     "journal": (_journal, lambda s: s.journal is _journal),
     "policy": ("least_loaded", lambda s: s.config.policy.name == "least_loaded"),
-    "seed": (7, lambda s: s.config.seed == 7),
     "steal": (True, lambda s: isinstance(s.config.steal, StealPolicy)),
-    # Set on every cluster below: it is what grows the second shard.
-    "autoscale": (None, lambda s: s.config.autoscale.grow_patience == 1),
 }
 
 
@@ -249,23 +267,17 @@ class TestNothingDroppedOnTheWayDown:
 
     @pytest.mark.parametrize("via", ["Cluster", "fn.serve_cluster"])
     @pytest.mark.parametrize("name", sorted(SHARD_EFFECTS))
-    def test_option_reaches_first_and_grown_shard(self, name, via):
+    def test_option_reaches_every_shard(self, name, via):
         value, shows = SHARD_EFFECTS[name]
-        options = dict(
-            autoscale=AutoscalePolicy(max_engines=2, grow_patience=1)
-        )
-        if value is not None:
-            options[name] = value
         fn = unverified if name == "verify" else fib
         if via == "Cluster":
-            cluster = Cluster(fn, 1, 1, **options)
+            cluster = Cluster(fn, 2, 1, **{name: value})
         else:
-            cluster = fn.serve_cluster(1, 1, **options)
+            cluster = fn.serve_cluster(2, 1, **{name: value})
         for _ in range(3):
             cluster.submit(np.int64(3))
         for _ in range(6):
             cluster.tick()
-        assert len(cluster.engines) == 2, "queue pressure must grow a shard"
         for shard in cluster.engines:
             assert shard.config is cluster.config
             assert getattr(shard.config, name) is getattr(cluster.config, name)
@@ -321,21 +333,16 @@ class TestTelemetryDeclaredOnce:
         schedule=rebalance_schedule,
         num_engines=st.integers(1, 3),
         steal=st.booleans(),
-        autoscale=st.booleans(),
         preempt=st.booleans(),
     )
     def test_every_rollup_is_the_fold_over_the_shards(
-        self, schedule, num_engines, steal, autoscale, preempt
+        self, schedule, num_engines, steal, preempt
     ):
         t = _drive(
             fib.serve_cluster(
                 num_engines, 1, steal=steal, preempt=preempt,
                 max_resident_snapshots=1 if preempt else None,
                 max_queue_depth=2,
-                autoscale=(
-                    AutoscalePolicy(grow_patience=1, shrink_patience=2)
-                    if autoscale else None
-                ),
             ),
             schedule,
         )
