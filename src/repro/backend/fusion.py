@@ -484,8 +484,7 @@ class SuperblockExecutor(FusedBlockExecutor):
         """The :class:`~repro.backend.regions.RegionTable` for ``program``.
 
         Derived once per program from the executor's construction-time
-        profile and cached; region-aware schedulers read it through the
-        machine (see :class:`~repro.vm.scheduler.RegionScheduler`).
+        profile and cached; codegen and plan verification read it.
         """
         from repro.backend.regions import select_regions
 

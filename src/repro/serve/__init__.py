@@ -31,8 +31,9 @@ cohort or recycled strangers.)
   storage zeroed),
 * ``inject_lanes(idx, inputs)`` — scatter a new request's inputs in.
 
-The serving loop per tick: admit queued requests into vacant lanes, execute
-one scheduler-selected block (Algorithm 2's inner loop, unchanged), retire
+The serving loop per tick: admit queued requests into vacant lanes in
+strict :class:`~repro.serve.queue.RequestQueue` service order, execute one
+scheduler-selected block (Algorithm 2's inner loop, unchanged), retire
 any member that reached the exit, and deliver its outputs through the
 caller's :class:`~repro.serve.queue.ResultHandle`.  Under sustained
 traffic the machine never drains: the batch is a rolling population of
@@ -52,7 +53,7 @@ to the same program, and the thread resumes bit-identically.  ``preempt=``
 SLOs: a straggler lane is evicted — snapshotted, halted, re-queued with
 its snapshot and original arrival stamp — so a higher-priority arrival
 seats immediately, and the straggler *resumes* (same step budget, no
-recompute) when a lane frees.  In a cluster, work stealing migrates
+recompute) when a lane frees and its turn in service order comes.  In a cluster, work stealing migrates
 snapshot-carrying requests to idle shards, so a preempted lane can resume
 on a different machine entirely.
 

@@ -17,6 +17,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.observe import resolve_trace
 from repro.serve.durability import resolve_spill_store
+from repro.vm.scheduler import scheduler_name
 
 #: Lane refill disciplines.
 REFILL_POLICIES = ("continuous", "drain")
@@ -28,8 +29,7 @@ FLEET_OPTIONS = ("policy", "steal")
 #: :meth:`ServeConfig.schedule_record`); policies are recorded by ``repr``.
 _SCHEDULE_SCALARS = (
     "mode", "max_stack_depth", "top_cache", "max_queue_depth",
-    "default_step_budget", "refill", "resume_batching", "resume_defer_limit",
-    "max_steps", "max_resident_snapshots",
+    "default_step_budget", "refill", "max_steps", "max_resident_snapshots",
 )
 
 
@@ -81,7 +81,8 @@ class ServeConfig:
     """Every serving option, validated and resolved at construction.
 
     After ``__post_init__`` the policy fields hold instances (or None),
-    ``trace`` a :class:`~repro.observe.Trace` (or None) and
+    ``scheduler`` a registered name, ``trace`` a
+    :class:`~repro.observe.Trace` (or None) and
     ``spill_store`` a :class:`~repro.serve.durability.SpillStore` (or
     None), so the tick loop reads resolved values only.  ``num_engines``
     is not an option but the fleet size the options are checked against
@@ -90,10 +91,17 @@ class ServeConfig:
     registry:
         The :class:`~repro.frontend.registry.PrimitiveRegistry` kernels
         resolve through (default: the served function's own).
-    mode, scheduler, max_stack_depth, top_cache, max_steps, instrumentation:
+    mode, max_stack_depth, top_cache, max_steps, instrumentation:
         Passed to each :class:`~repro.vm.program_counter.ProgramCounterVM`.
         One ``instrumentation`` object cannot serve a fleet: N machines
         sharing a counter would overcount N-fold.
+    scheduler:
+        The block-selection rule: ``"earliest"`` (the paper's, default),
+        ``"most_active"`` or ``"round_robin"``, or one of their classes
+        or instances — resolved to the name, so every machine (each shard
+        of a fleet, a recovered one) builds its own and none shares a
+        cursor.  Queued work is always seated in strict
+        :class:`~repro.serve.queue.RequestQueue` service order.
     optimize:
         Lowering optimizations: a bool or a
         :class:`~repro.lowering.pipeline.LoweringOptions`.
@@ -135,11 +143,6 @@ class ServeConfig:
         Requires ``refill="continuous"``.  Each shard of a fleet owns a
         private deep copy, so a stateful policy never leaks decisions
         across shards.
-    resume_batching, resume_defer_limit:
-        Seat preempted requests parked at the same program counter
-        together, so resumed stragglers re-converge into shared masked
-        steps; the queue head is passed over at most
-        ``resume_defer_limit`` times (``Engine._pop_next`` has the rule).
     policy:
         Fleet only.  Routing policy name (``"round_robin"``,
         ``"least_loaded"``), instance, or class.
@@ -185,8 +188,6 @@ class ServeConfig:
     default_step_budget: Optional[int] = None
     refill: str = "continuous"
     preempt: Any = None
-    resume_batching: bool = False
-    resume_defer_limit: int = 4
     trace: Any = None
     max_steps: int = 10 ** 12
     instrumentation: Any = None
@@ -236,7 +237,6 @@ class ServeConfig:
         for name, floor in (
             ("max_queue_depth", 0),
             ("default_step_budget", 1),
-            ("resume_defer_limit", 1),
             ("max_resident_snapshots", 0),
         ):
             value = getattr(self, name)
@@ -244,8 +244,7 @@ class ServeConfig:
                 raise ValueError(f"{name} must be >= {floor}, got {value}")
         cap = self.max_resident_snapshots
         resolved.update(
-            resume_batching=bool(self.resume_batching),
-            resume_defer_limit=int(self.resume_defer_limit),
+            scheduler=scheduler_name(self.scheduler),
             max_resident_snapshots=None if cap is None else int(cap),
             policy=resolve_policy(self.policy),
             steal=resolve_steal_policy(self.steal),
@@ -274,7 +273,7 @@ class ServeConfig:
             "num_lanes": int(num_lanes),
             "num_engines": None if num_engines is None else int(num_engines),
             "executor": executor,
-            "scheduler": str(getattr(self.scheduler, "name", self.scheduler)),
+            "scheduler": self.scheduler,
             "optimize": (
                 self.optimize if isinstance(self.optimize, bool)
                 else repr(self.optimize)

@@ -12,11 +12,9 @@ twice:
   with ``max_resident_snapshots=N`` keeps at most N queued snapshots as
   live arrays and parks the overflow in a :class:`SpillStore` (in-memory
   or on-disk).  A spilled entry is represented in the queue by a
-  :class:`SpilledSnapshot` stub that keeps the ``pc`` visible — resume
-  re-batching, pc-cohort scheduling, and cross-shard stealing all keep
-  working on spilled entries — and is transparently rehydrated (decoded
-  through the full static admission checks) when its handle is popped to
-  resume.
+  :class:`SpilledSnapshot` stub — cross-shard stealing keeps working on
+  spilled entries — and is transparently rehydrated (decoded through the
+  full static admission checks) when its handle is popped to resume.
 
 * **Journaling + recovery** make the fleet restartable.  A
   :class:`Journal` records the server's configuration, every accepted
@@ -174,11 +172,9 @@ def resolve_spill_store(spec: Any) -> SpillStore:
 class SpilledSnapshot:
     """Queue-resident stub for a snapshot whose arrays left process memory.
 
-    Keeps the scheduling-visible surface of a live
-    :class:`~repro.vm.program_counter.LaneSnapshot` — the ``pc`` (what
-    resume re-batching and pc-cohort scheduling read) — plus the store
-    key needed to get the arrays back.  ``spilled = True`` is the duck
-    type the queue's residency accounting checks.
+    Holds only the store key needed to get the arrays of a
+    :class:`~repro.vm.program_counter.LaneSnapshot` back.  ``spilled =
+    True`` is the duck type the queue's residency accounting checks.
 
     The stub carries its own store reference, so a handle stolen onto
     another shard rehydrates from wherever it was spilled.
@@ -186,10 +182,9 @@ class SpilledSnapshot:
 
     spilled = True
 
-    __slots__ = ("pc", "key", "store")
+    __slots__ = ("key", "store")
 
-    def __init__(self, pc: int, key: str, store: SpillStore):
-        self.pc = int(pc)
+    def __init__(self, key: str, store: SpillStore):
         self.key = key
         self.store = store
 
@@ -226,7 +221,7 @@ class SpilledSnapshot:
         )
 
     def __repr__(self) -> str:
-        return f"SpilledSnapshot(pc={self.pc}, key={self.key!r})"
+        return f"SpilledSnapshot(key={self.key!r})"
 
 
 # -- journal -------------------------------------------------------------------
@@ -478,6 +473,13 @@ def _reconcile(
         "steal": STEAL_POLICIES.values(),
         "optimize": (),
     }
+    header = dict(header)
+    # Resume re-batching was deleted; a journal that had it off recorded
+    # exactly the schedule that survives.  One that had it on stays in
+    # the header and is refused below by name.
+    if header.get("resume_batching") is False:
+        del header["resume_batching"]
+        header.pop("resume_defer_limit", None)
     known = {"type", "num_lanes", "num_engines"} | {
         f.name for f in fields(ServeConfig)
     }

@@ -281,18 +281,12 @@ class Engine(Server):
         self.refill = config.refill
         self.default_step_budget = config.default_step_budget
         self.preempt = config.preempt
-        self.resume_batching = config.resume_batching
-        self.resume_defer_limit = config.resume_defer_limit
         #: Cap on queued preempted snapshots held as live arrays (None =
         #: unbounded).  Overflow is serialized into :attr:`spill_store` and
         #: transparently rehydrated at resume; see
         #: :mod:`repro.serve.durability`.
         self.max_resident_snapshots = config.max_resident_snapshots
         self.spill_store = config.spill_store
-        #: The snapshot pc the current admission wave is seating (reset at
-        #: every wave): keeps :meth:`_pop_next` drawing from one cohort
-        #: until it runs dry instead of round-robining over ties.
-        self._resume_sticky_pc: Optional[int] = None
         self.vm = ProgramCounterVM(
             self.plan,
             batch_size=num_lanes,
@@ -501,49 +495,8 @@ class Engine(Server):
         self.telemetry.record_resume(wait)
         self._emit("resume", handle, lane=lane)
 
-    def _pop_next(self) -> ResultHandle:
-        """The next handle to seat, honoring resume re-batching when on.
-
-        Strict service order unless the queue head is a preempted request:
-        then the largest same-priority snapshot cohort wins (ties to the
-        lowest pc), because seating pc-aligned stragglers together lets
-        every one of their resumed steps share one masked dispatch.  Within
-        one admission wave the choice is *sticky*: once a cohort starts
-        seating, later pops keep drawing from it until it is exhausted.
-        A per-pop greedy maximum would round-robin across equal-sized
-        cohorts (popping one member makes that cohort no longer the max),
-        seating a perfectly mixed wave — the opposite of alignment.  The
-        head is never deferred more than ``resume_defer_limit``
-        consecutive times, and never in favor of lower-priority work — the
-        reordering is bounded, intra-priority, and deterministic.
-        """
-        head = self.queue.peek()
-        if head.snapshot is None:
-            return self.queue.pop()
-        priority = head.request.priority
-        counts = self.queue.resume_pc_counts(priority)
-        sticky = self._resume_sticky_pc
-        if sticky is not None and counts.get(sticky, 0) > 0:
-            pc = sticky
-        else:
-            pc = min(counts, key=lambda p: (-counts[p], p))
-        if pc == head.snapshot.pc:
-            self._resume_sticky_pc = pc
-            return self.queue.pop()
-        if head.resume_defers >= self.resume_defer_limit:
-            self._resume_sticky_pc = head.snapshot.pc
-            return self.queue.pop()
-        picked = self.queue.pop_resume_at(priority, pc)
-        if picked is None:  # no cohort member actually available
-            return self.queue.pop()
-        head.resume_defers += 1
-        self.telemetry.resume_rebatches += 1
-        self._resume_sticky_pc = pc
-        return picked
-
     def _admit(self) -> None:
         """Move queued requests into vacant lanes, per the refill policy."""
-        self._resume_sticky_pc = None
         pool, queue = self.pool, self.queue
         if not len(queue) or not pool.free_count() or (
             self.refill == "drain" and pool.busy_count()
@@ -551,7 +504,7 @@ class Engine(Server):
             return
         seated: List[ResultHandle] = []
         while len(queue) and pool.free_count():
-            handle = self._pop_next() if self.resume_batching else queue.pop()
+            handle = queue.pop()
             lane = pool.acquire(handle)
             if handle.snapshot is not None:
                 # A preempted request resumes from its checkpoint instead
@@ -678,9 +631,7 @@ class Engine(Server):
         self.spill_store.put(key, data)
         self.telemetry.spills += 1
         self._emit("spill", handle)
-        return SpilledSnapshot(
-            pc=handle.snapshot.pc, key=key, store=self.spill_store
-        )
+        return SpilledSnapshot(key=key, store=self.spill_store)
 
     def _spill_step(self) -> None:
         """Enforce ``max_resident_snapshots`` over the queued backlog."""

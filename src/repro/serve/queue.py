@@ -16,10 +16,10 @@ growth inside the engine.  The EDF key is what keeps deadline preemption
 from ping-ponging: a deadline-less straggler evicted for an urgent waiter
 re-queues *behind* that waiter despite its older arrival stamp.
 
-Requests can *migrate* between queues (cross-shard work stealing and
-shard drain-retirement in :mod:`repro.serve.cluster`): the first ``push``
-stamps the handle with an arrival key ``(submit_tick, request_id)`` that
-stays with it for life, and :meth:`RequestQueue.requeue` re-admits a
+Requests can *migrate* between queues (cross-shard work stealing in
+:mod:`repro.serve.cluster`): the first ``push`` stamps the handle with an
+arrival key ``(submit_tick, request_id)`` that stays with it for life,
+and :meth:`RequestQueue.requeue` re-admits a
 migrated handle under that original key — so a stolen request keeps its
 place in the ``(-priority, arrival)`` order relative to the destination
 shard's natives instead of being demoted to the back of its priority
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class ResultHandle:
         self.lane: Optional[int] = None
         #: engine shard the request currently sits on (None outside a
         #: :class:`~repro.serve.cluster.Cluster`); updated when the request
-        #: is stolen or drained onto another shard
+        #: is stolen onto another shard
         self.shard: Optional[int] = None
         #: arrival key ``(submit_tick, request_id)`` stamped by the first
         #: queue push; migration preserves it so cross-queue ordering is
@@ -111,16 +111,13 @@ class ResultHandle:
         #: step budget, it is never granted a fresh one)
         self.steps_used: int = 0
         #: the evicted lane's :class:`~repro.vm.program_counter.LaneSnapshot`
-        #: while the request waits (re-queued) to resume; None otherwise.
-        #: The snapshot is machine-independent, so work stealing may carry
-        #: it to another shard and resume there.
+        #: while the request waits (re-queued, in service order like any
+        #: other) to resume, or its spilled stub; None otherwise.  The
+        #: snapshot is machine-independent, so work stealing may carry it
+        #: to another shard and resume there.
         self.snapshot: Any = None
         #: how many times this request's lane was preempted
         self.preemptions: int = 0
-        #: consecutive admissions at which this (queue-head) handle was
-        #: passed over by resume re-batching in favor of a larger same-pc
-        #: cohort; bounds the deferral (see ``Engine(resume_batching=...)``)
-        self.resume_defers: int = 0
         #: engine tick of the most recent eviction (None if never preempted)
         self.preempt_tick: Optional[int] = None
         #: engine tick of the most recent resume (None if never resumed)
@@ -225,7 +222,6 @@ class ResultHandle:
         self.lane = lane
         self.resume_tick = tick
         self.snapshot = None  # consumed by the machine's restore
-        self.resume_defers = 0
 
     def _resolve(self, value: Any, tick: int) -> None:
         self.state = DONE
@@ -265,13 +261,6 @@ class RequestQueue:
     #: before the requeue, ``_mark_resumed`` after the pop) — so
     #: ``snapshot_count`` is O(1) on the per-tick metrics path.
     _snapshots: int = 0
-    #: Queued snapshot-carrying handles bucketed by ``(priority, pc)`` —
-    #: the index resume re-batching groups on.  Maintained incrementally
-    #: under the same invariant as ``_snapshots`` (a handle's snapshot and
-    #: priority never mutate while it sits in a queue — spilling swaps the
-    #: payload for a same-pc stub, never the pc), so reading the cohort
-    #: sizes costs O(#distinct pcs), not a heap scan.
-    _pc_buckets: Dict[Tuple[int, int], int] = field(default_factory=dict)
     #: Of ``_snapshots``, how many are *resident* (live arrays in process
     #: memory) rather than spilled stubs.  Maintained on push/pop plus the
     #: explicit swaps in :meth:`spill_overflow`; what a
@@ -341,8 +330,6 @@ class RequestQueue:
             self._snapshots += 1
             if not getattr(handle.snapshot, "spilled", False):
                 self._resident += 1
-            key = (handle.request.priority, handle.snapshot.pc)
-            self._pc_buckets[key] = self._pc_buckets.get(key, 0) + 1
 
     def _forget(self, handle: ResultHandle) -> None:
         """Drop a handle that just left the heap from the running counts."""
@@ -353,60 +340,10 @@ class RequestQueue:
         self._snapshots -= 1
         if not getattr(handle.snapshot, "spilled", False):
             self._resident -= 1
-        key = (handle.request.priority, handle.snapshot.pc)
-        remaining = self._pc_buckets.get(key, 0) - 1
-        if remaining <= 0:
-            self._pc_buckets.pop(key, None)
-        else:
-            self._pc_buckets[key] = remaining
 
     def pop(self) -> ResultHandle:
         """The highest-priority (then most-urgent, then oldest) queued handle."""
         handle = heapq.heappop(self._heap)[-1]
-        self._forget(handle)
-        return handle
-
-    def resume_pc_counts(self, priority: int) -> Dict[int, int]:
-        """Sizes of the queued same-pc snapshot cohorts at one priority.
-
-        Maps ``snapshot.pc -> count`` over the queued preempted handles of
-        ``priority``; the resume re-batching scheduler picks the largest
-        cohort (ties to the lowest pc) so resumed stragglers re-converge
-        into shared masked steps.
-        """
-        return {
-            pc: count
-            for (pri, pc), count in self._pc_buckets.items()
-            if pri == priority
-        }
-
-    def pop_resume_at(self, priority: int, pc: int) -> Optional[ResultHandle]:
-        """Remove the first-in-service-order preempted handle parked at
-        ``(priority, pc)``, or None when no such handle is queued.
-
-        An O(Q) scan plus re-heapify — only taken on the resume
-        re-batching path, where Q is bounded by the preempted backlog.
-        """
-        if self._pc_buckets.get((priority, pc), 0) == 0:
-            return None
-        best = None
-        for i, entry in enumerate(self._heap):
-            handle = entry[-1]
-            if (
-                handle.snapshot is not None
-                and handle.request.priority == priority
-                and handle.snapshot.pc == pc
-                and (best is None or entry < self._heap[best])
-            ):
-                best = i
-        if best is None:
-            return None
-        entry = self._heap[best]
-        last = self._heap.pop()
-        if best < len(self._heap):
-            self._heap[best] = last
-            heapq.heapify(self._heap)
-        handle = entry[-1]
         self._forget(handle)
         return handle
 
@@ -457,9 +394,9 @@ class RequestQueue:
         first.
 
         ``spill(handle)`` serializes ``handle.snapshot`` and returns a
-        spilled stub (same ``pc``, ``spilled = True``) or None when the
-        snapshot cannot leave process memory (the engine counts and
-        reports that; the handle simply stays resident).  Victims are
+        spilled stub (``spilled = True``) or None when the snapshot
+        cannot leave process memory (the engine counts and reports that;
+        the handle simply stays resident).  Victims are
         taken from the *back* of service order so the snapshots about to
         be popped for resume stay live — spilling trades serialization
         churn on the cold tail for bounded memory, not latency on the hot
@@ -482,8 +419,8 @@ class RequestQueue:
             stub = spill(handle)
             if stub is None:
                 continue
-            # Same pc and priority, so _pc_buckets and _snapshots are
-            # untouched; only residency changes.
+            # Still a snapshot, so _snapshots is untouched; only
+            # residency changes.
             handle.snapshot = stub
             self._resident -= 1
             excess -= 1

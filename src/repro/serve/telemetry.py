@@ -154,7 +154,6 @@ class _Derived:
             lines.append(
                 f"preemption: evictions={self.preemptions} "
                 f"resumes={self.resumes} "
-                f"(re-batched={self.resume_rebatches}) "
                 f"mean_resume_wait={self.mean_resume_wait():.1f} ticks"
             )
         if self.spills or self.rehydrations or self.spill_errors:
@@ -193,10 +192,6 @@ class ServeTelemetry(_Derived):
     preemptions: int = 0           # running lanes evicted with a snapshot
     resumes: int = 0               # preempted requests reinstalled in a lane
     resume_waits: List[int] = field(default_factory=list)  # evict→resume ticks
-    #: resumes seated out of service order by resume re-batching — the
-    #: engine preferred a same-pc cohort member over the queue head so the
-    #: resumed stragglers re-converge into shared masked steps
-    resume_rebatches: int = 0
     # -- durability (snapshot spilling; see repro.serve.durability) --
     spills: int = 0                #: queued snapshots serialized out of memory
     rehydrations: int = 0          #: spilled snapshots decoded back at resume
@@ -323,7 +318,7 @@ FLEET_ROLLUPS = {
             # A migrated preemption is evicted (or spilled) on one shard and
             # resumed (or rehydrated) on another, so only the fleet totals
             # of these balance.
-            "preemptions", "resumes", "resume_rebatches", "rehydrations",
+            "preemptions", "resumes", "rehydrations",
         ),
         (sum, None),
     ),

@@ -208,13 +208,6 @@ class ProgramCounterVM:
         self.plan = plan
         self._block_fns = plan.bind(self)
         self._steps = 0
-        # Region-aware schedulers get the executor's superblock table so
-        # they can prefer entry blocks whose chains cover the most lanes.
-        if hasattr(self.scheduler, "set_regions"):
-            regions_for = getattr(plan.executor, "regions_for", None)
-            self.scheduler.set_regions(
-                None if regions_for is None else regions_for(self.program)
-            )
 
     # -- storage ----------------------------------------------------------------
 

@@ -5,7 +5,9 @@ Algorithms 1 and 2 encode "always run the earliest available block in program
 order", which is "(relatively) predictable by the user".  We additionally
 implement two refinements the paper alludes to, for the scheduler ablation:
 pick the block with the most waiting members (greedy utilization), or
-round-robin through blocks (bounded starvation by construction).
+round-robin through blocks (bounded starvation by construction).  These
+three are the whole registry, and none takes parameters, so a name
+rebuilds any of them exactly.
 """
 
 from __future__ import annotations
@@ -66,91 +68,36 @@ class RoundRobinScheduler:
         self._cursor = 0
 
 
-class RegionScheduler:
-    """Prefer entry blocks whose superblock run covers the most waiting lanes.
-
-    Built for the superblock executor (``executor="superblock"``): the
-    machine hands this scheduler the executor's
-    :class:`~repro.backend.regions.RegionTable` via :meth:`set_regions`,
-    and each select scores every waiting block by ``waiting_lanes *
-    run_length`` — the lane-steps one dispatch through that block's run
-    could retire — with ties going to the earliest block.  Without a
-    region table (any other executor) the scoring degrades to
-    most-active-with-earliest-ties.
-
-    Starvation guard: a block that has been passed over ``max_defer``
-    consecutive selects is chosen unconditionally (earliest first among
-    the overdue), so side-exit blocks — which rarely front a long run —
-    still make progress no matter how hot the region entries stay.  That
-    keeps the correctness property the paper requires of any selection
-    criterion: no waiting block is deferred forever.
-    """
-
-    name = "region"
-
-    def __init__(self, max_defer: int = 8):
-        if max_defer < 1:
-            raise ValueError(f"max_defer must be >= 1, got {max_defer}")
-        self.max_defer = int(max_defer)
-        self._lengths: dict = {}
-        self._age: dict = {}
-
-    def set_regions(self, table) -> None:
-        """Install the executor's region table (None clears it)."""
-        if table is None:
-            self._lengths = {}
-        else:
-            self._lengths = {
-                i: len(chain) for i, chain in enumerate(table.chains)
-            }
-
-    def select(self, pcs: np.ndarray, exit_index: int) -> Optional[int]:
-        live = pcs[pcs < exit_index]
-        if live.size == 0:
-            return None
-        blocks, counts = np.unique(live, return_counts=True)
-        overdue = [
-            int(b) for b in blocks if self._age.get(int(b), 0) >= self.max_defer
-        ]
-        if overdue:
-            choice = min(overdue)
-        else:
-            lengths = self._lengths
-            choice = None
-            best = None
-            for b, c in zip(blocks, counts):
-                b = int(b)
-                key = (-int(c) * lengths.get(b, 1), b)
-                if best is None or key < best:
-                    best = key
-                    choice = b
-        age = self._age
-        for b in blocks:
-            b = int(b)
-            age[b] = 0 if b == choice else age.get(b, 0) + 1
-        return choice
-
-    def reset(self) -> None:
-        self._age = {}
-
-
 _SCHEDULERS = {
     "earliest": EarliestBlockScheduler,
     "most_active": MostActiveScheduler,
     "round_robin": RoundRobinScheduler,
-    "region": RegionScheduler,
 }
+
+
+def scheduler_name(spec) -> str:
+    """The registered name of a scheduler name, class, or instance.
+
+    What a serving configuration records: every registered scheduler is
+    parameter-free, so its name rebuilds it exactly, and each machine
+    builds its own instance instead of sharing one's state.
+    """
+    if isinstance(spec, str):
+        name = spec
+    else:
+        cls = spec if isinstance(spec, type) else type(spec)
+        name = next((n for n, c in _SCHEDULERS.items() if c is cls), None)
+    if name not in _SCHEDULERS:
+        raise ValueError(
+            f"unknown scheduler {spec!r}; known: {sorted(_SCHEDULERS)}"
+        )
+    return name
 
 
 def make_scheduler(spec) -> object:
     """Accepts a scheduler name, class, or instance."""
     if isinstance(spec, str):
-        try:
-            return _SCHEDULERS[spec]()
-        except KeyError:
-            raise ValueError(
-                f"unknown scheduler {spec!r}; options: {sorted(_SCHEDULERS)}"
-            )
+        return _SCHEDULERS[scheduler_name(spec)]()
     if isinstance(spec, type):
         return spec()
     return spec

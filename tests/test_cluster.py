@@ -906,11 +906,10 @@ class TestRebalancingSchedules:
         preempt=st.sampled_from([None, "priority", "deadline"]),
         trace=st.booleans(),
         executor=st.sampled_from(["eager", "superblock"]),
-        resume_batching=st.booleans(),
     )
     def test_random_schedule_invariants(
         self, schedule, num_engines, num_lanes, policy, steal, preempt,
-        trace, executor, resume_batching
+        trace, executor
     ):
         cluster = fib.serve_cluster(
             num_engines,
@@ -924,7 +923,6 @@ class TestRebalancingSchedules:
             }[preempt],
             trace="events" if trace else None,
             executor=executor,
-            resume_batching=resume_batching,
             max_stack_depth=64,
         )
         handles = []

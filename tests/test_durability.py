@@ -16,6 +16,7 @@ Three load-bearing properties:
 
 import base64
 import hashlib
+import json
 import os
 import struct
 import zlib
@@ -28,7 +29,9 @@ from hypothesis import strategies as st
 from repro import autobatch
 from repro.frontend.registry import default_registry, primitive
 from repro.serve import (
+    Cluster,
     DiskSpillStore,
+    Engine,
     Journal,
     MemorySpillStore,
     PreemptPolicy,
@@ -49,6 +52,7 @@ from repro.vm import (
     program_fingerprint,
 )
 from repro.vm.program_counter import ProgramCounterVM
+from repro.vm.scheduler import RoundRobinScheduler
 from repro.vm.snapshot_codec import MAGIC, VERSION
 
 from .helpers import assert_results_equal
@@ -892,7 +896,7 @@ class TestJournalConfigRecord:
 
     NS = (14, 15, 13, 12, 6, 7, 8, 9, 10, 11)
 
-    def _record(self, journal, **options):
+    def _serve(self, journal, **options):
         options.setdefault("preempt", True)
         engine = fib.serve(8, executor="fused", journal=journal, **options)
         handles = [engine.submit(np.int64(n)) for n in self.NS]
@@ -901,6 +905,10 @@ class TestJournalConfigRecord:
         handles += [engine.submit(np.int64(n), priority=5) for n in (9, 10, 11, 12)]
         engine.run_until_idle()
         assert engine.telemetry.preemptions > 0
+        return engine, handles
+
+    def _record(self, journal, **options):
+        engine, handles = self._serve(journal, **options)
         return engine, {h.request_id: h.finish_tick for h in handles}
 
     def test_retyped_options_that_differ_are_refused(self):
@@ -1030,3 +1038,109 @@ class TestJournalConfigRecord:
         assert len(onward.submissions()) == len(journal.submissions())
         with pytest.raises(ValueError, match="cannot journal into the journal"):
             recover(journal, fib, journal=journal)
+
+    #: A config record exactly as journals were written while resume
+    #: re-batching existed (for ``fib.serve(8, executor="fused",
+    #: preempt=True)``): it names both deleted options.
+    PARENT_RECORD = {
+        "type": "config", "num_lanes": 8, "num_engines": None,
+        "executor": "fused", "scheduler": "earliest", "optimize": True,
+        "mode": "mask", "max_stack_depth": None, "top_cache": True,
+        "max_queue_depth": None, "default_step_budget": None,
+        "refill": "continuous", "resume_batching": False,
+        "resume_defer_limit": 4, "max_steps": 10 ** 12,
+        "max_resident_snapshots": None,
+        "preempt": "PreemptPolicy(priority_delta=1, min_age=0, max_per_tick=None)",
+    }
+
+    @pytest.mark.parametrize("defer_limit", [1, 4, 64])
+    def test_parent_record_with_rebatching_off_recovers(
+        self, tmp_path, defer_limit
+    ):
+        """Resume re-batching off is exactly the schedule that survives
+        its deletion, whatever defer limit the record carries: the
+        submits under that record, as a crash before any completion
+        leaves them, replay the uninterrupted run."""
+        journal = Journal()
+        _, handles = self._serve(journal)
+        expected = {
+            h.request_id: (int(h.result()), h.finish_tick) for h in handles
+        }
+        path = tmp_path / "old.jsonl"
+        record = dict(self.PARENT_RECORD, resume_defer_limit=defer_limit)
+        path.write_text("".join(
+            json.dumps(entry) + "\n"
+            for entry in [record] + journal.submissions()
+        ))
+        run = recover(Journal.load(str(path)), fib)
+        assert run.server.telemetry.preemptions > 0
+        assert {
+            r: (int(h.result()), h.finish_tick) for r, h in run.handles.items()
+        } == expected
+
+    @pytest.mark.parametrize("num_engines", [None, 2])
+    def test_parent_record_with_rebatching_on_is_refused(self, num_engines):
+        """A run that re-batched resumes seated them out of service order;
+        no surviving schedule reproduces it."""
+        old = Journal()
+        old.entries = [dict(
+            self.PARENT_RECORD, resume_batching=True, num_engines=num_engines
+        )]
+        with pytest.raises(ValueError, match="records resume_batching"):
+            recover(old, fib)
+
+    @pytest.mark.parametrize("num_engines", [None, 2])
+    def test_record_naming_the_region_scheduler_is_refused(self, num_engines):
+        old = Journal()
+        old.entries = [dict(
+            self.PARENT_RECORD, scheduler="region", num_engines=num_engines
+        )]
+        with pytest.raises(ValueError, match="unknown scheduler 'region'"):
+            recover(old, fib)
+
+
+class TestSchedulerReplay:
+    """Regression: a scheduler *instance* used to reach the machines as
+    is — one round-robin cursor shared by every shard of a fleet, a used
+    one's cursor carried into the run — while ``recover()`` built a fresh
+    scheduler per machine from the recorded name, so the replay silently
+    took another schedule.  Every machine now builds its own from the
+    name."""
+
+    NS = tuple(int(n) for n in np.random.RandomState(0).randint(3, 14, size=40))
+
+    @staticmethod
+    def _used():
+        scheduler = RoundRobinScheduler()
+        scheduler.select(np.array([3], dtype=np.int64), 5)
+        return scheduler
+
+    @pytest.mark.parametrize("num_engines", [None, 2])
+    @pytest.mark.parametrize("form", ["class", "instance", "used instance"])
+    def test_scheduler_replays_bit_identically(
+        self, tmp_path, num_engines, form
+    ):
+        spec = {
+            "class": RoundRobinScheduler,
+            "instance": RoundRobinScheduler(),
+            "used instance": self._used(),
+        }[form]
+        journal = Journal(str(tmp_path / "j.jsonl"))
+        options = dict(executor="fused", scheduler=spec, journal=journal)
+        if num_engines is None:
+            server = Engine(fib, 4, **options)
+            machines = [server.vm]
+        else:
+            server = Cluster(fib, num_engines, 4, **options)
+            machines = [engine.vm for engine in server.engines]
+        handles = [server.submit(np.int64(n)) for n in self.NS]
+        server.run_until_idle()
+        assert journal.config()["scheduler"] == "round_robin"
+        assert all(vm.scheduler is not spec for vm in machines)
+        assert len({id(vm.scheduler) for vm in machines}) == len(machines)
+        run = recover(Journal.load(journal.path), fib)
+        assert {
+            r: (int(h.result()), h.finish_tick) for r, h in run.handles.items()
+        } == {
+            h.request_id: (int(h.result()), h.finish_tick) for h in handles
+        }

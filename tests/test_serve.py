@@ -1047,24 +1047,19 @@ class TestPropertyBasedSchedules:
         min_age=st.integers(0, 4),
         max_per_tick=st.one_of(st.none(), st.just(1)),
         executor=st.sampled_from(["fused", "superblock"]),
-        resume_batching=st.booleans(),
     )
     def test_engine_preemption_schedule_invariants(
-        self, schedule, num_lanes, min_age, max_per_tick, executor,
-        resume_batching
+        self, schedule, num_lanes, min_age, max_per_tick, executor
     ):
         """Random arrivals x priorities under an always-on preempt policy:
         no lost/duplicated handles, every eviction resumes exactly once,
         results bit-identical to the unbatched reference, and every traced
         timeline well-formed (submit → inject → ... → one terminal).
-        Drawn across executors (superblock resumes sweep lanes mid-run)
-        and with resume re-batching on and off (pc-cohort refill must
-        reorder seating without losing or duplicating anything)."""
+        Drawn across executors (superblock resumes sweep lanes mid-run)."""
         engine = fib.serve(
             num_lanes=num_lanes,
             max_stack_depth=64,
             executor=executor,
-            resume_batching=resume_batching,
             preempt=PreemptPolicy(min_age=min_age, max_per_tick=max_per_tick),
             trace="events",
         )

@@ -48,6 +48,7 @@ from repro.serve import (
 from repro.serve.config import FLEET_OPTIONS
 from repro.serve.telemetry import FLEET_ROLLUPS
 from repro.vm.instrumentation import Instrumentation
+from repro.vm.scheduler import RoundRobinScheduler
 
 from .programs import fib
 from .test_cluster import rebalance_schedule
@@ -57,9 +58,8 @@ from .test_cluster import rebalance_schedule
 OPTIONS = [
     "registry", "mode", "scheduler", "max_stack_depth", "top_cache",
     "optimize", "executor", "verify", "max_queue_depth",
-    "default_step_budget", "refill", "preempt", "resume_batching",
-    "resume_defer_limit", "trace", "max_steps", "instrumentation",
-    "max_resident_snapshots", "spill_store", "journal",
+    "default_step_budget", "refill", "preempt", "trace", "max_steps",
+    "instrumentation", "max_resident_snapshots", "spill_store", "journal",
     "policy", "steal",
 ]
 FIELDS = [f.name for f in dataclasses.fields(ServeConfig)]
@@ -87,12 +87,17 @@ FLEET_ENTRY_POINTS = {
     "recover": lambda **o: recover(Journal(), fib, 2, num_engines=2, **o),
 }
 
+
+class _UnregisteredScheduler(RoundRobinScheduler):
+    """Behaves like a registered scheduler but is not one, so no recorded
+    name could rebuild it."""
+
+
 #: ``(options, exception, message)`` every entry point must refuse alike.
 INVALID = [
     (dict(refill="sometimes"), ValueError, "refill must be one of"),
     (dict(preempt=True, refill="drain"), ValueError,
      "preemption requires refill='continuous'"),
-    (dict(resume_defer_limit=0), ValueError, "resume_defer_limit must be >= 1"),
     (dict(max_resident_snapshots=-1), ValueError,
      "max_resident_snapshots must be >= 0"),
     (dict(max_queue_depth=-1), ValueError, "max_queue_depth must be >= 0"),
@@ -101,6 +106,9 @@ INVALID = [
     (dict(preempt="nope"), ValueError, "unknown preempt policy"),
     (dict(preempt=3), TypeError, "preempt policy must be"),
     (dict(trace="nope"), ValueError, "unknown trace spec"),
+    (dict(scheduler="bogus"), ValueError, "unknown scheduler"),
+    (dict(scheduler="region"), ValueError, "unknown scheduler 'region'"),
+    (dict(scheduler=_UnregisteredScheduler), ValueError, "unknown scheduler"),
 ]
 INVALID_FLEET = [
     (dict(steal="nope"), ValueError, "unknown steal policy"),
@@ -113,7 +121,7 @@ INVALID_FLEET = [
 class TestDeclaredOnce:
     def test_the_fields_are_exactly_todays_options(self):
         assert sorted(FIELDS) == sorted(OPTIONS)
-        assert len(FIELDS) == 22
+        assert len(FIELDS) == 20
         assert FLEET_OPTIONS == ("policy", "steal")
 
     def test_constructors_name_no_serving_option(self):
@@ -130,10 +138,14 @@ class TestDeclaredOnce:
         with pytest.raises(TypeError, match="lane_count"):
             ENTRY_POINTS[entry](lane_count=4)
 
-    @pytest.mark.parametrize("option", ["seed", "autoscale"])
+    @pytest.mark.parametrize(
+        "option", ["seed", "autoscale", "resume_batching", "resume_defer_limit"]
+    )
     def test_deleted_fleet_options_are_unknown_everywhere(self, option):
-        """The fleet is fixed-size and routes without an RNG: neither
-        ``seed`` nor ``autoscale`` is an option at any entry point."""
+        """The fleet is fixed-size and routes without an RNG, and queued
+        work is seated in strict service order: neither ``seed``,
+        ``autoscale`` nor resume re-batching is an option at any entry
+        point."""
         for make in [*ENTRY_POINTS.values(), *FLEET_ENTRY_POINTS.values()]:
             with pytest.raises(TypeError, match=option):
                 make(**{option: 1})
@@ -246,8 +258,6 @@ SHARD_EFFECTS = {
         _policy,
         lambda s: s.preempt is not _policy and repr(s.preempt) == repr(_policy),
     ),
-    "resume_batching": (True, lambda s: s.resume_batching is True),
-    "resume_defer_limit": (9, lambda s: s.resume_defer_limit == 9),
     "trace": (_trace, lambda s: s.trace is _trace and s in _trace._engines),
     "max_steps": (12345, lambda s: s.vm.max_steps == 12345),
     "max_resident_snapshots": (

@@ -11,6 +11,7 @@ from repro.vm.scheduler import (
     MostActiveScheduler,
     RoundRobinScheduler,
     make_scheduler,
+    scheduler_name,
 )
 from repro.vm.stack import StackOverflowError
 from repro.vm.state import RegisterStorage, StackedStorage, UninitializedRead
@@ -85,6 +86,27 @@ class TestSchedulers:
         assert make_scheduler(rr) is rr
         with pytest.raises(ValueError, match="unknown scheduler"):
             make_scheduler("bogus")
+
+    def test_registry_is_the_three_ablation_schedulers(self):
+        """Only the paper's ablation rules are registered; a registered
+        class or instance resolves to its name, anything else is refused."""
+        for cls in (EarliestBlockScheduler, MostActiveScheduler,
+                    RoundRobinScheduler):
+            assert scheduler_name(cls.name) == cls.name
+            assert scheduler_name(cls) == cls.name
+            assert scheduler_name(cls()) == cls.name
+        with pytest.raises(ValueError, match="unknown scheduler 'region'"):
+            make_scheduler("region")
+
+        class Custom(RoundRobinScheduler):
+            pass
+
+        for spec in ("region", Custom, Custom(), 3):
+            with pytest.raises(
+                ValueError,
+                match=r"known: \['earliest', 'most_active', 'round_robin'\]",
+            ):
+                scheduler_name(spec)
 
     def test_all_schedulers_terminate_fib(self):
         batch = np.array([5, 9, 2])
@@ -248,7 +270,7 @@ class TestVMErrors:
         ]
         + [
             ("run_pc", {"scheduler": s, "executor": x})
-            for s in ("earliest", "most_active", "round_robin", "region")
+            for s in ("earliest", "most_active", "round_robin")
             for x in ("eager", "fused", "superblock")
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v.values())),
