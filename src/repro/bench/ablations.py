@@ -14,6 +14,10 @@ lowering optimizations; this harness measures each head-to-head:
   swept individually via :class:`~repro.lowering.pipeline.LoweringOptions`
   plus the all-on/all-off extremes) — measured through stack traffic
   (pushes/pops and per-lane stack movement) and machine steps.
+* **D. top-of-stack caching** (Section 3's optimization 4) — the fused
+  program-counter machine with ``top_cache`` on and off, on ``fib`` at a
+  serving and a wide batch width and on NUTS; the stack traffic is the same
+  by construction, so the wall clock is the whole comparison.
 
 Run as ``python -m repro.bench.ablations``.
 """
@@ -21,7 +25,7 @@ Run as ``python -m repro.bench.ablations``.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -222,6 +226,48 @@ def ablation_optimizations(config: AblationConfig = AblationConfig()) -> List[Ab
     return rows
 
 
+#: Ablation D's ``fib`` batch widths: a serving width and a wide batch.
+TOP_CACHE_WIDTHS = (16, 4096)
+
+
+def top_cache_workloads(config: AblationConfig) -> List:
+    """Ablation D's ``(name, (program, inputs))`` pairs."""
+    return [
+        (f"fib@{width}", _fib_workload(replace(config, batch_size=width)))
+        for width in TOP_CACHE_WIDTHS
+    ] + [("nuts", _nuts_workload(config))]
+
+
+def ablation_top_cache(config: AblationConfig = AblationConfig()) -> List[AblationRow]:
+    """Optimization 4 on the wall clock: the fused machine's stacks with the
+    top cached apart from the saved frames, and without."""
+    rows: List[AblationRow] = []
+    for workload_name, (program, inputs) in top_cache_workloads(config):
+        for variant, top_cache in (("cached", True), ("uncached", False)):
+            def run(instr, top_cache=top_cache):
+                return program.run_pc(
+                    *inputs,
+                    executor="fused",
+                    top_cache=top_cache,
+                    max_stack_depth=32,
+                    instrumentation=instr,
+                )
+
+            rows.append(
+                _run_variant(workload_name, variant, run, config.repeats)
+            )
+    return rows
+
+
+#: Every ablation with its table title, in report order.
+ABLATIONS = (
+    (ablation_masking, "Ablation A: masking vs gather-scatter"),
+    (ablation_scheduler, "Ablation B: block-selection heuristic"),
+    (ablation_optimizations, "Ablation C: lowering optimizations"),
+    (ablation_top_cache, "Ablation D: top-of-stack caching"),
+)
+
+
 def render(rows: List[AblationRow], title: str) -> str:
     """Markdown table for one ablation's rows."""
     headers = ["workload", "variant", "best s", "steps", "kernel calls",
@@ -240,16 +286,12 @@ def render(rows: List[AblationRow], title: str) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
-    """CLI entry point: run and print all three ablations."""
+    """CLI entry point: run and print every ablation."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true")
     args = parser.parse_args(argv)
     config = AblationConfig.smoke() if args.smoke else AblationConfig()
-    print(render(ablation_masking(config), "Ablation A: masking vs gather-scatter"))
-    print()
-    print(render(ablation_scheduler(config), "Ablation B: block-selection heuristic"))
-    print()
-    print(render(ablation_optimizations(config), "Ablation C: lowering optimizations"))
+    print("\n\n".join(render(fn(config), title) for fn, title in ABLATIONS))
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@
 * ``results_figure5.md`` — the Figure 5 throughput sweep,
 * ``results_figure6.md`` — the Figure 6 utilization sweep,
 * ``results_ablations.md`` — ablations A (masking), B (scheduler),
-  C (lowering optimizations).
+  C (lowering optimizations), D (top-of-stack caching).
 
 These archived files are the measured side of EXPERIMENTS.md.
 """
@@ -30,6 +30,10 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
 
     from repro.bench import ablations, figure5, figure6
 
+    ablation_config = (
+        ablations.AblationConfig.smoke() if args.smoke else ablations.AblationConfig()
+    )
+
     jobs = [
         (
             "results_figure5.md",
@@ -46,18 +50,8 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         (
             "results_ablations.md",
             lambda: "\n\n".join(
-                ablations.render(fn(config), title)
-                for fn, title, config in (
-                    (ablations.ablation_masking,
-                     "Ablation A: masking vs gather-scatter",
-                     ablations.AblationConfig.smoke() if args.smoke else ablations.AblationConfig()),
-                    (ablations.ablation_scheduler,
-                     "Ablation B: block-selection heuristic",
-                     ablations.AblationConfig.smoke() if args.smoke else ablations.AblationConfig()),
-                    (ablations.ablation_optimizations,
-                     "Ablation C: lowering optimizations",
-                     ablations.AblationConfig.smoke() if args.smoke else ablations.AblationConfig()),
-                )
+                ablations.render(fn(ablation_config), title)
+                for fn, title in ablations.ABLATIONS
             ),
         ),
     ]

@@ -1,7 +1,7 @@
 """Batched per-variable stacks (paper Section 3 and Figure 3).
 
-Storage layout: a data array of shape ``(D, Z, *event)`` plus a ``(Z,)``
-vector of stack pointers, exactly as the paper describes ("we choose to give
+Storage layout: a data array of shape ``(D, Z, *event)`` plus a stack
+pointer per batch member, exactly as the paper describes ("we choose to give
 each program variable its own stack (by extending the relevant array with
 another dimension)").
 
@@ -17,23 +17,23 @@ Both classes use an *implicit base frame*: a freshly created stack has one
 writable top (the cache / slot 0) at depth 0, so variables whose first write
 is an in-place update need no initial push.
 
-Stack-pointer arithmetic is table lookups.  A stack pointer is an integer in
-``[0, D]``, and at serving widths a ufunc or reduction on a ``(Z,)`` integer
-array costs 0.7-2 us where a fancy-index load costs 0.15-0.25 us, so each
-stack builds three ``(D + 1,)`` tables once: ``_inc[k] = k + 1``,
-``_dec[k] = max(k - 1, 0)`` (the non-strict pop's clamp at the base frame)
-and the boolean ``_reached[k]`` ("some lane has held ``k`` saved frames"),
-whose last set entry is ``high_water``.  A push or pop is then gathers and
-scatters only.
+A stack pointer is a flat address.  Each lane keeps ``_fp[b] = sp[b] * Z
++ b``, an index into ``_rows``, the row view ``data.reshape((-1,) + event)``,
+so a push or pop is a 1-D gather and scatter on ``_rows`` where a
+``data[sp, idx]`` two-array fancy index costs 2.5-8x as much (numpy 2.4,
+16 to 4,096 lanes).  A push adds ``Z``; a pop subtracts ``Z`` and clamps at
+the lane's own base row ``b`` (``np.maximum(f, idx)``: the non-strict pop).
+``sp`` is derived (``_fp // Z``) for inspection only, and the boolean
+``_reached`` table, one entry per flat address, marks every row a push
+reached: its last set entry, divided by ``Z``, is ``high_water``.
 
-The bounds check *is* the overflow check.  The data array has exactly as
-many rows as a lane may save frames (``D``; ``D + 1`` slots uncached), so a
-push from a full lane indexes one row past the end — and numpy validates
-every index of a fancy assignment before it writes any element.  The
-``IndexError`` of that first scatter is re-raised as
-:class:`StackOverflowError` with ``sp``, ``data`` and ``cache`` untouched,
-for the lanes of ``idx`` that had room too: as exact as the ``sp.max()``
-comparison it replaces, and free on the pushes that fit.
+The bounds check *is* the overflow check.  ``_rows`` holds exactly the rows
+the lanes may save frames in (``D * Z``; ``(D + 1) * Z`` uncached, where the
+top is a row too), so a push from a full lane addresses a row past the end
+— and numpy validates every index of a fancy assignment before it writes
+any element.  The ``IndexError`` of that first scatter is re-raised as
+:class:`StackOverflowError` with ``_fp``, ``data`` and ``cache`` untouched,
+for the lanes of ``idx`` that had room too: free on the pushes that fit.
 """
 
 from __future__ import annotations
@@ -71,10 +71,12 @@ def masked_assign(arr: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None
         np.copyto(arr, values, where=mask.reshape(mask.shape + (1,) * (arr.ndim - 1)))
 
 
-def _pointer_tables(depth: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(_inc, _dec, _reached)`` for stack pointers in ``[0, depth]``."""
-    steps = np.arange(depth + 1)
-    return steps + 1, np.maximum(steps - 1, 0), steps == 0
+def _flat_pointers(z: int, depth: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(_fp, _z, _reached)`` of a fresh stack: every lane at its base row.
+    ``_z`` is ``Z`` as a 0-d array, the scalar operand a ufunc takes fastest."""
+    reached = np.zeros((depth + 1) * z, dtype=bool)
+    reached[:1] = True
+    return np.arange(z), np.array(z), reached
 
 
 class BatchedStack:
@@ -83,7 +85,8 @@ class BatchedStack:
     ``sp[b]`` counts the *saved* frames of member ``b`` below the cached
     top; the logical depth of the stack is ``sp[b] + 1`` (the implicit base
     frame).  The cache is authoritative for the top; ``data[0:sp[b], b]``
-    holds the frames beneath it.
+    holds the frames beneath it, and ``_fp[b]`` addresses the row the next
+    push spills the top into.
     """
 
     caching = True
@@ -103,8 +106,20 @@ class BatchedStack:
         self.strict = strict
         self.data = np.zeros((self.depth, self.batch_size) + self.event_shape, self.dtype)
         self.cache = np.zeros((self.batch_size,) + self.event_shape, self.dtype)
-        self.sp = np.zeros(self.batch_size, dtype=np.int64)
-        self._inc, self._dec, self._reached = _pointer_tables(self.depth)
+        self._rows = self.data.reshape((-1,) + self.event_shape)
+        self._fp, self._z, self._reached = _flat_pointers(self.batch_size, self.depth)
+
+    def promote(self, dtype: np.dtype) -> None:
+        """Widen the stack to hold ``dtype`` values (data, cache, row view)."""
+        self.dtype = np.dtype(dtype)
+        self.data = self.data.astype(self.dtype)
+        self.cache = self.cache.astype(self.dtype)
+        self._rows = self.data.reshape((-1,) + self.event_shape)
+
+    @property
+    def sp(self) -> np.ndarray:
+        """Saved frames per member, derived from the flat pointers."""
+        return self._fp // self.batch_size
 
     @property
     def high_water(self) -> int:
@@ -112,7 +127,16 @@ class BatchedStack:
         not reset by lane recycling).  The logical peak depth is
         ``high_water + 1``; the verifier's static bound is checked against
         this exact observable in the depth-equality tests."""
-        return int(self._reached.nonzero()[0][-1])
+        return int(np.flatnonzero(self._reached)[-1]) // self.batch_size
+
+    def _lowered(self, idx: np.ndarray) -> np.ndarray:
+        """The flat pointers of ``idx`` one frame down, clamped at the base."""
+        f = self._fp[idx]
+        if self.strict and np.any(f < self._z):
+            raise StackUnderflowError("pop on empty stack")
+        f -= self._z
+        np.maximum(f, idx, out=f)
+        return f
 
     # -- reads -------------------------------------------------------------
 
@@ -152,16 +176,16 @@ class BatchedStack:
         self.cache[idx] = values
 
     def push_at(self, idx: np.ndarray, values: np.ndarray) -> None:
-        sp = self.sp[idx]
-        # Spill the cached top into its slot, then cache the new values.  A
-        # full lane's slot is row D of D: the scatter raises before writing.
+        f = self._fp[idx]
+        # Spill the cached top into its row, then cache the new values.  A
+        # full lane's row is past D * Z: the scatter raises before writing.
         try:
-            self.data[sp, idx] = self.cache[idx]
+            self._rows[f] = self.cache[idx]
         except IndexError:
             raise _overflow(self.depth) from None
-        sp = self._inc[sp]
-        self.sp[idx] = sp
-        self._reached[sp] = True
+        f += self._z
+        self._fp[idx] = f
+        self._reached[f] = True
         self.cache[idx] = values
 
     def pop_at(self, idx: np.ndarray) -> np.ndarray:
@@ -172,12 +196,9 @@ class BatchedStack:
 
     def drop_at(self, idx: np.ndarray) -> None:
         """Pop for members in ``idx`` without gathering the popped tops."""
-        sp = self.sp[idx]
-        if self.strict and np.any(sp <= 0):
-            raise StackUnderflowError("pop on empty stack")
-        new_sp = self._dec[sp]
-        self.cache[idx] = self.data[new_sp, idx]
-        self.sp[idx] = new_sp
+        f = self._lowered(idx)
+        self.cache[idx] = self._rows[f]
+        self._fp[idx] = f
 
     # -- lane lifecycle -----------------------------------------------------
 
@@ -190,7 +211,7 @@ class BatchedStack:
         """
         if idx.size == 0:
             return
-        self.sp[idx] = 0
+        self._fp[idx] = idx
         self.data[:, idx] = 0
         self.cache[idx] = 0 if top is None else top
 
@@ -213,8 +234,8 @@ class BatchedStack:
                 f"depth limit is D={self.depth}; increase max_stack_depth"
             )
         self.data[:, lane] = 0
-        self.sp[lane] = sp
-        self._reached[sp] = True
+        self._fp[lane] = sp * self.batch_size + lane
+        self._reached[self._fp[lane]] = True
         if sp:
             self.data[:sp, lane] = frames[:-1]
         self.cache[lane] = frames[-1]
@@ -226,17 +247,18 @@ class BatchedStack:
         return self.sp + 1
 
     def frames(self, member: int) -> np.ndarray:
-        """All live frames of one member, bottom to top (for snapshots)."""
-        saved = self.data[: self.sp[member], member]
+        """A copy of one member's live frames, bottom to top (for snapshots)."""
+        saved = self.data[: self._fp[member] // self.batch_size, member]
         return np.concatenate([saved, self.cache[None, member]], axis=0)
 
 
 class UncachedBatchedStack:
     """The same stack without the top cache (optimization 4 OFF).
 
-    Every read gathers ``data[sp[b], b]`` and every update scatters — the
+    Every read gathers ``_rows[_fp[b]]`` and every update scatters — the
     cost the paper's optimization 4 exists to avoid.  Allocates ``D + 1``
-    slots so depth counting matches :class:`BatchedStack`.
+    slots so depth counting matches :class:`BatchedStack`; ``_fp[b]``
+    addresses the live top itself.
     """
 
     caching = False
@@ -257,63 +279,66 @@ class UncachedBatchedStack:
         self.data = np.zeros(
             (self.depth + 1, self.batch_size) + self.event_shape, self.dtype
         )
-        self.sp = np.zeros(self.batch_size, dtype=np.int64)
-        self._lanes = np.arange(self.batch_size)
-        self._inc, self._dec, self._reached = _pointer_tables(self.depth)
+        self._rows = self.data.reshape((-1,) + self.event_shape)
+        self._fp, self._z, self._reached = _flat_pointers(self.batch_size, self.depth)
 
+    def promote(self, dtype: np.dtype) -> None:
+        """Widen the stack to hold ``dtype`` values (data and row view)."""
+        self.dtype = np.dtype(dtype)
+        self.data = self.data.astype(self.dtype)
+        self._rows = self.data.reshape((-1,) + self.event_shape)
+
+    sp = BatchedStack.sp
     high_water = BatchedStack.high_water
+    _lowered = BatchedStack._lowered
+    push = BatchedStack.push
+    depths = BatchedStack.depths
 
     def read(self) -> np.ndarray:
-        return self.data[self.sp, self._lanes]
+        return self._rows[self._fp]
 
     def read_at(self, idx: np.ndarray) -> np.ndarray:
-        return self.data[self.sp[idx], idx]
+        return self._rows[self._fp[idx]]
 
     def update(self, mask: np.ndarray, values: np.ndarray) -> None:
         idx = np.flatnonzero(mask)
         self.update_at(idx, np.asarray(values)[idx])
 
     def update_at(self, idx: np.ndarray, values: np.ndarray) -> None:
-        self.data[self.sp[idx], idx] = values
-
-    def push(self, mask: np.ndarray, values: np.ndarray) -> None:
-        idx = np.flatnonzero(mask)
-        self.push_at(idx, np.asarray(values)[idx])
+        self._rows[self._fp[idx]] = values
 
     def push_at(self, idx: np.ndarray, values: np.ndarray) -> None:
-        sp = self._inc[self.sp[idx]]
-        # A full lane's new slot is row D + 1 of D + 1: raises before writing.
+        f = self._fp[idx]
+        f += self._z
+        # A full lane's new row is past (D + 1) * Z: raises before writing.
         try:
-            self.data[sp, idx] = values
+            self._rows[f] = values
         except IndexError:
             raise _overflow(self.depth) from None
-        self.sp[idx] = sp
-        self._reached[sp] = True
+        self._fp[idx] = f
+        self._reached[f] = True
 
     def pop(self, mask: np.ndarray) -> np.ndarray:
         popped = self.read()
-        self.pop_at(np.flatnonzero(mask))
+        self.drop_at(np.flatnonzero(mask))
         return popped
 
     def pop_at(self, idx: np.ndarray) -> np.ndarray:
-        popped = self.data[self.sp[idx], idx]
+        popped = self.read_at(idx)
         self.drop_at(idx)
         return popped
 
     def drop_at(self, idx: np.ndarray) -> None:
-        sp = self.sp[idx]
-        if self.strict and np.any(sp <= 0):
-            raise StackUnderflowError("pop on empty stack")
-        self.sp[idx] = self._dec[sp]
+        self._fp[idx] = self._lowered(idx)
 
     def reset_lanes(self, idx: np.ndarray, top: Optional[np.ndarray] = None) -> None:
         """Return the lanes in ``idx`` to the freshly-constructed state."""
         if idx.size == 0:
             return
-        self.sp[idx] = 0
+        self._fp[idx] = idx
         self.data[:, idx] = 0
         if top is not None:
-            self.data[0, idx] = top
+            self._rows[idx] = top
 
     def restore_lane(self, lane: int, frames: np.ndarray) -> None:
         """Reinstall one lane from its logical frames (see :meth:`frames`)."""
@@ -325,12 +350,10 @@ class UncachedBatchedStack:
                 f"depth limit is D={self.depth}; increase max_stack_depth"
             )
         self.data[:, lane] = 0
-        self.sp[lane] = sp
-        self._reached[sp] = True
+        self._fp[lane] = sp * self.batch_size + lane
+        self._reached[self._fp[lane]] = True
         self.data[: sp + 1, lane] = frames
 
-    def depths(self) -> np.ndarray:
-        return self.sp + 1
-
     def frames(self, member: int) -> np.ndarray:
-        return self.data[: self.sp[member] + 1, member]
+        """A copy of one member's live frames, bottom to top."""
+        return self.data[: self._fp[member] // self.batch_size + 1, member].copy()

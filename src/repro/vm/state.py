@@ -137,11 +137,7 @@ class StackedStorage:
                 f"{stack.event_shape} to {event_shape}"
             )
         elif not np.can_cast(dtype, stack.dtype, casting="same_kind"):
-            promoted = np.promote_types(stack.dtype, dtype)
-            stack.data = stack.data.astype(promoted)
-            if hasattr(stack, "cache"):
-                stack.cache = stack.cache.astype(promoted)
-            stack.dtype = promoted
+            stack.promote(np.promote_types(stack.dtype, dtype))
         return stack
 
     def read(self) -> np.ndarray:
@@ -200,7 +196,7 @@ class StackedStorage:
         """
         if self.stack is None:
             return None
-        return np.array(self.stack.frames(lane), copy=True)
+        return self.stack.frames(lane)
 
     def restore_lane(self, lane: int, frames: Optional[np.ndarray]) -> None:
         """Reinstall captured lane frames, allocating the stack if needed."""

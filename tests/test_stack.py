@@ -100,6 +100,43 @@ class TestBasicOps:
         s.pop(full_mask(1))  # popping the base frame is benign by design
         np.testing.assert_array_equal(s.depths(), [1])
 
+    def test_pop_at_base_clamps_to_the_lanes_own_row(self, cls):
+        """At Z = 2 a base clamp to row 0 would hand lane 1 lane 0's row."""
+        s = cls(batch_size=2, depth=2)
+        s.update(full_mask(2), np.array([1.0, 7.0]))
+        s.push_at(np.array([0]), np.array([2.0]))  # lane 0 saves frame 1.0
+        s.drop_at(np.array([1]))  # non-strict pop of lane 1 at its base
+        s.update_at(np.array([1]), np.array([9.0]))
+        s.push_at(np.array([1]), np.array([8.0]))  # saves 9.0 in lane 1's row
+        np.testing.assert_array_equal(s.depths(), [2, 2])
+        np.testing.assert_array_equal(s.frames(1), [9.0, 8.0])
+        s.drop_at(np.array([0]))
+        np.testing.assert_array_equal(s.read(), [1.0, 8.0])
+        np.testing.assert_array_equal(s.frames(0), [1.0])
+
+    def test_promote_keeps_saved_frames(self, cls):
+        """A float write to an int stack widens every frame, saved or top,
+        and later pushes and pops address the widened buffer."""
+        storage = StackedStorage("v", 2, depth=3, top_cache=cls.caching)
+        storage.write(full_mask(2), np.array([1, 10]))
+        storage.push(full_mask(2), np.array([2, 20]))
+        storage.push(np.array([True, False]), np.array([3, 0]))
+        s = storage.stack
+        assert type(s) is cls and s.dtype == np.int64
+        storage.write_at(np.array([1]), np.array([20.5]))
+        assert storage.stack is s and s.dtype == np.float64
+        storage.push_at(np.array([1]), np.array([21.25]))
+        np.testing.assert_array_equal(s.frames(0), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(s.frames(1), [10.0, 20.5, 21.25])
+        for lane, want in ((0, [3.0, 2.0, 1.0]), (1, [21.25, 20.5, 10.0])):
+            got = []
+            for _ in want:
+                got.append(s.read_at(np.array([lane]))[0])
+                s.drop_at(np.array([lane]))
+            assert np.asarray(got).dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+        assert s.read().dtype == np.float64
+
     def test_frames_inspection(self, cls):
         s = cls(batch_size=2, depth=4)
         s.update(full_mask(2), np.array([1.0, 10.0]))

@@ -309,6 +309,29 @@ class TestSnapshots:
                     seen_divergence = True
         assert seen_divergence
 
+    @pytest.mark.parametrize("top_cache", [True, False])
+    def test_snapshot_does_not_follow_the_machine(self, top_cache):
+        """A snapshot holds the frames of the moment it was taken: stepping
+        on must not rewrite them, on either stack layout."""
+        vm = ProgramCounterVM(
+            fib.execution_plan("fused"), batch_size=4, max_stack_depth=16,
+            top_cache=top_cache,
+        )
+        vm.bind_inputs([np.array([8, 9, 10, 11])])
+        for _ in range(40):
+            assert vm.step()
+        snap = vm.snapshot()
+        taken = {
+            name: [frames.copy() for frames in stack["frames"]]
+            for name, stack in snap["variable_stacks"].items()
+        }
+        assert taken
+        for _ in range(40):
+            assert vm.step()
+        for name, frames in taken.items():
+            for was, now in zip(frames, snap["variable_stacks"][name]["frames"]):
+                np.testing.assert_array_equal(now, was)
+
 
 def _flat_counts(instr):
     """Every counter of ``instr`` as one flat dict of numbers."""
