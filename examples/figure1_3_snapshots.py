@@ -140,7 +140,7 @@ def figure3(n_steps: int = 40):
             for level in reversed(range(depth))
         ]
         rows.append(("sp", list(data["stack_pointers"])))
-        print(render_grid(f"-- {pretty} (top-cached value at sp) --", members, rows))
+        print(render_grid(f"-- {pretty} (top at sp) --", members, rows))
         print()
 
     # Finish the run to show correctness is unaffected by pausing.

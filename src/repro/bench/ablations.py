@@ -14,10 +14,9 @@ lowering optimizations; this harness measures each head-to-head:
   swept individually via :class:`~repro.lowering.pipeline.LoweringOptions`
   plus the all-on/all-off extremes) — measured through stack traffic
   (pushes/pops and per-lane stack movement) and machine steps.
-* **D. top-of-stack caching** (Section 3's optimization 4) — the fused
-  program-counter machine with ``top_cache`` on and off, on ``fib`` at a
-  serving and a wide batch width and on NUTS; the stack traffic is the same
-  by construction, so the wall clock is the whole comparison.
+
+Section 3's optimization 4 (top-of-stack caching) has no ablation: it was
+measured and dropped (see :mod:`repro.vm.stack`).
 
 Run as ``python -m repro.bench.ablations``.
 """
@@ -25,7 +24,7 @@ Run as ``python -m repro.bench.ablations``.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -226,45 +225,11 @@ def ablation_optimizations(config: AblationConfig = AblationConfig()) -> List[Ab
     return rows
 
 
-#: Ablation D's ``fib`` batch widths: a serving width and a wide batch.
-TOP_CACHE_WIDTHS = (16, 4096)
-
-
-def top_cache_workloads(config: AblationConfig) -> List:
-    """Ablation D's ``(name, (program, inputs))`` pairs."""
-    return [
-        (f"fib@{width}", _fib_workload(replace(config, batch_size=width)))
-        for width in TOP_CACHE_WIDTHS
-    ] + [("nuts", _nuts_workload(config))]
-
-
-def ablation_top_cache(config: AblationConfig = AblationConfig()) -> List[AblationRow]:
-    """Optimization 4 on the wall clock: the fused machine's stacks with the
-    top cached apart from the saved frames, and without."""
-    rows: List[AblationRow] = []
-    for workload_name, (program, inputs) in top_cache_workloads(config):
-        for variant, top_cache in (("cached", True), ("uncached", False)):
-            def run(instr, top_cache=top_cache):
-                return program.run_pc(
-                    *inputs,
-                    executor="fused",
-                    top_cache=top_cache,
-                    max_stack_depth=32,
-                    instrumentation=instr,
-                )
-
-            rows.append(
-                _run_variant(workload_name, variant, run, config.repeats)
-            )
-    return rows
-
-
 #: Every ablation with its table title, in report order.
 ABLATIONS = (
     (ablation_masking, "Ablation A: masking vs gather-scatter"),
     (ablation_scheduler, "Ablation B: block-selection heuristic"),
     (ablation_optimizations, "Ablation C: lowering optimizations"),
-    (ablation_top_cache, "Ablation D: top-of-stack caching"),
 )
 
 

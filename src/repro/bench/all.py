@@ -5,7 +5,7 @@
 * ``results_figure5.md`` — the Figure 5 throughput sweep,
 * ``results_figure6.md`` — the Figure 6 utilization sweep,
 * ``results_ablations.md`` — ablations A (masking), B (scheduler),
-  C (lowering optimizations), D (top-of-stack caching).
+  C (lowering optimizations).
 
 These archived files are the measured side of EXPERIMENTS.md.
 """

@@ -32,8 +32,8 @@ class LoweringOptions:
     """Per-optimization toggles (paper Section 3), for the ablation benches.
 
     Optimization 1 (per-variable caller-saves stacks) is structural and
-    always on; optimization 4 (top-of-stack caching) is a runtime choice on
-    the program-counter machine (``top_cache=...``).
+    always on; optimization 4 (top-of-stack caching) was measured and
+    dropped (see :mod:`repro.vm.stack`).
     """
 
     temp_opt: bool = True       # optimization 2: block-local temporaries

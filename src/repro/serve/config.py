@@ -28,8 +28,8 @@ FLEET_OPTIONS = ("policy", "steal")
 #: The fields that determine the schedule by value (see
 #: :meth:`ServeConfig.schedule_record`); policies are recorded by ``repr``.
 _SCHEDULE_SCALARS = (
-    "mode", "max_stack_depth", "top_cache", "max_queue_depth",
-    "default_step_budget", "refill", "max_steps", "max_resident_snapshots",
+    "mode", "max_stack_depth", "max_queue_depth", "default_step_budget",
+    "refill", "max_steps", "max_resident_snapshots",
 )
 
 
@@ -91,7 +91,7 @@ class ServeConfig:
     registry:
         The :class:`~repro.frontend.registry.PrimitiveRegistry` kernels
         resolve through (default: the served function's own).
-    mode, max_stack_depth, top_cache, max_steps, instrumentation:
+    mode, max_stack_depth, max_steps, instrumentation:
         Passed to each :class:`~repro.vm.program_counter.ProgramCounterVM`.
         One ``instrumentation`` object cannot serve a fleet: N machines
         sharing a counter would overcount N-fold.
@@ -180,7 +180,6 @@ class ServeConfig:
     mode: str = "mask"
     scheduler: Any = "earliest"
     max_stack_depth: Optional[int] = None
-    top_cache: bool = True
     optimize: Any = True
     executor: Any = None
     verify: bool = True

@@ -474,6 +474,9 @@ def _reconcile(
         "optimize": (),
     }
     header = dict(header)
+    # Top-of-stack caching was deleted.  It changed the stack layout, never
+    # a tick, so either recorded value replays the surviving schedule.
+    header.pop("top_cache", None)
     # Resume re-batching was deleted; a journal that had it off recorded
     # exactly the schedule that survives.  One that had it on stays in
     # the header and is refused below by name.

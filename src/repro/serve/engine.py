@@ -294,7 +294,6 @@ class Engine(Server):
             mode=config.mode,
             scheduler=config.scheduler,
             max_stack_depth=config.max_stack_depth,
-            top_cache=config.top_cache,
             instrumentation=config.instrumentation,
             max_steps=config.max_steps,
         )

@@ -7,7 +7,7 @@
   batched machine over the stack IR, with per-variable stacks and a
   program-counter stack (Figure 3).
 
-Shared machinery: batched stacks with top caching (:mod:`repro.vm.stack`),
+Shared machinery: batched per-variable stacks (:mod:`repro.vm.stack`),
 storage classes (:mod:`repro.vm.state`), masking vs gather-scatter primitive
 application (:mod:`repro.vm.masking`), block-selection heuristics
 (:mod:`repro.vm.scheduler`), execution counters
@@ -41,7 +41,7 @@ from repro.vm.snapshot_codec import (
     SnapshotProgramMismatchError,
     program_fingerprint,
 )
-from repro.vm.stack import BatchedStack, StackOverflowError, UncachedBatchedStack
+from repro.vm.stack import BatchedStack, StackOverflowError
 
 __all__ = [
     "run_local_static",
@@ -55,7 +55,6 @@ __all__ = [
     "program_fingerprint",
     "Instrumentation",
     "BatchedStack",
-    "UncachedBatchedStack",
     "StackOverflowError",
     "BlockExecutor",
     "EagerBlockExecutor",

@@ -57,8 +57,8 @@ class LaneSnapshot:
     arrays with a lane dimension — a mid-flight lane is checkpointable: its
     column slices are the whole logical thread.  A snapshot captures those
     slices as plain arrays, so it can be reinstalled into any vacant lane of
-    any machine running the same program (any width, any executor, either
-    stack layout) and the thread resumes bit-identically from where it was.
+    any machine running the same program (any width, any executor) and the
+    thread resumes bit-identically from where it was.
     This is what lets the serving engine *preempt* a lane (evict, requeue
     with the snapshot, resume later) and lets the cluster migrate a
     preempted lane to another shard.
@@ -85,14 +85,25 @@ class LaneSnapshot:
 
         The deepest saved-frame count across the return-address stack and
         every captured variable stack (the live top is the implicit base
-        frame and needs no saved slot).
+        frame and needs no saved slot).  ``ValueError`` when a stack holds
+        no frame at all: every stack keeps its base frame, so such a
+        snapshot was not captured from a machine.
         """
-        required = int(self.addr_frames.shape[0]) - 1
-        for name, payload in self.storages.items():
-            if payload is None:
-                continue
-            if self.program.kind(name) is VarKind.STACKED:
-                required = max(required, int(np.asarray(payload).shape[0]) - 1)
+        stacks = [("return-address stack", self.addr_frames)] + [
+            (f"stacked variable {name!r}", payload)
+            for name, payload in self.storages.items()
+            if payload is not None and self.program.kind(name) is VarKind.STACKED
+        ]
+        required = 0
+        for what, frames in stacks:
+            rows = np.shape(frames)[:1]
+            if not rows or rows[0] < 1:
+                raise ValueError(
+                    f"lane snapshot's {what} holds frames of shape "
+                    f"{np.shape(frames)}; every stack holds at least its "
+                    "base frame"
+                )
+            required = max(required, rows[0] - 1)
         return required
 
     def to_bytes(self) -> bytes:
@@ -150,7 +161,6 @@ class ProgramCounterVM:
         mode: str = "mask",
         scheduler: Any = "earliest",
         max_stack_depth: Optional[int] = None,
-        top_cache: bool = True,
         instrumentation: Optional[Instrumentation] = None,
         max_steps: int = 10 ** 9,
         executor: Any = None,
@@ -179,7 +189,6 @@ class ProgramCounterVM:
         self.mode = mode
         self.scheduler = make_scheduler(scheduler)
         self.max_stack_depth = int(max_stack_depth)
-        self.top_cache = bool(top_cache)
         self.instr = instrumentation or Instrumentation()
         self.instr.batch_size = self.batch_size
         self.max_steps = max_steps
@@ -217,12 +226,7 @@ class ProgramCounterVM:
         if st is None:
             kind = self.program.kind(name)
             if kind is VarKind.STACKED:
-                st = StackedStorage(
-                    name,
-                    self.batch_size,
-                    depth=self.max_stack_depth,
-                    top_cache=self.top_cache,
-                )
+                st = StackedStorage(name, self.batch_size, self.max_stack_depth)
             else:
                 st = RegisterStorage(name, self.batch_size)
             self.storages[name] = st
@@ -456,8 +460,9 @@ class ProgramCounterVM:
         destroyed — the serving engine only restores into vacant lanes.
 
         Incompatibility is rejected *statically, before any machine state
-        is touched*: ``ValueError`` on a program mismatch or an impossible
-        pc, :class:`SnapshotIncompatibleError` (a
+        is touched*: ``ValueError`` on a program mismatch, an impossible
+        pc or a stack without its base frame,
+        :class:`SnapshotIncompatibleError` (a
         :class:`~repro.vm.stack.StackOverflowError`) when this machine's
         ``max_stack_depth`` cannot hold the captured frames — naming the
         required vs available depth, instead of the old mid-restore
@@ -540,7 +545,6 @@ def run_program_counter(
     mode: str = "mask",
     scheduler: Any = "earliest",
     max_stack_depth: Optional[int] = None,
-    top_cache: bool = True,
     instrumentation: Optional[Instrumentation] = None,
     max_steps: int = 10 ** 9,
     executor: Any = None,
@@ -560,7 +564,6 @@ def run_program_counter(
         mode=mode,
         scheduler=scheduler,
         max_stack_depth=max_stack_depth,
-        top_cache=top_cache,
         instrumentation=instrumentation,
         max_steps=max_steps,
         executor=executor,

@@ -360,10 +360,11 @@ def decode_snapshot(
     required = addr_header[1][0] - 1
     for name, header in storage_headers:
         if header is not None and program.kind(name) is VarKind.STACKED:
-            if not header[1]:
+            if not header[1] or header[1][0] < 1:
                 raise SnapshotDecodeError(
-                    f"snapshot stacked storage {name!r} must carry at least "
-                    "a 1-D frames array, got a scalar"
+                    f"snapshot stacked storage {name!r} must carry a frames "
+                    "array with at least the base frame, got shape "
+                    f"{header[1]}"
                 )
             required = max(required, header[1][0] - 1)
     if max_stack_depth is not None and required > max_stack_depth:

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.vm.stack import BatchedStack, UncachedBatchedStack, masked_assign
+from repro.vm.stack import BatchedStack, masked_assign
 
 
 class UninitializedRead(RuntimeError):
@@ -97,17 +97,10 @@ class RegisterStorage:
 class StackedStorage:
     """Storage backed by a batched stack; allocation deferred to first write."""
 
-    def __init__(
-        self,
-        name: str,
-        batch_size: int,
-        depth: int,
-        top_cache: bool = True,
-    ):
+    def __init__(self, name: str, batch_size: int, depth: int):
         self.name = name
         self.batch_size = batch_size
         self.depth = depth
-        self.top_cache = top_cache
         self.stack: Optional[BatchedStack] = None
         # Pre-write pushes must be replayed once shape/dtype are known: a
         # push of value v onto a virgin stack is just "depth += 1; top = v",
@@ -124,8 +117,7 @@ class StackedStorage:
         ):
             return stack
         if stack is None:
-            cls = BatchedStack if self.top_cache else UncachedBatchedStack
-            stack = self.stack = cls(
+            stack = self.stack = BatchedStack(
                 batch_size=self.batch_size,
                 depth=self.depth,
                 event_shape=event_shape,
@@ -173,7 +165,7 @@ class StackedStorage:
     def pop(self, mask: np.ndarray) -> None:
         if self.stack is None:
             raise UninitializedRead(f"variable {self.name!r} popped before assignment")
-        self.stack.pop(mask)
+        self.stack.drop_at(np.flatnonzero(mask))
 
     def pop_at(self, idx: np.ndarray) -> None:
         if self.stack is None:
@@ -190,9 +182,9 @@ class StackedStorage:
     def capture_lane(self, lane: int) -> Optional[np.ndarray]:
         """One lane's logical stack frames (bottom to top), or None.
 
-        The frame representation is stack-layout independent (see
+        The frames hold no machine width or depth limit (see
         :meth:`~repro.vm.stack.BatchedStack.restore_lane`), so a snapshot
-        restores across machines regardless of the top-cache setting.
+        restores into any machine deep enough to hold them.
         """
         if self.stack is None:
             return None

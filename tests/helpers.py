@@ -58,9 +58,6 @@ def run_all_strategies(fn, inputs, max_stack_depth=64):
     results["pc/fused"] = fn.run_pc(
         *inputs, executor="fused", max_stack_depth=max_stack_depth
     )
-    results["pc/nocache"] = fn.run_pc(
-        *inputs, top_cache=False, max_stack_depth=max_stack_depth
-    )
     for sched in ("most_active", "round_robin"):
         results[f"pc/{sched}"] = fn.run_pc(
             *inputs, scheduler=sched, max_stack_depth=max_stack_depth

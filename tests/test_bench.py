@@ -1,6 +1,5 @@
 """Tests for the benchmark harness (timing, reporting, figure sweeps)."""
 
-import numpy as np
 import pytest
 
 from repro.bench.ablations import (
@@ -8,9 +7,7 @@ from repro.bench.ablations import (
     ablation_masking,
     ablation_optimizations,
     ablation_scheduler,
-    ablation_top_cache,
     render,
-    top_cache_workloads,
 )
 from repro.bench.figure5 import Figure5Config, run_figure5
 from repro.bench.figure6 import Figure6Config, run_figure6
@@ -184,29 +181,6 @@ class TestAblations:
             raw = by[(workload, "unoptimized")]
             assert opt.stacked_writes < raw.stacked_writes
             assert raw.register_writes == 0  # everything stacked when off
-
-    def test_top_cache_changes_the_clock_not_the_work(self, config):
-        rows = ablation_top_cache(config)
-        by = {(r.workload, r.variant): r for r in rows}
-        workloads = top_cache_workloads(config)
-        assert {w for w, _ in workloads} == {"fib@16", "fib@4096", "nuts"}
-        assert set(by) == {(w, v) for w, _ in workloads for v in ("cached", "uncached")}
-        for workload, (program, inputs) in workloads:
-            cached, uncached = by[(workload, "cached")], by[(workload, "uncached")]
-            assert (cached.push_lanes, cached.pop_lanes) == (
-                uncached.push_lanes, uncached.pop_lanes
-            )
-            assert cached.push_lanes > 0
-            got, want = (
-                program.run_pc(*inputs, executor="fused", top_cache=top_cache,
-                               max_stack_depth=32)
-                for top_cache in (False, True)
-            )
-            if not isinstance(want, tuple):
-                got, want = (got,), (want,)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def test_render_smoke(self, config):
         rows = ablation_scheduler(config)

@@ -33,11 +33,10 @@ def test_pc_optimization_grid(name, opts_index):
 
 
 @pytest.mark.parametrize("mode", ["mask", "gather"])
-@pytest.mark.parametrize("top_cache", [True, False])
-def test_pc_mode_cache_grid(mode, top_cache):
+def test_pc_mode_grid(mode):
     batch = np.array([0, 1, 5, 9, 12, 3])
     expected = fib.run_reference(batch)
-    actual = fib.run_pc(batch, mode=mode, top_cache=top_cache, max_stack_depth=32)
+    actual = fib.run_pc(batch, mode=mode, max_stack_depth=32)
     assert_results_equal(expected, actual)
 
 

@@ -5,7 +5,7 @@ Three load-bearing properties:
 
 1. **Codec fidelity** — serialize → deserialize → restore must complete
    bit-identically to the uninterrupted run, for every corpus program, at
-   any interruption point, under every executor and both stack layouts.
+   any interruption point, under every executor.
 2. **Admission before allocation** — corrupt, truncated, cross-program, or
    forged-depth bytes are rejected with typed errors *before* any lane
    state is touched; a bad spill entry fails only its own handle.
@@ -62,9 +62,11 @@ CORPUS = sorted(ALL_EXAMPLES)
 EXECUTORS = ["eager", "fused", "superblock"]
 
 #: Wire format v2 of lane 0 of the corpus fib batch after 12 eager steps.
+#: The lane has halted: its return-address stack holds one frame, the exit
+#: index, which the pop at the base left in place.
 WIRE_V2_FIB_LEN = 167
 WIRE_V2_FIB_SHA256 = (
-    "e3049e761fc0510e865f3dc33390ddfe7488b8aeae733058002f70a108e2e658"
+    "7441d8cff2395c88ce2220517f96e1269364d9b37dd347339f545ef559b29c30"
 )
 
 _boxed_registry = default_registry.child()
@@ -194,25 +196,19 @@ class TestSnapshotBytesRoundTrip:
     @given(
         name=st.sampled_from(CORPUS),
         executor=st.sampled_from(EXECUTORS),
-        src_cache=st.booleans(),
-        dst_cache=st.booleans(),
         frac=st.floats(0.0, 1.0),
     )
-    def test_roundtrip_property(self, name, executor, src_cache, dst_cache, frac):
-        """Hypothesis-chosen interruption point × executor × both stack
-        layouts on both sides of the wire — completion stays bit-identical."""
+    def test_roundtrip_property(self, name, executor, frac):
+        """Hypothesis-chosen interruption point × executor — completion
+        stays bit-identical."""
         fn, inputs = ALL_EXAMPLES[name]
         expected = fn.run_pc(
             *[np.asarray(x) for x in inputs], executor=executor, max_stack_depth=64
         )
-        total = total_steps(
-            name, executor, max_stack_depth=64, top_cache=src_cache
-        )
+        total = total_steps(name, executor, max_stack_depth=64)
         stop_at = int(round(frac * total))
         plan = plan_for(name, executor)
-        snaps = snapshots_at(
-            name, executor, stop_at, max_stack_depth=64, top_cache=src_cache
-        )
+        snaps = snapshots_at(name, executor, stop_at, max_stack_depth=64)
         blobs = [s.to_bytes() for s in snaps]
         # Determinism: re-encoding yields byte-identical blobs.
         assert blobs == [s.to_bytes() for s in snaps]
@@ -222,9 +218,7 @@ class TestSnapshotBytesRoundTrip:
             )
             for b in blobs
         ]
-        got = finish_from(
-            name, executor, rehydrated, max_stack_depth=64, top_cache=dst_cache
-        )
+        got = finish_from(name, executor, rehydrated, max_stack_depth=64)
         assert_results_equal(
             got, expected, context=f"{name}/{executor}@{stop_at}/{total}"
         )
@@ -234,6 +228,8 @@ class TestSnapshotBytesRoundTrip:
         layout, the field order or the fib lowering (the fingerprint rides
         in the header) moves this digest; bump ``VERSION`` with the first."""
         snap = snapshots_at("fib", "eager", 12, max_stack_depth=32)[0]
+        assert snap.pc == snap.program.exit_index
+        np.testing.assert_array_equal(snap.addr_frames, [snap.program.exit_index])
         blob = snap.to_bytes()
         assert blob[:6] == MAGIC + struct.pack("<H", 2) and VERSION == 2
         assert len(blob) == WIRE_V2_FIB_LEN
@@ -332,6 +328,22 @@ class TestSnapshotBytesRejection:
         # Without facts a deep enough machine would admit it — the verifier
         # bound is what catches the forgery.
         LaneSnapshot.from_bytes(blob, plan.program, max_stack_depth=forged + 8)
+
+    def test_zero_frame_variable_stack_refused(self):
+        """Every stack keeps its base frame.  A stacked variable whose
+        frames array has zero rows used to pass admission (only a scalar
+        was refused) and then either fail mid-restore or point the lane
+        below its base row."""
+        snap, _ = self._blob()
+        assert snap.storages["fib.n"].shape[0] >= 1
+        empty = LaneSnapshot(
+            program=snap.program,
+            pc=snap.pc,
+            addr_frames=snap.addr_frames,
+            storages=dict(snap.storages, **{"fib.n": snap.storages["fib.n"][:0]}),
+        )
+        with pytest.raises(SnapshotDecodeError, match="'fib.n'.*base frame"):
+            LaneSnapshot.from_bytes(empty.to_bytes(), snap.program)
 
     def test_rejected_before_arrays_materialize(self, monkeypatch):
         """Admission runs on parsed headers only — a corrupt blob never
@@ -1041,7 +1053,7 @@ class TestJournalConfigRecord:
 
     #: A config record exactly as journals were written while resume
     #: re-batching existed (for ``fib.serve(8, executor="fused",
-    #: preempt=True)``): it names both deleted options.
+    #: preempt=True)``): it names three deleted options.
     PARENT_RECORD = {
         "type": "config", "num_lanes": 8, "num_engines": None,
         "executor": "fused", "scheduler": "earliest", "optimize": True,
@@ -1053,30 +1065,34 @@ class TestJournalConfigRecord:
         "preempt": "PreemptPolicy(priority_delta=1, min_age=0, max_per_tick=None)",
     }
 
+    @pytest.mark.parametrize("top_cache", [True, False])
     @pytest.mark.parametrize("defer_limit", [1, 4, 64])
     def test_parent_record_with_rebatching_off_recovers(
-        self, tmp_path, defer_limit
+        self, tmp_path, defer_limit, top_cache
     ):
         """Resume re-batching off is exactly the schedule that survives
-        its deletion, whatever defer limit the record carries: the
-        submits under that record, as a crash before any completion
-        leaves them, replay the uninterrupted run."""
+        its deletion, whatever defer limit the record carries, and the
+        stack layout ``top_cache`` chose never moved a tick: the submits
+        under that record, as a crash before any completion leaves them,
+        replay the uninterrupted run bit for bit."""
         journal = Journal()
-        _, handles = self._serve(journal)
-        expected = {
-            h.request_id: (int(h.result()), h.finish_tick) for h in handles
-        }
+        engine, handles = self._serve(journal)
         path = tmp_path / "old.jsonl"
-        record = dict(self.PARENT_RECORD, resume_defer_limit=defer_limit)
+        record = dict(
+            self.PARENT_RECORD, resume_defer_limit=defer_limit, top_cache=top_cache
+        )
         path.write_text("".join(
             json.dumps(entry) + "\n"
             for entry in [record] + journal.submissions()
         ))
         run = recover(Journal.load(str(path)), fib)
-        assert run.server.telemetry.preemptions > 0
-        assert {
-            r: (int(h.result()), h.finish_tick) for r, h in run.handles.items()
-        } == expected
+        assert run.server.now == engine.now
+        assert run.server.telemetry.preemptions == engine.telemetry.preemptions
+        for h in handles:
+            got = run.handles[h.request_id]
+            assert (got.finish_tick, got.steps_used) == (h.finish_tick, h.steps_used)
+            assert got.result().dtype == h.result().dtype
+            assert np.array_equal(got.result(), h.result())
 
     @pytest.mark.parametrize("num_engines", [None, 2])
     def test_parent_record_with_rebatching_on_is_refused(self, num_engines):

@@ -591,8 +591,8 @@ class TestSnapshotRestoreDifferential:
     """Lane checkpoint/resume (the preemptive-serving primitive): snapshot
     every lane of a mid-flight machine, restore into a *fresh* machine, and
     the completed run must be bit-identical to the uninterrupted one —
-    under both executors, at any interruption point, across stack layouts,
-    and into any lane permutation."""
+    under both executors, at any interruption point, from one executor to
+    another, and into any lane permutation."""
 
     @staticmethod
     def _count_steps(plan, inputs, **vm_options):
@@ -664,23 +664,6 @@ class TestSnapshotRestoreDifferential:
                 np.testing.assert_array_equal(
                     out, expected, err_msg=f"{src}->{dst}"
                 )
-
-    def test_restore_across_stack_layouts(self):
-        """The frame representation is layout-independent: a top-cached
-        snapshot restores into an uncached machine and vice versa."""
-        ns = np.array([9, 3, 12], dtype=np.int64)
-        expected = fib.run_pc(ns)
-        plan = fib.execution_plan("eager")
-        for src_cache, dst_cache in ((True, False), (False, True)):
-            snaps = self._snapshot_at(
-                plan, [ns], 30, max_stack_depth=32, top_cache=src_cache
-            )
-            (out,) = self._finish_from(
-                plan, snaps, max_stack_depth=32, top_cache=dst_cache
-            )
-            np.testing.assert_array_equal(
-                out, expected, err_msg=f"cache {src_cache}->{dst_cache}"
-            )
 
     def test_restore_into_permuted_lanes(self):
         """A snapshot is lane-independent: restoring lane b's thread into

@@ -357,7 +357,7 @@ class TestVmLaneHooks:
         vm.reset_lanes(np.array([0]))
         assert vm.pcreg[0] == vm.entry_index
         assert vm.addr_stack.sp[0] == 0
-        assert vm.addr_stack.cache[0] == vm.exit_index
+        assert vm.addr_stack.read()[0] == vm.exit_index
         for st in vm.storages.values():
             if getattr(st, "array", None) is not None:
                 assert not np.any(st.array[0])

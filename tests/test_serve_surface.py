@@ -56,7 +56,7 @@ from .test_cluster import rebalance_schedule
 #: Today's options, literally: the config object may neither grow nor
 #: shrink the surface without this list (and the README table) changing.
 OPTIONS = [
-    "registry", "mode", "scheduler", "max_stack_depth", "top_cache",
+    "registry", "mode", "scheduler", "max_stack_depth",
     "optimize", "executor", "verify", "max_queue_depth",
     "default_step_budget", "refill", "preempt", "trace", "max_steps",
     "instrumentation", "max_resident_snapshots", "spill_store", "journal",
@@ -121,7 +121,7 @@ INVALID_FLEET = [
 class TestDeclaredOnce:
     def test_the_fields_are_exactly_todays_options(self):
         assert sorted(FIELDS) == sorted(OPTIONS)
-        assert len(FIELDS) == 20
+        assert len(FIELDS) == 19
         assert FLEET_OPTIONS == ("policy", "steal")
 
     def test_constructors_name_no_serving_option(self):
@@ -139,13 +139,14 @@ class TestDeclaredOnce:
             ENTRY_POINTS[entry](lane_count=4)
 
     @pytest.mark.parametrize(
-        "option", ["seed", "autoscale", "resume_batching", "resume_defer_limit"]
+        "option",
+        ["seed", "autoscale", "resume_batching", "resume_defer_limit", "top_cache"],
     )
     def test_deleted_fleet_options_are_unknown_everywhere(self, option):
-        """The fleet is fixed-size and routes without an RNG, and queued
-        work is seated in strict service order: neither ``seed``,
-        ``autoscale`` nor resume re-batching is an option at any entry
-        point."""
+        """The fleet is fixed-size and routes without an RNG, queued work
+        is seated in strict service order, and every stack has one
+        layout: neither ``seed``, ``autoscale``, resume re-batching nor
+        ``top_cache`` is an option at any entry point."""
         for make in [*ENTRY_POINTS.values(), *FLEET_ENTRY_POINTS.values()]:
             with pytest.raises(TypeError, match=option):
                 make(**{option: 1})
@@ -244,7 +245,6 @@ SHARD_EFFECTS = {
     "mode": ("gather", lambda s: s.vm.mode == "gather"),
     "scheduler": ("most_active", lambda s: s.vm.scheduler.name == "most_active"),
     "max_stack_depth": (48, lambda s: s.vm.max_stack_depth == 48),
-    "top_cache": (False, lambda s: s.vm.top_cache is False),
     "optimize": (
         False,
         lambda s: s.plan.options == normalize_lowering_options(False),

@@ -1,156 +1,174 @@
-"""Unit and property tests for the batched stacks (paper optimization 4)."""
+"""Unit and property tests for the batched stack (paper Section 3)."""
+
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vm.stack import (
-    BatchedStack,
-    StackOverflowError,
-    StackUnderflowError,
-    UncachedBatchedStack,
-)
+import repro.vm.stack
+from repro.vm.program_counter import ProgramCounterVM
+from repro.vm.stack import BatchedStack, StackOverflowError, StackUnderflowError
 from repro.vm.state import StackedStorage
 
-STACK_CLASSES = [BatchedStack, UncachedBatchedStack]
+from .programs import fib
 
 
 def full_mask(z):
     return np.ones(z, dtype=bool)
 
 
-@pytest.mark.parametrize("cls", STACK_CLASSES)
+def test_one_stack_class_backs_every_stack():
+    """The module defines one stack, and a machine's return-address stack
+    and every variable stack are instances of it."""
+    classes = [
+        obj for _, obj in inspect.getmembers(repro.vm.stack, inspect.isclass)
+        if obj.__module__ == repro.vm.stack.__name__
+        and not issubclass(obj, Exception)
+    ]
+    assert classes == [BatchedStack]
+    vm = ProgramCounterVM(fib.execution_plan("fused"), 3, max_stack_depth=16)
+    vm.run([np.array([4, 7, 2])])
+    stacks = [vm.addr_stack] + [
+        st.stack for st in vm.storages.values() if isinstance(st, StackedStorage)
+    ]
+    assert len(stacks) > 1
+    assert all(type(s) is BatchedStack for s in stacks)
+
+
+# A variable stack holds float64 by default and the return-address stack
+# holds int64 program counters; both are the one class, so the basic
+# operations run on both element types.
+ELEMENT_DTYPES = pytest.mark.parametrize(
+    "dtype", ["float64", "int64"], ids=["variable", "address"]
+)
+
+
+def _vals(dtype, values):
+    return np.asarray(values, dtype=dtype)
+
+
+@ELEMENT_DTYPES
 class TestBasicOps:
-    def test_initial_top_is_zero(self, cls):
-        s = cls(batch_size=3, depth=4)
+    def test_initial_top_is_zero(self, dtype):
+        s = BatchedStack(batch_size=3, depth=4, dtype=dtype)
         np.testing.assert_array_equal(s.read(), np.zeros(3))
+        assert s.read().dtype == np.dtype(dtype)
         np.testing.assert_array_equal(s.depths(), np.ones(3))
 
-    def test_update_then_read(self, cls):
-        s = cls(batch_size=3, depth=4)
-        s.update(full_mask(3), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(s.read(), [1.0, 2.0, 3.0])
+    def test_update_then_read(self, dtype):
+        s = BatchedStack(batch_size=3, depth=4, dtype=dtype)
+        s.update(full_mask(3), _vals(dtype, [1, 2, 3]))
+        np.testing.assert_array_equal(s.read(), [1, 2, 3])
 
-    def test_masked_update_leaves_inactive_lanes(self, cls):
-        s = cls(batch_size=3, depth=4)
-        s.update(np.array([True, False, True]), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(s.read(), [1.0, 0.0, 3.0])
+    def test_masked_update_leaves_inactive_lanes(self, dtype):
+        s = BatchedStack(batch_size=3, depth=4, dtype=dtype)
+        s.update(np.array([True, False, True]), _vals(dtype, [1, 2, 3]))
+        np.testing.assert_array_equal(s.read(), [1, 0, 3])
 
-    def test_push_pop_roundtrip(self, cls):
-        s = cls(batch_size=2, depth=4)
-        s.update(full_mask(2), np.array([10.0, 20.0]))
-        s.push(full_mask(2), np.array([11.0, 21.0]))
-        np.testing.assert_array_equal(s.read(), [11.0, 21.0])
+    def test_push_pop_roundtrip(self, dtype):
+        s = BatchedStack(batch_size=2, depth=4, dtype=dtype)
+        s.update(full_mask(2), _vals(dtype, [10, 20]))
+        s.push(full_mask(2), _vals(dtype, [11, 21]))
+        np.testing.assert_array_equal(s.read(), [11, 21])
         np.testing.assert_array_equal(s.depths(), [2, 2])
         popped = s.pop(full_mask(2))
-        np.testing.assert_array_equal(popped, [11.0, 21.0])
-        np.testing.assert_array_equal(s.read(), [10.0, 20.0])
+        assert popped.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(popped, [11, 21])
+        np.testing.assert_array_equal(s.read(), [10, 20])
 
-    def test_masked_push_diverges_depths(self, cls):
-        s = cls(batch_size=3, depth=4)
-        s.update(full_mask(3), np.array([1.0, 2.0, 3.0]))
-        s.push(np.array([True, False, True]), np.array([9.0, 9.0, 9.0]))
+    def test_masked_push_diverges_depths(self, dtype):
+        s = BatchedStack(batch_size=3, depth=4, dtype=dtype)
+        s.update(full_mask(3), _vals(dtype, [1, 2, 3]))
+        s.push(np.array([True, False, True]), _vals(dtype, [9, 9, 9]))
         np.testing.assert_array_equal(s.depths(), [2, 1, 2])
-        np.testing.assert_array_equal(s.read(), [9.0, 2.0, 9.0])
+        np.testing.assert_array_equal(s.read(), [9, 2, 9])
         s.pop(np.array([True, False, False]))
-        np.testing.assert_array_equal(s.read(), [1.0, 2.0, 9.0])
+        np.testing.assert_array_equal(s.read(), [1, 2, 9])
         np.testing.assert_array_equal(s.depths(), [1, 1, 2])
 
-    def test_vector_events(self, cls):
-        s = cls(batch_size=2, depth=3, event_shape=(2,))
-        v0 = np.array([[1.0, 2.0], [3.0, 4.0]])
-        v1 = np.array([[5.0, 6.0], [7.0, 8.0]])
+    def test_vector_events(self, dtype):
+        s = BatchedStack(batch_size=2, depth=3, event_shape=(2,), dtype=dtype)
+        v0 = _vals(dtype, [[1, 2], [3, 4]])
+        v1 = _vals(dtype, [[5, 6], [7, 8]])
         s.update(full_mask(2), v0)
         s.push(full_mask(2), v1)
         np.testing.assert_array_equal(s.read(), v1)
         s.pop(full_mask(2))
         np.testing.assert_array_equal(s.read(), v0)
 
-    def test_overflow_raises(self, cls):
-        s = cls(batch_size=1, depth=2)
-        s.push(full_mask(1), np.array([1.0]))
-        s.push(full_mask(1), np.array([2.0]))
+    def test_overflow_raises(self, dtype):
+        s = BatchedStack(batch_size=1, depth=2, dtype=dtype)
+        s.push(full_mask(1), _vals(dtype, [1]))
+        s.push(full_mask(1), _vals(dtype, [2]))
         with pytest.raises(StackOverflowError):
-            s.push(full_mask(1), np.array([3.0]))
+            s.push(full_mask(1), _vals(dtype, [3]))
 
-    def test_masked_overflow_only_on_active_lanes(self, cls):
-        s = cls(batch_size=2, depth=1)
-        s.push(np.array([True, False]), np.array([1.0, 1.0]))
+    def test_masked_overflow_only_on_active_lanes(self, dtype):
+        s = BatchedStack(batch_size=2, depth=1, dtype=dtype)
+        s.push(np.array([True, False]), _vals(dtype, [1, 1]))
         # Lane 0 is full; pushing only on lane 1 must succeed.
-        s.push(np.array([False, True]), np.array([2.0, 2.0]))
+        s.push(np.array([False, True]), _vals(dtype, [2, 2]))
         with pytest.raises(StackOverflowError):
-            s.push(np.array([True, False]), np.array([3.0, 3.0]))
+            s.push(np.array([True, False]), _vals(dtype, [3, 3]))
 
-    def test_indexed_overflow_only_on_active_lanes(self, cls):
-        s = cls(batch_size=2, depth=1)
-        s.push_at(np.array([0]), np.array([1.0]))
+    def test_indexed_overflow_only_on_active_lanes(self, dtype):
+        s = BatchedStack(batch_size=2, depth=1, dtype=dtype)
+        s.push_at(np.array([0]), _vals(dtype, [1]))
         # Lane 0 is full; pushing only on lane 1 must succeed.
-        s.push_at(np.array([1]), np.array([2.0]))
+        s.push_at(np.array([1]), _vals(dtype, [2]))
         before = (s.sp.copy(), s.data.copy(), s.read().copy(), s.high_water)
         with pytest.raises(StackOverflowError, match="max_stack_depth"):
-            s.push_at(np.array([0, 1]), np.array([3.0, 3.0]))
+            s.push_at(np.array([0, 1]), _vals(dtype, [3, 3]))
         # The raise comes before any write, for the lanes in idx too.
         for was, now in zip(before, (s.sp, s.data, s.read(), s.high_water)):
             np.testing.assert_array_equal(now, was)
 
-    def test_pop_at_base_is_clamped(self, cls):
-        s = cls(batch_size=1, depth=2)
-        s.update(full_mask(1), np.array([5.0]))
-        s.pop(full_mask(1))  # popping the base frame is benign by design
-        np.testing.assert_array_equal(s.depths(), [1])
+    def test_pop_at_base_keeps_the_top(self, dtype):
+        """A non-strict pop at the base frame leaves depth and top as they
+        were, whether or not the lane ever pushed (a stale saved row must
+        not reappear)."""
+        s = BatchedStack(batch_size=2, depth=2, dtype=dtype)
+        s.update(full_mask(2), _vals(dtype, [5, 6]))
+        s.push_at(np.array([1]), _vals(dtype, [7]))
+        s.drop_at(np.array([1]))
+        s.update_at(np.array([1]), _vals(dtype, [8]))
+        s.pop(full_mask(2))  # popping the base frame is benign by design
+        np.testing.assert_array_equal(s.depths(), [1, 1])
+        np.testing.assert_array_equal(s.read(), [5, 8])
+        s.drop_at(np.array([0, 1]))
+        np.testing.assert_array_equal(s.read(), [5, 8])
 
-    def test_pop_at_base_clamps_to_the_lanes_own_row(self, cls):
+    def test_pop_at_base_clamps_to_the_lanes_own_row(self, dtype):
         """At Z = 2 a base clamp to row 0 would hand lane 1 lane 0's row."""
-        s = cls(batch_size=2, depth=2)
-        s.update(full_mask(2), np.array([1.0, 7.0]))
-        s.push_at(np.array([0]), np.array([2.0]))  # lane 0 saves frame 1.0
+        s = BatchedStack(batch_size=2, depth=2, dtype=dtype)
+        s.update(full_mask(2), _vals(dtype, [1, 7]))
+        s.push_at(np.array([0]), _vals(dtype, [2]))  # lane 0 saves frame 1
         s.drop_at(np.array([1]))  # non-strict pop of lane 1 at its base
-        s.update_at(np.array([1]), np.array([9.0]))
-        s.push_at(np.array([1]), np.array([8.0]))  # saves 9.0 in lane 1's row
+        s.update_at(np.array([1]), _vals(dtype, [9]))
+        s.push_at(np.array([1]), _vals(dtype, [8]))  # saves 9 in lane 1's row
         np.testing.assert_array_equal(s.depths(), [2, 2])
-        np.testing.assert_array_equal(s.frames(1), [9.0, 8.0])
+        np.testing.assert_array_equal(s.frames(1), [9, 8])
         s.drop_at(np.array([0]))
-        np.testing.assert_array_equal(s.read(), [1.0, 8.0])
-        np.testing.assert_array_equal(s.frames(0), [1.0])
+        np.testing.assert_array_equal(s.read(), [1, 8])
+        np.testing.assert_array_equal(s.frames(0), [1])
 
-    def test_promote_keeps_saved_frames(self, cls):
-        """A float write to an int stack widens every frame, saved or top,
-        and later pushes and pops address the widened buffer."""
-        storage = StackedStorage("v", 2, depth=3, top_cache=cls.caching)
-        storage.write(full_mask(2), np.array([1, 10]))
-        storage.push(full_mask(2), np.array([2, 20]))
-        storage.push(np.array([True, False]), np.array([3, 0]))
-        s = storage.stack
-        assert type(s) is cls and s.dtype == np.int64
-        storage.write_at(np.array([1]), np.array([20.5]))
-        assert storage.stack is s and s.dtype == np.float64
-        storage.push_at(np.array([1]), np.array([21.25]))
-        np.testing.assert_array_equal(s.frames(0), [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(s.frames(1), [10.0, 20.5, 21.25])
-        for lane, want in ((0, [3.0, 2.0, 1.0]), (1, [21.25, 20.5, 10.0])):
-            got = []
-            for _ in want:
-                got.append(s.read_at(np.array([lane]))[0])
-                s.drop_at(np.array([lane]))
-            assert np.asarray(got).dtype == np.float64
-            np.testing.assert_array_equal(got, want)
-        assert s.read().dtype == np.float64
+    def test_frames_inspection(self, dtype):
+        s = BatchedStack(batch_size=2, depth=4, dtype=dtype)
+        s.update(full_mask(2), _vals(dtype, [1, 10]))
+        s.push(np.array([True, False]), _vals(dtype, [2, 0]))
+        s.push(np.array([True, False]), _vals(dtype, [3, 0]))
+        assert s.frames(0).dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(s.frames(0), [1, 2, 3])
+        np.testing.assert_array_equal(s.frames(1), [10])
 
-    def test_frames_inspection(self, cls):
-        s = cls(batch_size=2, depth=4)
-        s.update(full_mask(2), np.array([1.0, 10.0]))
-        s.push(np.array([True, False]), np.array([2.0, 0.0]))
-        s.push(np.array([True, False]), np.array([3.0, 0.0]))
-        np.testing.assert_array_equal(s.frames(0), [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(s.frames(1), [10.0])
-
-    def test_gathered_ops_match_masked(self, cls):
+    def test_gathered_ops_match_masked(self, dtype):
         z = 5
-        masked = cls(batch_size=z, depth=4)
-        gathered = cls(batch_size=z, depth=4)
+        masked = BatchedStack(batch_size=z, depth=4, dtype=dtype)
+        gathered = BatchedStack(batch_size=z, depth=4, dtype=dtype)
         rng = np.random.default_rng(0)
-        vals = rng.normal(size=z)
+        vals = _vals(dtype, rng.normal(size=z) * 100)
         mask = np.array([True, False, True, True, False])
         idx = np.flatnonzero(mask)
         masked.update(full_mask(z), vals)
@@ -162,6 +180,30 @@ class TestBasicOps:
         masked.pop(mask)
         gathered.pop_at(idx)
         np.testing.assert_array_equal(masked.read(), gathered.read())
+
+
+def test_promote_keeps_saved_frames():
+    """A float write to an int stack widens every frame, saved or top,
+    and later pushes and pops address the widened buffer."""
+    storage = StackedStorage("v", 2, depth=3)
+    storage.write(full_mask(2), np.array([1, 10]))
+    storage.push(full_mask(2), np.array([2, 20]))
+    storage.push(np.array([True, False]), np.array([3, 0]))
+    s = storage.stack
+    assert type(s) is BatchedStack and s.dtype == np.int64
+    storage.write_at(np.array([1]), np.array([20.5]))
+    assert storage.stack is s and s.dtype == np.float64
+    storage.push_at(np.array([1]), np.array([21.25]))
+    np.testing.assert_array_equal(s.frames(0), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(s.frames(1), [10.0, 20.5, 21.25])
+    for lane, want in ((0, [3.0, 2.0, 1.0]), (1, [21.25, 20.5, 10.0])):
+        got = []
+        for _ in want:
+            got.append(s.read_at(np.array([lane]))[0])
+            s.drop_at(np.array([lane]))
+        assert np.asarray(got).dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+    assert s.read().dtype == np.float64
 
 
 class _ReferenceStacks:
@@ -183,9 +225,7 @@ class _ReferenceStacks:
     def pop(self, mask):
         for b, on in enumerate(mask):
             if on and len(self.stacks[b]) > 1:
-                self.stacks[b].pop()
-            elif on:
-                self.stacks[b][-1] = 0.0  # clamped base pop reads junk; model as 0
+                self.stacks[b].pop()  # a pop at the base keeps the top
 
     def tops(self):
         return np.array([s[-1] for s in self.stacks])
@@ -201,18 +241,12 @@ class _ReferenceStacks:
         ),
         max_size=30,
     ),
-    cached=st.booleans(),
 )
-def test_stack_matches_reference_model(ops, cached):
-    """Property: batched stacks behave like Z independent list stacks.
-
-    Pops are only applied on lanes whose model stack is non-empty (the
-    machine never underflows on well-formed programs; clamped behavior at
-    the base is unspecified junk).
-    """
+def test_stack_matches_reference_model(ops):
+    """Property: a batched stack behaves like Z independent list stacks,
+    including at the base frame, where a pop keeps the top."""
     z = 4
-    cls = BatchedStack if cached else UncachedBatchedStack
-    s = cls(batch_size=z, depth=40)
+    s = BatchedStack(batch_size=z, depth=40)
     ref = _ReferenceStacks(z)
     for kind, mask_list, vals_list in ops:
         mask = np.array(mask_list)
@@ -224,9 +258,6 @@ def test_stack_matches_reference_model(ops, cached):
             s.update(mask, vals)
             ref.update(mask, vals)
         else:
-            # Only pop lanes that have something above the base frame.
-            depth_ok = s.depths() > 1
-            mask = mask & depth_ok
             s.pop(mask)
             ref.pop(mask)
         np.testing.assert_allclose(s.read(), ref.tops())
@@ -252,13 +283,14 @@ def test_push_pop_is_identity(values):
     np.testing.assert_array_equal(s.depths(), [1, 1])
 
 
-@pytest.mark.parametrize("cls", STACK_CLASSES)
-def test_masked_ops_accept_lists(cls):
-    """``push``/``update`` take any array-like, on either layout."""
-    s = cls(batch_size=3, depth=2)
-    s.update([True, True, True], [1.0, 2.0, 3.0])
-    s.push(np.array([True, False, True]), [7.0, 8.0, 9.0])
-    np.testing.assert_array_equal(s.read(), [7.0, 2.0, 9.0])
+@ELEMENT_DTYPES
+def test_masked_ops_accept_lists(dtype):
+    """``push``/``update`` take any array-like."""
+    s = BatchedStack(batch_size=3, depth=2, dtype=dtype)
+    s.update([True, True, True], [1, 2, 3])
+    s.push(np.array([True, False, True]), [7, 8, 9])
+    assert s.read().dtype == np.dtype(dtype)
+    np.testing.assert_array_equal(s.read(), [7, 2, 9])
     np.testing.assert_array_equal(s.depths(), [2, 1, 2])
 
 
@@ -296,26 +328,25 @@ def _assert_untouched(s, before):
 @settings(max_examples=150, deadline=None)
 @given(
     ops=_model_ops,
-    cached=st.booleans(),
     vector=st.booleans(),
     dtype=st.sampled_from(["int64", "float64"]),
     strict=st.booleans(),
 )
-def test_indexed_ops_match_list_model(ops, cached, vector, dtype, strict):
+def test_indexed_ops_match_list_model(ops, vector, dtype, strict):
     """Every indexed operation against Z plain Python lists of frames.
 
     ``frames(b)``, ``depths()`` and ``high_water`` agree after every
     operation; a push overflows exactly when a lane of ``idx`` already holds
     D saved frames, a strict pop underflows exactly when one sits at the
     base, and either raise leaves the stack bitwise as it was; a non-strict
-    pop at the base keeps depth 1 (its top is then whatever slot 0 held:
-    the model re-reads it).  ``promote`` widens the stack mid-sequence
-    through ``StackedStorage``, as a float write to an int variable does.
+    pop at the base keeps depth 1 and the lane's top.  ``promote`` widens
+    the stack mid-sequence through ``StackedStorage``, as a float write to
+    an int variable does.
     """
     event = (MODEL_E,) if vector else ()
-    storage = StackedStorage("v", MODEL_Z, MODEL_D, top_cache=cached)
+    storage = StackedStorage("v", MODEL_Z, MODEL_D)
     s = storage._ensure(event, np.dtype(dtype))
-    assert type(s) is (BatchedStack if cached else UncachedBatchedStack)
+    assert type(s) is BatchedStack
     s.strict = strict
     zero = np.zeros(event)
     model = [[zero] for _ in range(MODEL_Z)]
@@ -350,8 +381,6 @@ def test_indexed_ops_match_list_model(ops, cached, vector, dtype, strict):
                 for b in lanes:
                     if len(model[b]) > 1:
                         model[b].pop()
-                    else:
-                        model[b] = [s.frames(b)[-1]]
         elif kind == "update":
             mask = np.zeros(MODEL_Z, dtype=bool)
             mask[idx] = True

@@ -252,6 +252,19 @@ class TestVMErrors:
         with pytest.raises(ValueError, match="mode"):
             fib.run_local(np.array([3]), mode="telepathy")
 
+    def test_top_cache_is_not_an_option(self):
+        """Every stack has one layout: ``top_cache=`` is refused by name at
+        each level that used to take it."""
+        program = fib.stack_program()
+        for make in (
+            lambda: fib.run_pc(np.array([3]), top_cache=False),
+            lambda: run_program_counter(program, [np.array([3])], top_cache=False),
+            lambda: ProgramCounterVM(program, 1, top_cache=False),
+            lambda: StackedStorage("v", 1, 4, top_cache=False),
+        ):
+            with pytest.raises(TypeError, match="top_cache"):
+                make()
+
     def test_wrong_input_count(self):
         with pytest.raises(ValueError, match="inputs"):
             run_program_counter(fib.stack_program(), [np.array([1]), np.array([2])])
@@ -309,13 +322,11 @@ class TestSnapshots:
                     seen_divergence = True
         assert seen_divergence
 
-    @pytest.mark.parametrize("top_cache", [True, False])
-    def test_snapshot_does_not_follow_the_machine(self, top_cache):
+    def test_snapshot_does_not_follow_the_machine(self):
         """A snapshot holds the frames of the moment it was taken: stepping
-        on must not rewrite them, on either stack layout."""
+        on must not rewrite them."""
         vm = ProgramCounterVM(
-            fib.execution_plan("fused"), batch_size=4, max_stack_depth=16,
-            top_cache=top_cache,
+            fib.execution_plan("fused"), batch_size=4, max_stack_depth=16
         )
         vm.bind_inputs([np.array([8, 9, 10, 11])])
         for _ in range(40):
@@ -331,6 +342,41 @@ class TestSnapshots:
         for name, frames in taken.items():
             for was, now in zip(frames, snap["variable_stacks"][name]["frames"]):
                 np.testing.assert_array_equal(now, was)
+
+
+    @staticmethod
+    def _lane_state(vm, lane):
+        return (
+            int(vm.pcreg[lane]),
+            vm.addr_stack.frames(lane),
+            {name: st.capture_lane(lane) for name, st in vm.storages.items()},
+        )
+
+    @pytest.mark.parametrize("stack", ["address", "fib.n"])
+    def test_zero_frame_stack_is_refused_before_the_lane_is_touched(self, stack):
+        """Every stack keeps its base frame, so a snapshot holding a stack
+        of zero frames was not captured from a machine.  Restoring one
+        used to reset the lane and then fail (a variable stack) or point
+        the lane below its base row; it is refused with the lane as it
+        was."""
+        vm = ProgramCounterVM(fib.execution_plan("fused"), 2, max_stack_depth=16)
+        vm.bind_inputs([np.array([8, 9])])
+        for _ in range(30):
+            assert vm.step()
+        snap = vm.snapshot_lane(0)
+        if stack == "address":
+            snap.addr_frames = snap.addr_frames[:0]
+        else:
+            snap.storages[stack] = snap.storages[stack][:0]
+        before = self._lane_state(vm, 1)
+        with pytest.raises(ValueError, match="base frame"):
+            vm.restore_lane(1, snap)
+        after = self._lane_state(vm, 1)
+        assert after[0] == before[0]
+        np.testing.assert_array_equal(after[1], before[1])
+        assert after[2].keys() == before[2].keys()
+        for name, was in before[2].items():
+            np.testing.assert_array_equal(after[2][name], was)
 
 
 def _flat_counts(instr):
