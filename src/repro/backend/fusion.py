@@ -60,14 +60,33 @@ path) leaves every fused closure valid, and a snapshot taken under either
 executor restores under either, bit-identically.  Anything added to the
 bind spec must preserve this indirection.
 
-Blocks still run under ``np.errstate(all="ignore")``, which no block
-enters: the machine does, once around a whole
-:meth:`~repro.vm.program_counter.ProgramCounterVM.run` and once per
-``step_lanes()`` call, because entering the context costs about what two of
-a block's kernels do.  Eager masking needs it, since it computes on junk
-lanes.  Compact blocks compute on none; with the context dropped for them
-alone, the error-hygiene tests and the whole test suite (which fails on any
-``RuntimeWarning``) still pass, so for them it is a wall-clock question.
+A stacked variable is a base pointer plus a *static frame offset*.  The
+paper's batched stack (Section 3) moves a per-lane pointer on every push
+and pop; but within one block every lane executes the same operations, so
+how far a variable's pointer has moved at each operation is a compile-time
+constant ``k``.  A block loads the variable's flat pointers once, at its
+first use (``p = s.fp[idx]``); a push or pop only moves ``k``, in the code
+generator; every read, update or push addresses ``p + k * Z`` (``s.get`` /
+``s.put``); and at the end the block stores the pointers once, if its net
+``k`` is not zero, and marks the ``reached`` row of its highest ``k``, if
+that is above zero (the row a push-by-push stack would have marked last,
+which is all ``high_water`` reads).  No pop clamps at a lane's base frame:
+that is sound because the executor verifies every program before it
+generates code for it (:func:`~repro.analysis.stackcheck.verify_stack_program`,
+once per program, or the plan's already-proven facts), and the verifier
+rules out any pop below the frames the lane's own activation pushed
+(``pop-underflow``).  A program that fails verification is refused with
+the verifier's error; it runs under the eager executor only, whose pops
+clamp.  A push past the stack's last row still raises
+:class:`~repro.vm.stack.StackOverflowError` from the bounds check of its
+scatter, before it writes.
+
+No block enters ``np.errstate``, and a machine bound to these executors
+enters none either (``live_lanes_only``): compact blocks compute no junk
+lanes, so their numerics warn exactly as the unbatched reference's do.
+The eager executor keeps the machine's one context per
+:meth:`~repro.vm.program_counter.ProgramCounterVM.run` or ``step_lanes()``
+call, because eager masking computes masked-off lanes on junk.
 
 The same generated executors serve two strategies from the paper's Figure 5:
 
@@ -158,12 +177,29 @@ class _CompiledBlock:
                 namespace[name] = _const_array(payload, vm.batch_size)
             elif kind == "targets":
                 namespace[name] = np.array(payload, dtype=np.int64)
+            elif kind == "offset":  # a static frame offset, in flat rows
+                namespace[name] = np.array(payload * vm.batch_size)
             else:  # "tally": the machine's BlockTally for block ``payload``
                 namespace[name] = tallies.blocks[payload]
         exec(self.code, namespace)
         fn = namespace[f"_fused_block_{self.index}"]
         fn.__fused_source__ = self.source  # type: ignore[attr-defined]
         return fn
+
+
+class _Frame:
+    """One stacked variable inside one generated block: its storage name,
+    the local holding its lanes' flat pointers at block entry, its static
+    frame offset from them, the highest offset a push reached, and the
+    address locals computed so far, by offset."""
+
+    __slots__ = ("storage", "offset", "high", "addrs")
+
+    def __init__(self, storage: str, base: str):
+        self.storage = storage
+        self.offset = 0
+        self.high = 0
+        self.addrs = {0: base}
 
 
 class _BlockCompiler:
@@ -175,11 +211,17 @@ class _BlockCompiler:
         #: Static operation list of every block emitted so far, by index.
         self.ops: Dict[int, BlockOps] = {}
         self._mangle: Dict[str, str] = {}
+        #: The stacked variables of the block being emitted.
+        self._frames: Dict[str, _Frame] = {}
         self._n = 0
 
-    def _bind(self, prefix: str, kind: str, payload: object) -> str:
+    def _fresh(self, prefix: str) -> str:
         name = f"{prefix}{self._n}"
         self._n += 1
+        return name
+
+    def _bind(self, prefix: str, kind: str, payload: object) -> str:
+        name = self._fresh(prefix)
         self.spec.append((name, kind, payload))
         return name
 
@@ -188,7 +230,26 @@ class _BlockCompiler:
             self._mangle[var] = f"t{len(self._mangle)}"
         return self._mangle[var]
 
-    def _read_expr(self, var: str, ops: BlockOps) -> str:
+    def _frame(self, var: str, lines: List[str]) -> _Frame:
+        """``var``'s frame in this block; the first use loads its pointers."""
+        frame = self._frames.get(var)
+        if frame is None:
+            s = self._bind("s", "storage", var)
+            base = self._fresh("p")
+            lines.append(f"{base} = {s}.fp[idx]")
+            frame = self._frames[var] = _Frame(s, base)
+        return frame
+
+    def _addr(self, frame: _Frame, lines: List[str]) -> str:
+        """The local holding ``frame``'s flat addresses at its offset."""
+        name = frame.addrs.get(frame.offset)
+        if name is None:
+            z = self._bind("z", "offset", frame.offset)
+            name = frame.addrs[frame.offset] = self._fresh("a")
+            lines.append(f"{name} = {frame.addrs[0]} + {z}")
+        return name
+
+    def _read_expr(self, var: str, ops: BlockOps, lines: List[str]) -> str:
         """Expression reading ``var``'s live rows, counting the interpreter's
         read record."""
         kind = self.program.kind(var)
@@ -196,6 +257,8 @@ class _BlockCompiler:
             return self._temp_local(var)
         if kind is VarKind.STACKED:
             ops.stacked_reads += 1
+            frame = self._frame(var, lines)
+            return f"{frame.storage}.get({self._addr(frame, lines)})"
         return f"{self._bind('s', 'storage', var)}.read_at(idx)"
 
     def _write_lines(
@@ -206,13 +269,27 @@ class _BlockCompiler:
         kind = self.program.kind(var)
         if kind is VarKind.TEMP:
             lines.append(f"{self._temp_local(var)} = {expr}")
-            return
-        if kind is VarKind.STACKED:
+        elif kind is VarKind.STACKED:
             ops.stacked_writes += 1
+            frame = self._frame(var, lines)
+            addr = self._addr(frame, lines)
+            lines.append(f"{frame.storage}.put({addr}, {expr})")
         else:
             ops.register_writes += 1
-        s = self._bind("s", "storage", var)
-        lines.append(f"{s}.write_at(idx, {expr})")
+            s = self._bind("s", "storage", var)
+            lines.append(f"{s}.write_at(idx, {expr})")
+
+    def _store_frames(self, lines: List[str]) -> None:
+        """Store each moved variable's pointers once, and mark the highest
+        row a push reached (what ``high_water`` reads)."""
+        for frame in self._frames.values():
+            if frame.offset:
+                addr = self._addr(frame, lines)
+                lines.append(f"{frame.storage}.fp[idx] = {addr}")
+            if frame.high > 0:
+                top = frame.addrs[frame.high]
+                lines.append(f"{frame.storage}.reached[{top}] = True")
+        self._frames = {}
 
     def emit_block(self, block_index: int, lines: List[str]) -> None:
         """Append block ``block_index``'s body, terminator and tally statements.
@@ -232,7 +309,7 @@ class _BlockCompiler:
                 self._write_lines(op.output, f"{const}[:_na]", lines, ops)
             elif isinstance(op, PrimOp):
                 k = self._bind("k", "prim_fn", op.fn)
-                args = ", ".join(self._read_expr(v, ops) for v in op.inputs)
+                args = ", ".join(self._read_expr(v, ops, lines) for v in op.inputs)
                 call = f"{k}({args})"
                 if len(op.outputs) == 1:
                     out = op.outputs[0]
@@ -255,22 +332,29 @@ class _BlockCompiler:
                 firsts.append(first)
             elif isinstance(op, PushOp):
                 k = self._bind("k", "prim_fn", op.fn)
-                args = ", ".join(self._read_expr(v, ops) for v in op.inputs)
-                s = self._bind("s", "storage", op.output)
-                lines.append(f"{s}.push_at(idx, {k}({args}))")
+                args = ", ".join(self._read_expr(v, ops, lines) for v in op.inputs)
+                frame = self._frame(op.output, lines)
+                frame.offset += 1
+                frame.high = max(frame.high, frame.offset)
+                addr = self._addr(frame, lines)
+                lines.append(f"{frame.storage}.put({addr}, {k}({args}))")
                 ops.pushes += 1
             elif isinstance(op, PopOp):
-                s = self._bind("s", "storage", op.var)
-                lines.append(f"{s}.pop_at(idx)")
+                self._frame(op.var, lines).offset -= 1
                 ops.pops += 1
             else:
                 raise FusionUnsupported(f"cannot fuse op {op!r}")
 
         term = block.terminator
+        if isinstance(term, Branch):
+            # Read before the stores below, through the block's one load.
+            cond = self._read_expr(term.cond, ops, lines)
+        # Pointers are stored before the terminator, as a push-by-push
+        # stack's would be, should the return-address push overflow.
+        self._store_frames(lines)
         if isinstance(term, Jump):
             lines.append(f"vm.pcreg[idx] = {term.target}")
         elif isinstance(term, Branch):
-            cond = self._read_expr(term.cond, ops)
             # A bool cast to an index is 0 or 1: the branch is an indexed load
             # from the block's two targets, not a ufunc.
             tgt = self._bind("g", "targets", (term.false_target, term.true_target))
@@ -366,11 +450,14 @@ class FusedBlockExecutor(BlockExecutor):
     every counter equals eager gather-scatter's.  The machine's ``mode``
     changes nothing here: under ``mode="mask"`` or ``mode="gather"`` the
     same code runs on the same lanes; only the block profile's offered
-    slots follow it.
+    slots follow it.  Stacked variables move by static frame offsets, so
+    a program is verified before its first codegen and refused with
+    :class:`~repro.analysis.stackcheck.VerificationError` if it fails.
     """
 
     name = "fused"
     accounting = "fused"
+    live_lanes_only = True
 
     def __init__(self, registry: Optional[PrimitiveRegistry] = None):
         self.registry = registry
@@ -394,9 +481,18 @@ class FusedBlockExecutor(BlockExecutor):
             _BlockCompiler(program).compile(i) for i in range(len(program.blocks))
         ]
 
-    def _compiled_blocks(self, program: StackProgram) -> List[_CompiledBlock]:
+    def _compiled_blocks(
+        self, program: StackProgram, facts: Any = None
+    ) -> List[_CompiledBlock]:
         entry = self._compiled.get(id(program))
         if entry is None:
+            if facts is None:
+                # Static frame offsets assume no pop goes below a lane's
+                # base frame: an unverifiable program is refused here, and
+                # runs under the eager executor only.
+                from repro.analysis.stackcheck import verify_stack_program
+
+                verify_stack_program(program)
             blocks = self._compile(program)
             self._compiled[id(program)] = (program, blocks)
             self.compile_count += 1
@@ -406,7 +502,7 @@ class FusedBlockExecutor(BlockExecutor):
 
     def bind(self, vm: Any) -> List[Callable]:
         registry = self.registry or vm.registry
-        compiled = self._compiled_blocks(vm.program)
+        compiled = self._compiled_blocks(vm.program, vm.plan.facts)
         # Every block fronts its own compiled entry (a superblock chain
         # starts at it), so the entries' operation lists cover the program.
         tallies = vm._tallies = TallyTable(

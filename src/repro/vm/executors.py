@@ -62,9 +62,8 @@ class BlockExecutor:
     the machine's ``mode``, and generated blocks, which run on ``idx``
     alone, count as ``mode="gather"`` does.  A callable returns None — or,
     having run further blocks in the same dispatch, the lanes that were
-    active in any of them (for per-request step budgets) — and runs under
-    the machine's ``np.errstate(all="ignore")``: it does not enter one
-    itself.
+    active in any of them (for per-request step budgets) — and enters no
+    ``np.errstate`` itself: see :attr:`live_lanes_only`.
 
     An executor holds no per-lane state.  Everything a logical thread owns
     — pc, return-address stack, variable storages — lives in the machine,
@@ -86,6 +85,12 @@ class BlockExecutor:
     #: it down.  Executors with no compile step (the eager interpreter)
     #: leave it at 0.
     compile_count: int = 0
+    #: True when every bound callable computes the lanes of its ``idx``
+    #: only.  The machine then runs its blocks under the caller's numpy
+    #: error state, so they warn as the unbatched reference does; otherwise
+    #: (eager masking computes masked-off lanes on junk) it enters
+    #: ``np.errstate(all="ignore")`` once per ``run()`` / ``step_lanes()``.
+    live_lanes_only: bool = False
 
     def bind(self, vm: Any) -> List[Callable]:
         """One callable per block of ``vm.program``, closed over ``vm``."""

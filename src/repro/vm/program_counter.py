@@ -216,6 +216,7 @@ class ProgramCounterVM:
         # ever dispatches through these.
         self.plan = plan
         self._block_fns = plan.bind(self)
+        self._live_lanes_only = plan.executor.live_lanes_only
         self._steps = 0
 
     # -- storage ----------------------------------------------------------------
@@ -292,9 +293,13 @@ class ProgramCounterVM:
         self.scheduler.reset()
         self._attach_tallies()
         step = self._step
-        with np.errstate(all="ignore"):
+        if self._live_lanes_only:
             while step() is not None:
                 pass
+        else:
+            with np.errstate(all="ignore"):
+                while step() is not None:
+                    pass
         # A finished run leaves nothing behind in a shared Instrumentation
         # (re-attached first, had a kernel read a counter mid-run).
         self._attach_tallies()
@@ -314,6 +319,8 @@ class ProgramCounterVM:
         block — the serving engine uses this for per-request step budgets.
         """
         self._attach_tallies()
+        if self._live_lanes_only:
+            return self._step()
         with np.errstate(all="ignore"):
             return self._step()
 
@@ -325,9 +332,10 @@ class ProgramCounterVM:
             self.instr.attach(tallies)
 
     def _step(self) -> Optional[np.ndarray]:
-        """One step, for a caller that holds ``np.errstate(all="ignore")``:
-        eager masking computes masked-off lanes on junk, and no block
-        (generated or interpreted) enters the context itself."""
+        """One step.  No block (generated or interpreted) enters
+        ``np.errstate``: unless the executor computes live lanes only, the
+        caller holds ``np.errstate(all="ignore")``, since eager masking
+        computes masked-off lanes on junk."""
         i = self.scheduler.select(self.pcreg, self.exit_index)
         if i is None:
             return None

@@ -29,15 +29,27 @@ subtracts ``Z`` and clamps at the lane's own base row ``b``
 lane's top unchanged).  ``sp`` is derived (``_fp // Z``) for inspection
 only, and the boolean ``_reached`` table, one entry per flat address,
 marks every row a push reached: its last set entry, divided by ``Z``, is
-``high_water``.
+``high_water``.  The pointer and ``_reached`` tables need no dtype, so
+they are made apart from the data (:func:`pointer_tables`) and may be
+handed in: a :class:`~repro.vm.state.StackedStorage` owns its tables
+before its first write allocates the stack.
+
+The clamp serves the eager executor's pops and the return-address stack
+only.  Generated (fused and superblock) blocks never call :meth:`pop_at`
+on a variable stack: they load a variable's pointers once per block, move
+a static frame offset, and address ``get`` / ``put`` at ``pointer + k *
+Z``, which is sound because the verifier proves that no pop of a verified
+program goes below the frames its own activation pushed
+(``pop-underflow``).  The return-address stack keeps its clamped pop: the
+main function's ``Return`` pops its exit-index base frame.
 
 The bounds check *is* the overflow check.  ``_rows`` holds exactly the
 ``(D + 1) * Z`` rows the lanes may occupy, so a push from a full lane
 addresses a row past the end — and numpy validates every index of a fancy
 assignment before it writes any element.  The ``IndexError`` of that
-scatter is re-raised as :class:`StackOverflowError` with ``_fp`` and
-``data`` untouched, for the lanes of ``idx`` that had room too: free on
-the pushes that fit.
+scatter (:meth:`put`) is re-raised as :class:`StackOverflowError` with
+``_fp`` and ``data`` untouched, for the lanes of ``idx`` that had room
+too: free on the pushes that fit.
 """
 
 from __future__ import annotations
@@ -69,6 +81,14 @@ def masked_assign(arr: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None
         np.copyto(arr, values, where=mask.reshape(mask.shape + (1,) * (arr.ndim - 1)))
 
 
+def pointer_tables(batch_size: int, depth: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Fresh flat pointers (every lane at its base row) and ``_reached``
+    table (row 0 only) for ``batch_size`` lanes of ``depth + 1`` frames."""
+    reached = np.zeros((depth + 1) * batch_size, dtype=bool)
+    reached[:1] = True
+    return np.arange(batch_size), reached
+
+
 class BatchedStack:
     """A batched stack: ``Z`` independent stacks of up to ``D + 1`` frames.
 
@@ -85,6 +105,7 @@ class BatchedStack:
         event_shape: Tuple[int, ...] = (),
         dtype: str = "float64",
         strict: bool = False,
+        tables: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ):
         self.batch_size = int(batch_size)
         self.depth = int(depth)
@@ -95,11 +116,11 @@ class BatchedStack:
             (self.depth + 1, self.batch_size) + self.event_shape, self.dtype
         )
         self._rows = self.data.reshape((-1,) + self.event_shape)
-        self._fp = np.arange(self.batch_size)
+        if tables is None:
+            tables = pointer_tables(self.batch_size, self.depth)
+        self._fp, self._reached = tables
         # Z as a 0-d array: the scalar operand a ufunc takes fastest.
         self._z = np.array(self.batch_size)
-        self._reached = np.zeros(self._rows.shape[0], dtype=bool)
-        self._reached[:1] = True
 
     def promote(self, dtype: np.dtype) -> None:
         """Widen the stack to hold ``dtype`` values (data and row view)."""
@@ -120,9 +141,9 @@ class BatchedStack:
         this exact observable in the depth-equality tests."""
         return int(np.flatnonzero(self._reached)[-1]) // self.batch_size
 
-    def _lowered(self, idx: np.ndarray) -> np.ndarray:
-        """The flat pointers of ``idx`` one frame down, clamped at the base."""
-        f = self._fp[idx]
+    def _lower(self, f: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """``f``, the flat pointers of ``idx``, moved one frame down in
+        place and clamped at the base."""
         if self.strict and np.any(f < self._z):
             raise StackUnderflowError("pop on empty stack")
         f -= self._z
@@ -138,6 +159,10 @@ class BatchedStack:
     def read_at(self, idx: np.ndarray) -> np.ndarray:
         """Top values gathered for the members in ``idx``."""
         return self._rows[self._fp[idx]]
+
+    def get(self, addr: np.ndarray) -> np.ndarray:
+        """The rows at flat addresses ``addr`` (a gather)."""
+        return self._rows[addr]
 
     # -- masked operations ----------------------------------------------------
 
@@ -166,29 +191,35 @@ class BatchedStack:
     def update_at(self, idx: np.ndarray, values: np.ndarray) -> None:
         self._rows[self._fp[idx]] = values
 
-    def push_at(self, idx: np.ndarray, values: np.ndarray) -> None:
-        f = self._fp[idx]
-        f += self._z
-        # A full lane's new row is past (D + 1) * Z: raises before writing.
+    def put(self, addr: np.ndarray, values: np.ndarray) -> None:
+        """Scatter ``values`` to flat addresses ``addr``.  A pushed lane's
+        row past (D + 1) * Z raises :class:`StackOverflowError` before any
+        element is written."""
         try:
-            self._rows[f] = values
+            self._rows[addr] = values
         except IndexError:
             raise StackOverflowError(
                 f"stack depth limit D={self.depth} exceeded; "
                 "increase max_stack_depth"
             ) from None
+
+    def push_at(self, idx: np.ndarray, values: np.ndarray) -> None:
+        f = self._fp[idx]
+        f += self._z
+        self.put(f, values)
         self._fp[idx] = f
         self._reached[f] = True
 
     def pop_at(self, idx: np.ndarray) -> np.ndarray:
         """Pop for members in ``idx``; returns their popped top values."""
-        popped = self.read_at(idx)
-        self.drop_at(idx)
+        f = self._fp[idx]
+        popped = self._rows[f]
+        self._fp[idx] = self._lower(f, idx)
         return popped
 
     def drop_at(self, idx: np.ndarray) -> None:
         """Pop for members in ``idx`` without gathering the popped tops."""
-        self._fp[idx] = self._lowered(idx)
+        self._fp[idx] = self._lower(self._fp[idx], idx)
 
     # -- lane lifecycle -----------------------------------------------------
 

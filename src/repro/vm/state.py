@@ -3,7 +3,8 @@
 Three storage classes mirror the :class:`~repro.ir.instructions.VarKind`
 analysis: temporaries live in a per-block-execution dict managed by the VM;
 registers are flat ``(Z, *event)`` arrays with masked updates; stacked
-variables own a :class:`~repro.vm.stack.BatchedStack`.
+variables own a :class:`~repro.vm.stack.BatchedStack`, whose flat pointer
+and ``reached`` tables the storage owns from construction.
 
 Storage is allocated lazily on first write, inferring dtype and event shape
 from the written value (the runtime analog of XLA's static shape inference:
@@ -17,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.vm.stack import BatchedStack, masked_assign
+from repro.vm.stack import BatchedStack, masked_assign, pointer_tables
 
 
 class UninitializedRead(RuntimeError):
@@ -95,12 +96,20 @@ class RegisterStorage:
 
 
 class StackedStorage:
-    """Storage backed by a batched stack; allocation deferred to first write."""
+    """Storage backed by a batched stack; allocation deferred to first write.
+
+    The stack's flat pointers ``fp`` and its ``reached`` table need no
+    dtype, so the storage makes them at construction and the stack shares
+    them: a generated block loads a variable's pointers once (``fp[idx]``)
+    and addresses :meth:`get` / :meth:`put` at static frame offsets from
+    them, possibly before its first write allocates the data.
+    """
 
     def __init__(self, name: str, batch_size: int, depth: int):
         self.name = name
         self.batch_size = batch_size
         self.depth = depth
+        self.fp, self.reached = pointer_tables(batch_size, depth)
         self.stack: Optional[BatchedStack] = None
         # Pre-write pushes must be replayed once shape/dtype are known: a
         # push of value v onto a virgin stack is just "depth += 1; top = v",
@@ -122,6 +131,7 @@ class StackedStorage:
                 depth=self.depth,
                 event_shape=event_shape,
                 dtype=dtype,
+                tables=(self.fp, self.reached),
             )
         elif stack.event_shape != event_shape:
             raise ValueError(
@@ -141,6 +151,20 @@ class StackedStorage:
         if self.stack is None:
             raise UninitializedRead(f"variable {self.name!r} read before assignment")
         return self.stack.read_at(idx)
+
+    def get(self, addr: np.ndarray) -> np.ndarray:
+        """The frames at flat addresses ``addr`` (pointers plus offsets)."""
+        if self.stack is None:
+            raise UninitializedRead(f"variable {self.name!r} read before assignment")
+        return self.stack.get(addr)
+
+    def put(self, addr: np.ndarray, value_gathered: np.ndarray) -> None:
+        """Write the frames at flat addresses ``addr``: an update, or a
+        push when ``addr`` lies above the lanes' tops."""
+        value_gathered = np.asarray(value_gathered)
+        self._ensure(value_gathered.shape[1:], value_gathered.dtype).put(
+            addr, value_gathered
+        )
 
     def write(self, mask: np.ndarray, value: np.ndarray) -> None:
         value = np.asarray(value)

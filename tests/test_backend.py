@@ -1,6 +1,7 @@
 """Tests for the simulated accelerator backend: fusion, devices, kernels."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from repro.backend.device import CPU_DEVICE, GPU_DEVICE, DeviceModel
 from repro.backend.fusion import FusedBlockExecutor
 from repro.backend.kernels import KernelLibrary
 from repro.frontend.registry import PrimitiveRegistry, default_registry
+from repro.ir.instructions import Branch, ConstOp, PopOp, VarKind
 from repro.vm.executors import ExecutionPlan
 from repro.vm.instrumentation import Instrumentation
 from repro.vm.program_counter import ProgramCounterVM
@@ -117,6 +119,20 @@ def _descent(x, n):
     return _descent(y, n - 1) + y * 0.5
 
 
+def _block_vars(block):
+    """Every variable a block's operations and terminator name."""
+    for op in block.ops:
+        if isinstance(op, PopOp):
+            yield op.var
+        elif isinstance(op, ConstOp):
+            yield op.output
+        else:
+            yield from op.inputs
+            yield from getattr(op, "outputs", (getattr(op, "output", None),))
+    if isinstance(block.terminator, Branch):
+        yield block.terminator.cond
+
+
 def _sources(plan, **vm_options):
     vm = ProgramCounterVM(plan, batch_size=16, max_stack_depth=32, **vm_options)
     return [block.__fused_source__ for block in vm._block_fns]
@@ -132,9 +148,9 @@ class TestCompactBlocks:
     def test_fib_generated_source_is_the_parents(self):
         """The no-collateral pin for ``fib_*`` and ``serve_*``: every
         generated fib block, byte for byte (digest re-taken at the commit
-        that made every block compact; tests' ``fib`` and the benchmark's
-        are the same source) — and what no block, NUTS's included,
-        contains."""
+        that addressed stacked variables at static frame offsets from one
+        pointer load per block; tests' ``fib`` and the benchmark's are the
+        same source) — and what no block, NUTS's included, contains."""
         from repro.nuts.kernel import NutsKernel
         from repro.targets.logistic import BayesianLogisticRegression
 
@@ -152,8 +168,39 @@ class TestCompactBlocks:
                 if fn is fib:
                     text += "".join(sources)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "c19855fc24b58b7e709ada202e5aac5b28e406913e2cb7629c71bf57517c5860"
+            "bab281a367fd7b6d6f93517c2d34fc50fa314f6ce564401be2447679cd7b85c6"
         )
+
+    def test_one_pointer_load_and_store_per_stacked_variable(self):
+        """A generated block loads each stacked variable's pointers once,
+        stores them at most once, and moves them by static offsets only:
+        no variable stack's ``pop_at`` / ``push_at`` and no clamp.  The
+        return-address stack keeps its own push and clamped pop."""
+        from repro.nuts.kernel import NutsKernel
+        from repro.targets.logistic import BayesianLogisticRegression
+
+        chain = NutsKernel(
+            BayesianLogisticRegression(n_data=20, n_features=3)
+        ).functions.nuts_chain
+        corpus = [(name, fn) for name, (fn, _) in sorted(ALL_EXAMPLES.items())]
+        for name, fn in corpus + [("nuts_chain", chain)]:
+            plan = fn.execution_plan("fused")
+            program = plan.program
+            sources = _sources(plan, registry=fn.registry)
+            for i, (block, source) in enumerate(zip(program.blocks, sources)):
+                stacked = {
+                    v for v in _block_vars(block)
+                    if program.kind(v) is VarKind.STACKED
+                }
+                loads = re.findall(r"= (\w+)\.fp\[idx\]\n", source)
+                stores = re.findall(r"(\w+)\.fp\[idx\] = ", source)
+                where = f"{name} block {i}"
+                assert len(loads) == len(set(loads)) == len(stacked), where
+                assert len(stores) == len(set(stores)), where
+                assert set(stores) <= set(loads), where
+                assert "np.maximum" not in source, where
+                rest = re.sub(r"vm\.addr_stack\.p(op|ush)_at", "", source)
+                assert "pop_at" not in rest and "push_at" not in rest, where
 
     def test_matches_every_executor(self):
         expected = _descent.run_reference(self.X, self.N)

@@ -708,33 +708,40 @@ class TestSnapshotRestoreDifferential:
         np.testing.assert_array_equal(vm.outputs()[0], fib.run_pc(ns))
 
 
+def _drive(how, plan, inputs):
+    """Run ``inputs`` (one batch array per program input) to completion
+    through one way into the machine; returns the first output."""
+    width = len(inputs[0])
+    if how == "engine":
+        engine = Engine(plan, num_lanes=2, max_stack_depth=64)
+        handles = [engine.submit(*args) for args in zip(*inputs)]
+        while engine.tick():
+            pass
+        return np.stack([h.result() for h in handles])
+    vm = ProgramCounterVM(plan, batch_size=width, max_stack_depth=64)
+    if how == "run":
+        return vm.run(inputs)[0]
+    vm.bind_inputs(inputs)
+    if how == "step":
+        while vm.step():
+            pass
+    else:
+        while vm.step_lanes() is not None:
+            pass
+    return vm.outputs()[0]
+
+
 class TestFusedErrorHygiene:
-    """Masked-off lanes compute on junk (gcd's ``a % b`` where ``b == 0``), so
-    every way into the machine runs its blocks under one
-    ``np.errstate(all="ignore")`` — which no block enters itself — and hands
-    numpy's error state back as it found it."""
+    """Eager masking computes masked-off lanes on junk (gcd's ``a % b``
+    where ``b == 0``), so every way into an eager machine runs its blocks
+    under one ``np.errstate(all="ignore")`` — which no block enters
+    itself — and runs them silently.  Fused and superblock blocks compute
+    live lanes only, so their machines enter no context at all, and gcd's
+    live lanes never divide by zero.  Every machine hands numpy's error
+    state back as it found it."""
 
     A = np.array([12, 17, 100, 3], dtype=np.int64)
     B = np.array([18, 5, 75, 0], dtype=np.int64)
-
-    def _drive(self, how, plan):
-        if how == "engine":
-            engine = Engine(plan, num_lanes=2, max_stack_depth=64)
-            handles = [engine.submit(a, b) for a, b in zip(self.A, self.B)]
-            while engine.tick():
-                pass
-            return np.stack([h.result() for h in handles])
-        vm = ProgramCounterVM(plan, batch_size=4, max_stack_depth=64)
-        if how == "run":
-            return vm.run([self.A, self.B])[0]
-        vm.bind_inputs([self.A, self.B])
-        if how == "step":
-            while vm.step():
-                pass
-        else:
-            while vm.step_lanes() is not None:
-                pass
-        return vm.outputs()[0]
 
     @pytest.mark.parametrize("executor", ["eager", "fused", "superblock"])
     @pytest.mark.parametrize("how", ["run", "step", "step_lanes", "engine"])
@@ -743,7 +750,7 @@ class TestFusedErrorHygiene:
         before = np.geterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            out = self._drive(how, plan)
+            out = _drive(how, plan, [self.A, self.B])
         assert np.geterr() == before
         np.testing.assert_array_equal(out, [6, 1, 25, 3])
 
@@ -764,3 +771,37 @@ class TestFusedErrorHygiene:
             while vm.step():
                 pass
         assert np.geterr() == before
+
+
+@autobatch
+def _square_repeatedly(x, n):
+    """``x`` squared ``n`` times: a live lane at 1e200 overflows."""
+    while n > 0:
+        x = x * x
+        n = n - 1
+    return x
+
+
+class TestLiveLaneWarnings:
+    """A machine whose blocks compute live lanes only enters no
+    ``np.errstate``: a live lane's overflow warns as the unbatched
+    reference's does, through every way into the machine, and numpy's
+    error state is left unchanged."""
+
+    X = np.array([1e200, 2.0, 3.0])
+    N = np.array([3, 1, 2], dtype=np.int64)
+
+    def test_the_reference_warns(self):
+        with pytest.warns(RuntimeWarning, match="overflow encountered"):
+            out = _square_repeatedly.run_reference(self.X, self.N)
+        np.testing.assert_array_equal(out, [np.inf, 4.0, 81.0])
+
+    @pytest.mark.parametrize("executor", ["fused", "superblock"])
+    @pytest.mark.parametrize("how", ["run", "step_lanes", "engine"])
+    def test_live_lane_overflow_warns_as_the_reference(self, how, executor):
+        plan = _square_repeatedly.execution_plan(executor)
+        before = np.geterr()
+        with pytest.warns(RuntimeWarning, match="overflow encountered"):
+            out = _drive(how, plan, [self.X, self.N])
+        assert np.geterr() == before
+        np.testing.assert_array_equal(out, [np.inf, 4.0, 81.0])

@@ -205,6 +205,48 @@ def test_generated_program_eager_vs_fused_executors(spec, a_vals, b_vals, depth)
     assert_instrumentation_identical(instr["eager"], instr["fused"])
 
 
+def stack_high_waters(vm):
+    """The return-address stack's and every variable stack's high-water
+    mark, by name."""
+    marks = {"<return address>": vm.addr_stack.high_water}
+    for name, st in vm.storages.items():
+        if getattr(st, "stack", None) is not None:
+            marks[name] = st.stack.high_water
+    return marks
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    program_strategy,
+    st.lists(st.integers(-5, 20), min_size=1, max_size=6),
+    st.lists(st.integers(-5, 20), min_size=1, max_size=6),
+    st.integers(0, 4),
+)
+def test_generated_program_high_water_marks_equal_eager(spec, a_vals, b_vals, depth):
+    """Generated blocks move stacked variables by static frame offsets and
+    mark one row per pushed variable per block, where eager marks one per
+    push: every stack's high-water mark, and the machine's observed depth,
+    must still be eager's."""
+    from repro.vm.program_counter import ProgramCounterVM
+
+    fn = compile_source(render_program(spec))
+    z = min(len(a_vals), len(b_vals))
+    inputs = [
+        np.asarray(a_vals[:z], dtype=np.int64),
+        np.asarray(b_vals[:z], dtype=np.int64),
+        np.full(z, depth, dtype=np.int64),
+    ]
+    marks = {}
+    for executor in ("eager", "fused", "superblock"):
+        vm = ProgramCounterVM(
+            fn.execution_plan(executor), batch_size=z, max_stack_depth=16
+        )
+        vm.run(inputs)
+        marks[executor] = (vm.observed_max_depth(), stack_high_waters(vm))
+    assert marks["fused"] == marks["eager"]
+    assert marks["superblock"] == marks["eager"]
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     program_strategy,

@@ -50,6 +50,7 @@ from tests.test_random_programs import (
     compile_source,
     program_strategy,
     render_program,
+    stack_high_waters,
 )
 
 EXECUTORS = ("eager", "fused", "superblock")
@@ -132,6 +133,22 @@ class TestDepthEquality:
                     vm.run([np.asarray(x) for x in inputs])
                     assert vm.observed_max_depth() <= 64 + 1, (name, executor)
 
+    def test_every_high_water_mark_equals_eager(self):
+        """Generated blocks mark one row per pushed variable per block (its
+        highest static offset), eager one per push: the marks every stack
+        reads back must agree, bounded and recursive programs alike."""
+        for name, (fn, inputs) in sorted(ALL_EXAMPLES.items()):
+            width = np.asarray(inputs[0]).shape[0]
+            marks = {}
+            for executor in EXECUTORS:
+                vm = ProgramCounterVM(
+                    fn.execution_plan(executor=executor), width, max_stack_depth=64
+                )
+                vm.run([np.asarray(x) for x in inputs])
+                marks[executor] = (vm.observed_max_depth(), stack_high_waters(vm))
+            assert marks["fused"] == marks["eager"], name
+            assert marks["superblock"] == marks["eager"], name
+
     def test_hand_built_push_program_bound_is_exact(self):
         sp = StackProgram(
             blocks=[
@@ -166,6 +183,48 @@ class TestDepthEquality:
         (out,) = vm.run([np.array([4.0, -1.0, 9.5])])
         np.testing.assert_array_equal(out, np.array([4.0, -1.0, 9.5]))
         assert vm.observed_max_depth() == 3
+
+    def test_static_offsets_record_the_higher_row_and_overflow(self):
+        """One block pushes, pushes and pops ``x``: a generated block moves
+        a static offset and marks only the highest row it reached, which
+        must be the row eager's second push marked; and a lane with room
+        for one frame still overflows on the second push."""
+        sp = StackProgram(
+            blocks=[
+                Block(
+                    label="b0",
+                    ops=[
+                        PushOp(output="x", fn="id", inputs=("x",)),
+                        PushOp(output="x", fn="id", inputs=("x",)),
+                        PopOp(var="x"),
+                    ],
+                    terminator=Jump(target=1),
+                ),
+                Block(
+                    label="b1",
+                    ops=[
+                        PopOp(var="x"),
+                        PrimOp(outputs=("y",), fn="id", inputs=("x",)),
+                    ],
+                    terminator=Return(),
+                ),
+            ],
+            inputs=("x",),
+            outputs=("y",),
+            var_kinds={"x": VarKind.STACKED, "y": VarKind.REGISTER},
+        )
+        xs = np.array([4.0, -1.0, 9.5])
+        for executor in EXECUTORS:
+            plan = ExecutionPlan.compile(sp, executor=executor)
+            assert plan.facts.var_peaks == {"x": 2}
+            vm = ProgramCounterVM(plan, batch_size=3)
+            (out,) = vm.run([xs])
+            np.testing.assert_array_equal(out, xs)
+            assert vm.storage("x").stack.high_water == 2, executor
+            assert vm.observed_max_depth() == 3, executor
+            shallow = ProgramCounterVM(plan, batch_size=3, max_stack_depth=1)
+            with pytest.raises(StackOverflowError):
+                shallow.run([xs])
 
     def test_hand_built_call_program_bound_is_exact(self):
         # main pushes x twice, holds both frames across a call; the callee
@@ -595,6 +654,26 @@ class TestPlanVerification:
         with pytest.raises(VerificationError):
             Cluster(sp, 2, num_lanes=2)
         assert Cluster(sp, 2, num_lanes=2, verify=False).plan.facts is None
+
+    def test_fused_refuses_an_unverifiable_program(self):
+        """Generated blocks address stacked variables at static frame
+        offsets, sound only for a program whose pops never go below a
+        lane's base frame: binding one that fails verification raises the
+        verifier's error instead of running with unclamped pops, and the
+        same program still runs under eager, whose pops clamp."""
+        sp = copy.deepcopy(fib.stack_program())
+        victim = next(
+            blk for blk in sp.blocks if any(isinstance(op, PushOp) for op in blk.ops)
+        )
+        victim.ops = [op for op in victim.ops if not isinstance(op, PushOp)]
+        for executor in ("fused", "superblock"):
+            plan = ExecutionPlan.compile(sp, executor=executor, verify=False)
+            with pytest.raises(VerificationError, match="pop-underflow"):
+                ProgramCounterVM(plan, batch_size=2)
+        plan = ExecutionPlan.compile(sp, executor="eager", verify=False)
+        ns = np.array([0, 1], dtype=np.int64)
+        (out,) = ProgramCounterVM(plan, batch_size=2).run([ns])
+        np.testing.assert_array_equal(out, fib.run_reference(ns))
 
     def test_run_pc_verify_opt_out_still_correct(self):
         ns = np.array([3, 8, 5], dtype=np.int64)
