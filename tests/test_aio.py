@@ -8,6 +8,7 @@ results, the event stream, and the telemetry exactly.
 """
 
 import asyncio
+import gc
 
 import numpy as np
 import pytest
@@ -234,6 +235,13 @@ class TestDriverYields:
     @pytest.mark.asyncio
     async def test_open_loop_timers_fire_while_a_backlog_drains(self, tmp_path):
         from repro.observe import Trace
+
+        # The garbage earlier tests left is collected first: a full
+        # collection over the whole session's heap stalls the event loop
+        # for as long as the lag bound below, and where it falls depends on
+        # how many objects the other test modules allocated, not on the
+        # driver this test measures.
+        gc.collect()
 
         def build():
             return fib.serve(num_lanes=16, max_stack_depth=64, trace=Trace())
