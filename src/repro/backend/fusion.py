@@ -53,12 +53,10 @@ it already does between any batched strategy and the ``Z = 1`` reference.
 
 That identity extends to lane checkpoint/resume (the serving engine's
 preemption): generated namespaces capture *storage objects* — never the
-arrays inside them — so
-:meth:`~repro.vm.program_counter.ProgramCounterVM.restore_lane` (which
-reallocates or promotes arrays *within* a storage via its lazy ``_ensure``
-path) leaves every fused closure valid, and a snapshot taken under either
-executor restores under either, bit-identically.  Anything added to the
-bind spec must preserve this indirection.
+arrays inside them, which a machine allocates when its inputs fix its types
+(after binding its blocks), so every fused closure stays valid, and a
+snapshot taken under either executor restores under either, bit-identically.
+Anything added to the bind spec must preserve this indirection.
 
 A stacked variable is a base pointer plus a *static frame offset*.  The
 paper's batched stack (Section 3) moves a per-lane pointer on every push

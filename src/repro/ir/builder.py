@@ -26,11 +26,9 @@ from repro.ir.instructions import (
     PopOp,
     PrimOp,
     Program,
-    PushJump,
     PushOp,
     Return,
 )
-from repro.ir.types import TensorType
 
 
 class BlockHandle:
@@ -107,15 +105,6 @@ class BlockHandle:
             )
         )
 
-    def push_jump(self, return_target: Any, jump_target: Any) -> "BlockHandle":
-        """Terminate with call-entry control flow (stack dialect)."""
-        return self._terminate(
-            PushJump(
-                return_target=self._target(return_target),
-                jump_target=self._target(jump_target),
-            )
-        )
-
     def ret(self) -> "BlockHandle":
         """Terminate with a return."""
         return self._terminate(Return())
@@ -132,12 +121,10 @@ class FunctionBuilder:
         name: str,
         params: Tuple[str, ...] = (),
         outputs: Tuple[str, ...] = (),
-        var_types: Optional[Dict[str, TensorType]] = None,
     ):
         self.name = name
         self.params = tuple(params)
         self.outputs = tuple(outputs)
-        self.var_types = dict(var_types or {})
         self._blocks: list[Block] = []
         self._labels: set[str] = set()
         self._counter = 0
@@ -175,7 +162,6 @@ class FunctionBuilder:
             params=self.params,
             outputs=self.outputs,
             blocks=list(self._blocks),
-            var_types=dict(self.var_types),
         )
 
 

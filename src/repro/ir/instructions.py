@@ -31,8 +31,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.ir.types import TensorType
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -245,8 +243,6 @@ class Function:
     params: Tuple[str, ...]
     outputs: Tuple[str, ...]
     blocks: List[Block] = field(default_factory=list)
-    # Optional static types (variable name -> TensorType); purely advisory.
-    var_types: Dict[str, TensorType] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._index: Dict[str, int] = {}
@@ -346,7 +342,6 @@ class StackProgram:
     inputs: Tuple[str, ...]
     outputs: Tuple[str, ...]
     var_kinds: Dict[str, VarKind] = field(default_factory=dict)
-    var_types: Dict[str, TensorType] = field(default_factory=dict)
     # label -> index of each function's entry block, for diagnostics.
     function_entries: Dict[str, int] = field(default_factory=dict)
     # Name of the source function each block was lowered from.
@@ -364,10 +359,6 @@ class StackProgram:
     def stacked_vars(self) -> Tuple[str, ...]:
         """Names of variables backed by stacks."""
         return tuple(v for v, k in self.var_kinds.items() if k is VarKind.STACKED)
-
-    def register_vars(self) -> Tuple[str, ...]:
-        """Names of variables backed by masked registers."""
-        return tuple(v for v, k in self.var_kinds.items() if k is VarKind.REGISTER)
 
     def variables(self) -> Tuple[str, ...]:
         """Every non-temporary variable name."""

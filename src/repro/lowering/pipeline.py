@@ -133,17 +133,12 @@ def lower_program(
     var_kinds: Dict[str, VarKind] = dict(storage.kinds)
     var_kinds.update(lowered.extra_kinds)
 
-    var_types = {}
-    for fn in renamed.functions.values():
-        var_types.update(fn.var_types)
-
     main_fn = renamed.main_function
     stack_program = StackProgram(
         blocks=blocks,
         inputs=main_fn.params,
         outputs=main_fn.outputs,
         var_kinds=var_kinds,
-        var_types=var_types,
         function_entries={
             name: index[lowered.entry_labels[name]] for name in ordered_fns
         },

@@ -80,7 +80,6 @@ def rename_function(fn: Function) -> Function:
         params=tuple(rv(p) for p in fn.params),
         outputs=tuple(rv(o) for o in fn.outputs),
         blocks=blocks,
-        var_types={rv(v): t for v, t in fn.var_types.items()},
     )
 
 

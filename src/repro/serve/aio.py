@@ -200,7 +200,7 @@ class AsyncServer:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _ensure_started(self) -> None:
+    def _start_driver(self) -> None:
         if self._crash is not None:
             raise RuntimeError(
                 "AsyncServer driver crashed and cannot be restarted"
@@ -209,7 +209,7 @@ class AsyncServer:
             self._driver = asyncio.get_running_loop().create_task(self._run())
 
     async def __aenter__(self) -> "AsyncServer":
-        self._ensure_started()
+        self._start_driver()
         return self
 
     async def __aexit__(self, *exc_info: Any) -> None:
@@ -290,7 +290,7 @@ class AsyncServer:
         """
         if self._closed:
             raise RuntimeError("AsyncServer is closed and accepts no new requests")
-        self._ensure_started()
+        self._start_driver()
         if not self._waiting and not self.server.admission_full():
             return self._submit_now(
                 tuple(inputs), priority, step_budget, deadline_ticks
@@ -388,7 +388,7 @@ class AsyncServer:
 
         Every parked submitter and pending awaiter would otherwise hang
         forever on events only the driver sets — fail them all with the
-        crash instead, and poison future submits (``_ensure_started``
+        crash instead, and poison future submits (``_start_driver``
         refuses to restart over a crashed engine of unknown state).
         """
         self._crash = error

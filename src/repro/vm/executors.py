@@ -43,6 +43,7 @@ from repro.ir.instructions import (
     Return,
     StackProgram,
 )
+from repro.ir.types import TensorType
 from repro.lowering.pipeline import LoweringOptions, normalize_lowering_options
 from repro.vm.instrumentation import Instrumentation, elements_per_lane
 from repro.vm.local_static import _const_array
@@ -294,6 +295,10 @@ class ExecutionPlan:
     #: ``verify=False``).  Machines pre-size their batched stacks from
     #: ``facts.required_stack_depth`` when no explicit depth is given.
     facts: Optional[Any] = field(default=None, compare=False, repr=False)
+    #: :meth:`types_for`'s inferred types, per registry and signature.
+    types: Dict[tuple, Dict[str, TensorType]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @classmethod
     def compile(
@@ -367,6 +372,16 @@ class ExecutionPlan:
             verify_region_table(self.program, regions_for(self.program), facts)
         object.__setattr__(self, "facts", facts)
         return facts
+
+    def types_for(self, signature: tuple, registry: Any) -> Dict[str, TensorType]:
+        """Every variable's type for inputs of ``signature``, inferred once
+        per registry and signature for every machine bound to the plan."""
+        key = (registry, signature)
+        if key not in self.types:
+            from repro.analysis.types import infer_types
+
+            self.types[key] = infer_types(self.program, registry, signature)
+        return self.types[key]
 
     @property
     def name(self) -> str:

@@ -30,10 +30,11 @@ from repro.ir.instructions import (
     Program,
     Return,
 )
+from repro.ir.types import TensorType
 from repro.ir.validate import validate_program
 from repro.vm.instrumentation import Instrumentation, elements_per_lane
 from repro.vm.scheduler import make_scheduler
-from repro.vm.state import RegisterStorage
+from repro.vm.state import RegisterStorage, check_fits
 
 
 class ExecutionLimitExceeded(RuntimeError):
@@ -60,6 +61,27 @@ def _const_array(value: Any, batch_size: int) -> np.ndarray:
     if isinstance(value, int):
         return np.full(batch_size, value, dtype=np.int64)
     return np.full(batch_size, value, dtype=np.float64)
+
+
+class _ActivationStorage(RegisterStorage):
+    """Algorithm 1 has no lowered program to infer types over: a variable
+    takes its first write's type and refuses any write that does not fit."""
+
+    def _fit(self, value: Any) -> np.ndarray:
+        value = np.asarray(value)
+        arr = self.array
+        if arr is None:
+            self.array = np.zeros((self.batch_size,) + value.shape[1:], value.dtype)
+        elif arr.dtype != value.dtype or arr.shape[1:] != value.shape[1:]:
+            ttype = TensorType(arr.dtype, arr.shape[1:])
+            check_fits(f"variable {self.name!r}", ttype, value)
+        return value
+
+    def write(self, mask: np.ndarray, value: Any) -> None:
+        super().write(mask, self._fit(value))
+
+    def write_at(self, idx: np.ndarray, value_gathered: Any) -> None:
+        super().write_at(idx, self._fit(value_gathered))
 
 
 class _PreparedFunction:
@@ -158,12 +180,12 @@ class LocalStaticInterpreter:
         fn = prepared.fn
         batch_size = active.shape[0]
         exit_index = prepared.n_blocks
-        env: Dict[str, RegisterStorage] = {}
+        env: Dict[str, _ActivationStorage] = {}
 
-        def storage(name: str) -> RegisterStorage:
+        def storage(name: str) -> _ActivationStorage:
             st = env.get(name)
             if st is None:
-                st = env[name] = RegisterStorage(name, batch_size)
+                st = env[name] = _ActivationStorage(name, batch_size)
             return st
 
         for param, arg in zip(fn.params, args):

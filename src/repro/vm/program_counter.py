@@ -17,18 +17,19 @@ trajectory in tandem with the 8th gradient of another's 2nd).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.frontend.registry import PrimitiveRegistry, default_registry
 from repro.ir.instructions import StackProgram, VarKind
+from repro.ir.types import TensorType
 from repro.vm.executors import ExecutionPlan, resolve_executor
 from repro.vm.instrumentation import Instrumentation
 from repro.vm.local_static import ExecutionLimitExceeded, batch_arrays
 from repro.vm.scheduler import make_scheduler
 from repro.vm.stack import BatchedStack, StackOverflowError
-from repro.vm.state import RegisterStorage, StackedStorage
+from repro.vm.state import RegisterStorage, StackedStorage, TypeMismatchError, check_fits
 
 #: Stack depth used when nothing better is known: no explicit
 #: ``max_stack_depth`` was given and the plan carries no verified bound
@@ -65,7 +66,8 @@ class LaneSnapshot:
 
     ``storages`` maps variable name to the payload its storage class
     captured: a value copy for registers, the logical frames for stacked
-    variables, or None while that storage was still unallocated.  Executors
+    variables, each at the restoring machine's type (None, which the wire
+    format can carry, restores as zeros).  Executors
     hold no per-lane state, so these four fields are the whole thread and
     a snapshot moves freely between eager, fused, and superblock machines.
 
@@ -195,6 +197,8 @@ class ProgramCounterVM:
         self.exit_index = program.exit_index
 
         self.storages: Dict[str, Any] = {}
+        # Every variable's type, fixed by the first inputs bound.
+        self.types: Optional[Dict[str, TensorType]] = None
         self._temps: Dict[str, np.ndarray] = {}
         self.pcreg = np.zeros(self.batch_size, dtype=np.int64)
         self.addr_stack = BatchedStack(
@@ -222,7 +226,7 @@ class ProgramCounterVM:
     # -- storage ----------------------------------------------------------------
 
     def storage(self, name: str):
-        """The (lazily allocated) storage object backing variable ``name``."""
+        """The storage backing ``name``, allocated once types are fixed."""
         st = self.storages.get(name)
         if st is None:
             kind = self.program.kind(name)
@@ -230,8 +234,16 @@ class ProgramCounterVM:
                 st = StackedStorage(name, self.batch_size, self.max_stack_depth)
             else:
                 st = RegisterStorage(name, self.batch_size)
+            if self.types is not None:
+                st.allocate(self.types[name])
             self.storages[name] = st
         return st
+
+    def _fix_types(self, signature: Tuple[TensorType, ...]) -> None:
+        """Fix the types for input ``signature`` and allocate every storage."""
+        self.types = self.plan.types_for(signature, self.registry)
+        for name, st in self.storages.items():
+            st.allocate(self.types[name])
 
     def _read(self, name: str, idx: Optional[np.ndarray]) -> np.ndarray:
         if name in self._temps:
@@ -254,27 +266,30 @@ class ProgramCounterVM:
 
     # -- execution ------------------------------------------------------------------
 
-    def _validated_inputs(self, inputs: Sequence[np.ndarray], width: int, what: str):
-        """Yield ``(name, array)`` pairs after arity and leading-dim checks."""
+    def _typed_inputs(self, inputs: Sequence[np.ndarray], width: int, what: str):
+        """``(name, array)`` per input, checked.  The first inputs fix the
+        machine's types; later ones must cast ``same_kind`` into them."""
         if len(inputs) != len(self.program.inputs):
             raise ValueError(
                 f"program takes {len(self.program.inputs)} inputs, got {len(inputs)}"
             )
-        for name, value in zip(self.program.inputs, inputs):
-            value = np.asarray(value)
+        pairs = [(name, np.asarray(v)) for name, v in zip(self.program.inputs, inputs)]
+        for name, value in pairs:
             if value.shape[0] != width:
                 raise ValueError(
                     f"input {name!r} has leading dimension {value.shape[0]}, "
                     f"expected {what} {width}"
                 )
-            yield name, value
+        if self.types is None:
+            self._fix_types(tuple(TensorType(v.dtype, v.shape[1:]) for _, v in pairs))
+        for name, value in pairs:
+            check_fits(f"input {name!r}", self.types[name], value)
+        return pairs
 
     def bind_inputs(self, inputs: Sequence[np.ndarray]) -> None:
         """Write the batch inputs into the machine's input variables."""
         everyone = np.ones(self.batch_size, dtype=bool)
-        for name, value in self._validated_inputs(
-            inputs, self.batch_size, "batch size"
-        ):
+        for name, value in self._typed_inputs(inputs, self.batch_size, "batch size"):
             self.storage(name).write(everyone, value)
 
     def outputs(self) -> List[np.ndarray]:
@@ -289,6 +304,7 @@ class ProgramCounterVM:
             # machine would, or the new inputs would never execute.
             self.reset_lanes(np.arange(self.batch_size))
             self._steps = 0
+        self.types = None  # every lane starts over, so may bind new types
         self.bind_inputs(inputs)
         self.scheduler.reset()
         self._attach_tallies()
@@ -416,10 +432,9 @@ class ProgramCounterVM:
         lanes must be vacant; in-flight lanes are untouched.
         """
         idx = np.asarray(idx, dtype=np.int64)
+        pairs = self._typed_inputs(inputs, idx.size, "injected lane count")
         self.reset_lanes(idx)
-        for name, value in self._validated_inputs(
-            inputs, idx.size, "injected lane count"
-        ):
+        for name, value in pairs:
             self.storage(name).write_at(idx, value)
 
     def retire_lanes(self, idx: np.ndarray) -> List[np.ndarray]:
@@ -466,6 +481,7 @@ class ProgramCounterVM:
         never saw stay zeroed (the thread never wrote them, so it must
         write before reading them again).  Whatever occupied the lane is
         destroyed — the serving engine only restores into vacant lanes.
+        An untyped machine takes its types from the snapshot's inputs.
 
         Incompatibility is rejected *statically, before any machine state
         is touched*: ``ValueError`` on a program mismatch, an impossible
@@ -474,7 +490,8 @@ class ProgramCounterVM:
         :class:`~repro.vm.stack.StackOverflowError`) when this machine's
         ``max_stack_depth`` cannot hold the captured frames — naming the
         required vs available depth, instead of the old mid-restore
-        overflow that left the lane half-written.
+        overflow that left the lane half-written; and a
+        :class:`~repro.vm.state.TypeMismatchError` for a payload of other types.
         """
         if snapshot.program is not self.program:
             raise ValueError(
@@ -501,13 +518,33 @@ class ProgramCounterVM:
             # not produced by this program — reject it even on a machine
             # deep enough to physically hold it.
             facts.check_snapshot_frames(required, self.max_stack_depth)
+        kind = self.program.kind
+        held = {  # each payload's dtype and event shape (a stack's are frames)
+            name: (p.dtype, p.shape[1:] if kind(name) is VarKind.STACKED else p.shape)
+            for name, p in snapshot.storages.items() if p is not None
+        }
+        types = self.types
+        if types is None:
+            if not all(name in held for name in self.program.inputs):
+                raise ValueError("lane snapshot holds no inputs to take types from")
+            signature = tuple(TensorType(*held[name]) for name in self.program.inputs)
+            types = self.plan.types_for(signature, self.registry)
+        for name, (dtype, event) in held.items():
+            if (dtype, event) != (types[name].np_dtype, types[name].event_shape):
+                raise TypeMismatchError(
+                    f"lane snapshot's {name!r} holds {dtype} values of event "
+                    f"shape {event}; its type is {types[name]}"
+                )
+        if self.types is None:
+            self._fix_types(signature)
         lane = int(lane)
         idx = np.asarray([lane], dtype=np.int64)
         self.reset_lanes(idx)
         self.pcreg[lane] = snapshot.pc
         self.addr_stack.restore_lane(lane, snapshot.addr_frames)
         for name, payload in snapshot.storages.items():
-            self.storage(name).restore_lane(lane, payload)
+            if payload is not None:
+                self.storage(name).restore_lane(lane, payload)
 
     def observed_max_depth(self) -> int:
         """Peak logical stack depth any lane reached on this machine.
@@ -518,12 +555,10 @@ class ProgramCounterVM:
         ``ProgramFacts.max_logical_depth`` bounds (and, for bounded
         programs whose deepest path executes, equals).
         """
-        peak = self.addr_stack.high_water
-        for st in self.storages.values():
-            stack = getattr(st, "stack", None)
-            if stack is not None:
-                peak = max(peak, stack.high_water)
-        return peak + 1
+        stacks = [self.addr_stack] + [
+            st.stack for st in self.storages.values() if isinstance(st, StackedStorage)
+        ]
+        return max(stack.high_water for stack in stacks) + 1
 
     # -- inspection (Figure 3 snapshots) ----------------------------------------
 

@@ -32,7 +32,7 @@ marks every row a push reached: its last set entry, divided by ``Z``, is
 ``high_water``.  The pointer and ``_reached`` tables need no dtype, so
 they are made apart from the data (:func:`pointer_tables`) and may be
 handed in: a :class:`~repro.vm.state.StackedStorage` owns its tables
-before its first write allocates the stack.
+before its machine's types are known and allocates the stack.
 
 The clamp serves the eager executor's pops and the return-address stack
 only.  Generated (fused and superblock) blocks never call :meth:`pop_at`
@@ -121,12 +121,6 @@ class BatchedStack:
         self._fp, self._reached = tables
         # Z as a 0-d array: the scalar operand a ufunc takes fastest.
         self._z = np.array(self.batch_size)
-
-    def promote(self, dtype: np.dtype) -> None:
-        """Widen the stack to hold ``dtype`` values (data and row view)."""
-        self.dtype = np.dtype(dtype)
-        self.data = self.data.astype(self.dtype)
-        self._rows = self.data.reshape((-1,) + self.event_shape)
 
     @property
     def sp(self) -> np.ndarray:

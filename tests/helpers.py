@@ -1,8 +1,14 @@
 """Shared assertion helpers for the test suite."""
 
-import numpy as np
+from contextlib import contextmanager
 
+import numpy as np
+import pytest
+
+from repro.analysis.types import infer_types
+from repro.ir.types import TensorType
 from repro.lowering.pipeline import LoweringOptions
+from repro.vm.state import RegisterStorage, StackedStorage
 
 
 def as_tuple(result):
@@ -42,6 +48,58 @@ def assert_instrumentation_identical(a, b, context=""):
         assert getattr(a, field) == getattr(b, field), f"{context}: {field}"
     assert dict(a.by_prim) == dict(b.by_prim), f"{context}: by_prim"
     assert dict(a.by_tag) == dict(b.by_tag), f"{context}: by_tag"
+
+
+@contextmanager
+def observing_writes():
+    """Spy on every program-counter storage write in the ``with`` body.
+
+    Yields a dict filling with variable name -> the set of ``(dtype, event
+    shape)`` of the values written to it: what the machine observes, as
+    opposed to what :func:`infer_types` predicts.
+    """
+    seen = {}
+
+    def spy(name, write):
+        def spied(where, value):
+            value = np.asarray(value)
+            seen.setdefault(name, set()).add((value.dtype, value.shape[1:]))
+            return write(where, value)
+
+        return spied
+
+    def spying(allocate, methods):
+        def spied_allocate(self, ttype):
+            allocate(self, ttype)
+            for method in methods:
+                setattr(self, method, spy(self.name, getattr(self, method)))
+
+        return spied_allocate
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls, methods in (
+            (RegisterStorage, ("write", "write_at")),
+            (StackedStorage, ("write", "write_at", "push", "push_at", "put")),
+        ):
+            patch.setattr(cls, "allocate", spying(cls.allocate, methods))
+        yield seen
+
+
+def assert_types_observed(program, registry, inputs, seen, context=""):
+    """The types :func:`infer_types` gives ``program`` for ``inputs`` are
+    the ones the writes in ``seen`` observed: each written variable's one
+    event shape, at the join of its written dtypes (the type dynamic
+    allocation and promotion gave it)."""
+    signature = tuple(
+        TensorType(np.asarray(x).dtype, np.shape(x)[1:]) for x in inputs
+    )
+    types = infer_types(program, registry, signature)
+    assert seen, context
+    for name, writes in seen.items():
+        shapes = {shape for _, shape in writes}
+        assert len(shapes) == 1, f"{context}: {name} written at {shapes}"
+        dtype = np.result_type(*[dtype for dtype, _ in writes])
+        assert types[name] == TensorType(dtype, shapes.pop()), f"{context}: {name}"
 
 
 def run_all_strategies(fn, inputs, max_stack_depth=64):

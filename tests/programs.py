@@ -274,6 +274,38 @@ def rng_walk(ctr, n):
     return x
 
 
+# -- variables typed by a join (outside ALL_EXAMPLES) --------------------------
+
+
+@autobatch
+def mixed_paths(n):
+    """``x`` is int on one path and float on the other: a register."""
+    if n % 2 == 0:
+        x = n
+    else:
+        x = n * 0.5
+    return x + 1
+
+
+@autobatch
+def mixed_rec(n):
+    """``x`` is int on one path and float on the other, and lives across
+    the recursive call: a stacked variable."""
+    if n % 2 == 0:
+        x = n
+    else:
+        x = n * 0.5
+    y = 0.0
+    if n > 0:
+        y = mixed_rec(n - 1)
+    return x + y
+
+
+@autobatch
+def twice(x):
+    return x if x > 100 else x + x
+
+
 # -- grouped corpora for parametrized tests ------------------------------------
 
 

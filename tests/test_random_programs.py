@@ -19,7 +19,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from .helpers import assert_instrumentation_identical
+from .helpers import (
+    assert_instrumentation_identical,
+    assert_types_observed,
+    observing_writes,
+)
 
 _MODULE_DIR = Path(tempfile.mkdtemp(prefix="repro_genprog_"))
 _MODULE_COUNT = [0]
@@ -182,7 +186,8 @@ def test_generated_program_eager_vs_fused_executors(spec, a_vals, b_vals, depth)
     """Executors must be bitwise interchangeable: outputs identical to eager
     masking, and instrumentation op counts identical to eager gather-scatter
     (a fused block is compact, so it runs and counts each site on its live
-    lanes) on every generated program."""
+    lanes) on every generated program.  The types the inference pass gives
+    the program are the ones both machines' writes observe."""
     from repro.vm.instrumentation import Instrumentation
 
     fn = compile_source(render_program(spec))
@@ -192,13 +197,15 @@ def test_generated_program_eager_vs_fused_executors(spec, a_vals, b_vals, depth)
     n = np.full(z, depth, dtype=np.int64)
     runs = {"eager": ("eager", "gather"), "fused": ("fused", "mask")}
     instr = {name: Instrumentation() for name in runs}
-    outs = {
-        name: fn.run_pc(
-            a, b, n, executor=ex, mode=mode, instrumentation=instr[name],
-            max_stack_depth=16,
-        )
-        for name, (ex, mode) in runs.items()
-    }
+    with observing_writes() as seen:
+        outs = {
+            name: fn.run_pc(
+                a, b, n, executor=ex, mode=mode, instrumentation=instr[name],
+                max_stack_depth=16,
+            )
+            for name, (ex, mode) in runs.items()
+        }
+    assert_types_observed(fn.stack_program(), fn.registry, (a, b, n), seen)
     masked = fn.run_pc(a, b, n, executor="eager", mode="mask", max_stack_depth=16)
     np.testing.assert_array_equal(outs["fused"], masked)
     np.testing.assert_array_equal(outs["eager"], masked)

@@ -28,7 +28,7 @@ from repro.serve import (
 )
 from repro.vm.program_counter import ProgramCounterVM
 
-from .programs import ALL_EXAMPLES, fib, gcd, poly, rng_walk
+from .programs import ALL_EXAMPLES, fib, gcd, poly, rng_walk, twice
 
 # Programs spanning recursion, loops, floats, RNG, and multiple outputs.
 SERVE_CORPUS = ["fib", "gcd", "collatz_steps", "poly", "rng_walk", "swap_chain",
@@ -154,6 +154,27 @@ class TestAdmissionControl:
         assert good_after.result() == 21
         assert engine.telemetry.failed == 1
         assert engine.pool.busy_count() == 0  # the poisoned lane was vacated
+
+    @pytest.mark.parametrize("executor", ["eager", "fused"])
+    def test_a_float_request_never_leaks_into_int_neighbours(self, executor):
+        """The engine's first request fixes its machine's types: a later
+        float request into the int-typed machine fails on its own handle,
+        and the int requests around it come back int64, as the reference
+        computes them — not widened to float64 by their neighbour."""
+        engine = twice.serve(4, executor=executor)
+        handles = []
+        for x in (np.int64(4), np.float64(2.5), np.int64(5)):
+            handles.append(engine.submit(x))
+            engine.run_until_idle()
+        first, bad, last = handles
+        assert bad.state == "failed"
+        with pytest.raises(TypeError, match="float64.*int64"):
+            bad.result()
+        for handle, x in ((first, 4), (last, 5)):
+            out = handle.result()
+            assert np.asarray(out).dtype == np.int64
+            assert out == twice.run_reference(np.array([x]))[0]
+        assert engine.telemetry.failed == 1
 
     def test_run_until_idle_exact_max_ticks_is_not_an_error(self):
         engine = fib.serve(num_lanes=1)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.vm.stack
+from repro.ir.types import TensorType
 from repro.vm.program_counter import ProgramCounterVM
 from repro.vm.stack import BatchedStack, StackOverflowError, StackUnderflowError
 from repro.vm.state import StackedStorage
@@ -182,18 +183,20 @@ class TestBasicOps:
         np.testing.assert_array_equal(masked.read(), gathered.read())
 
 
-def test_promote_keeps_saved_frames():
-    """A float write to an int stack widens every frame, saved or top,
-    and later pushes and pops address the widened buffer."""
+def test_joined_type_keeps_saved_frames():
+    """A stacked variable typed by the join of int and float writes holds
+    float64 from allocation: int writes and pushes cast into it exactly,
+    float ones land as written, and pops walk the frames back unchanged —
+    the values dynamic promotion gave, with no widening mid-run."""
     storage = StackedStorage("v", 2, depth=3)
+    storage.allocate(TensorType("float64"))
+    s = storage.stack
     storage.write(full_mask(2), np.array([1, 10]))
     storage.push(full_mask(2), np.array([2, 20]))
     storage.push(np.array([True, False]), np.array([3, 0]))
-    s = storage.stack
-    assert type(s) is BatchedStack and s.dtype == np.int64
     storage.write_at(np.array([1]), np.array([20.5]))
-    assert storage.stack is s and s.dtype == np.float64
     storage.push_at(np.array([1]), np.array([21.25]))
+    assert storage.stack is s and s.dtype == np.float64
     np.testing.assert_array_equal(s.frames(0), [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(s.frames(1), [10.0, 20.5, 21.25])
     for lane, want in ((0, [3.0, 2.0, 1.0]), (1, [21.25, 20.5, 10.0])):
@@ -306,7 +309,7 @@ _model_ops = st.lists(
     st.tuples(
         st.sampled_from(
             ["push_at", "push_at", "drop_at", "pop_at", "update", "update_at",
-             "reset_lanes", "restore_lane", "promote"]
+             "reset_lanes", "restore_lane"]
         ),
         _lanes,
         _numbers,
@@ -339,13 +342,12 @@ def test_indexed_ops_match_list_model(ops, vector, dtype, strict):
     operation; a push overflows exactly when a lane of ``idx`` already holds
     D saved frames, a strict pop underflows exactly when one sits at the
     base, and either raise leaves the stack bitwise as it was; a non-strict
-    pop at the base keeps depth 1 and the lane's top.  ``promote`` widens
-    the stack mid-sequence through ``StackedStorage``, as a float write to
-    an int variable does.
+    pop at the base keeps depth 1 and the lane's top.
     """
     event = (MODEL_E,) if vector else ()
     storage = StackedStorage("v", MODEL_Z, MODEL_D)
-    s = storage._ensure(event, np.dtype(dtype))
+    storage.allocate(TensorType(dtype, event))
+    s = storage.stack
     assert type(s) is BatchedStack
     s.strict = strict
     zero = np.zeros(event)
@@ -396,7 +398,7 @@ def test_indexed_ops_match_list_model(ops, vector, dtype, strict):
             s.reset_lanes(idx, top=top)
             for k, b in enumerate(lanes):
                 model[b] = [zero if top is None else top[k]]
-        elif kind == "restore_lane":
+        else:  # restore_lane
             lane = n_frames % MODEL_Z
             frames = np.resize(full, (n_frames,) + event)
             if n_frames - 1 > MODEL_D:
@@ -406,11 +408,6 @@ def test_indexed_ops_match_list_model(ops, vector, dtype, strict):
             else:
                 s.restore_lane(lane, frames)
                 model[lane] = list(frames)
-        else:  # promote: a float write reaches an int stack
-            storage.write_at(idx, values + 0.5)
-            assert storage.stack is s and s.dtype == np.float64
-            for b, v in zip(lanes, values):
-                model[b][-1] = v + 0.5
 
         peak = max([peak] + [len(frames) - 1 for frames in model])
         assert s.high_water == peak

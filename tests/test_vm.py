@@ -14,10 +14,11 @@ from repro.vm.scheduler import (
     scheduler_name,
 )
 from repro.vm.stack import StackOverflowError
-from repro.vm.state import RegisterStorage, StackedStorage, UninitializedRead
+from repro.ir.types import TensorType
+from repro.vm.state import RegisterStorage, StackedStorage
 from repro.ir.builder import FunctionBuilder, ProgramBuilder
 
-from .programs import fib, gcd, rng_walk
+from .programs import fib, gcd, mixed_paths, mixed_rec, rng_walk, vector_norm
 
 
 class TestSchedulers:
@@ -165,44 +166,65 @@ class TestInstrumentation:
 
 
 class TestStorage:
-    def test_register_uninitialized_read(self):
+    def test_register_allocates_at_its_type(self):
         st = RegisterStorage("v", 3)
-        with pytest.raises(UninitializedRead, match="'v'"):
-            st.read()
+        st.allocate(TensorType("int64", (2,)))
+        assert st.read().dtype == np.int64 and st.read().shape == (3, 2)
+        assert not st.read().any()
 
     def test_register_event_shape_fixed(self):
-        st = RegisterStorage("v", 2)
-        st.write(np.ones(2, bool), np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="event shape"):
-            st.write(np.ones(2, bool), np.zeros((2, 4)))
+        """A later input of another event shape is refused by name before
+        any lane is touched."""
+        vm = ProgramCounterVM(vector_norm.execution_plan(), batch_size=2)
+        vm.bind_inputs([np.zeros((2, 3))])
+        before = vm.storage("vector_norm.v").read().copy()
+        with pytest.raises(TypeError, match=r"input 'vector_norm\.v'.*event shape"):
+            vm.inject_lanes(np.array([0]), [np.ones((1, 4))])
+        np.testing.assert_array_equal(vm.storage("vector_norm.v").read(), before)
 
-    def test_register_dtype_promotion(self):
-        st = RegisterStorage("v", 2)
-        st.write(np.ones(2, bool), np.array([1, 2]))
-        st.write(np.array([True, False]), np.array([0.5, 0.5]))
-        assert st.read().dtype == np.float64
-        np.testing.assert_allclose(st.read(), [0.5, 2.0])
+    @pytest.mark.parametrize("executor", ["eager", "fused"])
+    def test_register_dtype_join(self, executor):
+        """A register written int on one path and float on the other holds
+        the joined float64 from the start; a later float input into the
+        int-typed machine is refused, naming the input and both dtypes."""
+        n = np.array([0, 1, 3, 4])
+        vm = ProgramCounterVM(mixed_paths.execution_plan(executor), batch_size=4)
+        out = vm.run([n])[0]
+        assert vm.storages["mixed_paths.x"].read().dtype == np.float64
+        np.testing.assert_array_equal(out, mixed_paths.run_reference(n))
+        assert out.dtype == np.float64
+        with pytest.raises(TypeError, match="'mixed_paths.n'.*float64.*int64"):
+            vm.inject_lanes(np.array([0]), [np.array([0.5])])
 
-    def test_stacked_uninitialized(self):
+    def test_stacked_allocates_over_its_own_tables(self):
         st = StackedStorage("v", 2, depth=4)
-        with pytest.raises(UninitializedRead):
-            st.read()
-        with pytest.raises(UninitializedRead):
-            st.pop(np.ones(2, bool))
+        fp, reached = st.fp, st.reached
+        st.allocate(TensorType("float64"))
+        assert st.stack._fp is fp and st.stack._reached is reached
+        assert st.stack.dtype == np.float64 and st.stack.data.shape == (5, 2)
 
     def test_stacked_write_then_push_pop(self):
         st = StackedStorage("v", 2, depth=4)
+        st.allocate(TensorType("float64"))
         st.write(np.ones(2, bool), np.array([1.0, 2.0]))
         st.push(np.ones(2, bool), np.array([3.0, 4.0]))
         np.testing.assert_array_equal(st.read(), [3.0, 4.0])
         st.pop(np.ones(2, bool))
         np.testing.assert_array_equal(st.read(), [1.0, 2.0])
 
-    def test_stacked_dtype_promotion(self):
-        st = StackedStorage("v", 2, depth=4)
-        st.write(np.ones(2, bool), np.array([1, 2]))
-        st.write(np.ones(2, bool), np.array([1.5, 2.5]))
-        assert st.read().dtype == np.float64
+    @pytest.mark.parametrize("executor", ["eager", "fused"])
+    def test_stacked_dtype_join(self, executor):
+        """A stacked variable written int on one path and float on the
+        other holds the joined float64 in every frame; a later float input
+        into the int-typed machine is refused."""
+        n = np.array([0, 1, 3, 4, 7])
+        vm = ProgramCounterVM(mixed_rec.execution_plan(executor), batch_size=5)
+        out = vm.run([n])[0]
+        assert vm.storages["mixed_rec.x"].stack.dtype == np.float64
+        assert vm.storages["mixed_rec.n"].stack.dtype == np.int64
+        np.testing.assert_array_equal(out, mixed_rec.run_reference(n))
+        with pytest.raises(TypeError, match="'mixed_rec.n'.*float64.*int64"):
+            vm.inject_lanes(np.array([1]), [np.array([2.5])])
 
 
 class TestVMErrors:
@@ -222,9 +244,13 @@ class TestVMErrors:
             with pytest.raises(StackOverflowError, match="max_stack_depth") as info:
                 vm.run([ns])
             raised[executor] = str(info.value)
+            if executor == "eager":
+                # Eager creates a storage at its first write; generated
+                # blocks bind (and so allocate) every storage they name.
+                written = set(vm.storages)
             stacks = [vm.addr_stack] + [
-                st.stack for _, st in sorted(vm.storages.items())
-                if isinstance(st, StackedStorage) and st.stack is not None
+                st.stack for name, st in sorted(vm.storages.items())
+                if isinstance(st, StackedStorage) and name in written
             ]
             state[executor] = (
                 [vm.pcreg] + [s.sp for s in stacks] + [s.read() for s in stacks]
