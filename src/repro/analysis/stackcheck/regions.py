@@ -1,6 +1,6 @@
 """Region-table (superblock) validation against the verified CFG.
 
-A :class:`~repro.backend.regions.RegionTable` is driven by profile data and
+A :class:`~repro.backend.regions.RegionTable` is selected from the CFG but
 may be hand-built or carried over from an older program revision; a wrong
 table would execute blocks out of CFG order under one dispatch.  This check
 makes that impossible: every run must front its own entry block, every

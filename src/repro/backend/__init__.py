@@ -10,8 +10,7 @@ XLA (kernel fusion, low dispatch overhead).  This package reproduces the
   primitive: the XLA analog.  :class:`SuperblockExecutor` goes below that
   floor, chaining blocks into multi-block runs with side exits.
 * :mod:`repro.backend.regions` — the region-selection pass feeding the
-  superblock executor: static fall-through chains, optionally extended
-  through branches by a :class:`~repro.observe.BlockProfile`.
+  superblock executor: static fall-through chains, ended at every branch.
 * :mod:`repro.backend.device` — deterministic cost models of a CPU-like and
   a GPU-like device (dispatch overhead, throughput, parallel width), used to
   produce reproducible simulated timings alongside real wall-clock ones.

@@ -97,7 +97,7 @@ The same generated executors serve two strategies from the paper's Figure 5:
 from __future__ import annotations
 
 import textwrap
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -457,8 +457,7 @@ class FusedBlockExecutor(BlockExecutor):
     accounting = "fused"
     live_lanes_only = True
 
-    def __init__(self, registry: Optional[PrimitiveRegistry] = None):
-        self.registry = registry
+    def __init__(self):
         # Source generation + compile() happen once per *program*; every bind
         # only re-resolves the spec's names against one VM and its registry.
         # The cache is keyed per program (identity), so one executor
@@ -499,7 +498,7 @@ class FusedBlockExecutor(BlockExecutor):
         return entry[1]
 
     def bind(self, vm: Any) -> List[Callable]:
-        registry = self.registry or vm.registry
+        registry = vm.registry
         compiled = self._compiled_blocks(vm.program, vm.plan.facts)
         # Every block fronts its own compiled entry (a superblock chain
         # starts at it), so the entries' operation lists cover the program.
@@ -536,14 +535,9 @@ class SuperblockExecutor(FusedBlockExecutor):
     block fronts its own run, so arbitrary entry pcs (preemption resume,
     side exits, snapshot migration) never hit a slow path.
 
-    Region selection is fixed at construction: ``profile=None`` seeds runs
-    statically from fall-through edges, a
-    :class:`~repro.observe.BlockProfile` additionally extends runs through
-    branches into their dominant successors.  An executor never re-derives
-    regions — feed a new profile to a *new* executor instance, which also
-    yields a new :class:`~repro.vm.executors.ExecutionPlan` (instances
-    bypass the :class:`~repro.frontend.api.AutobatchFunction` plan cache),
-    so stale compiled regions are structurally impossible.
+    Regions are static: runs follow fall-through edges and end at every
+    branch, so they depend on the program alone and are derived once per
+    program.
 
     Results are bit-identical to the eager and fused executors: each lane's
     values are independent of its dispatch companions, so sweeping extra
@@ -557,39 +551,21 @@ class SuperblockExecutor(FusedBlockExecutor):
     name = "superblock"
     accounting = "fused"
 
-    def __init__(
-        self,
-        profile: Any = None,
-        max_length: Optional[int] = None,
-        min_slots: int = 0,
-        registry: Optional[PrimitiveRegistry] = None,
-    ):
-        from repro.backend.regions import DEFAULT_MAX_LENGTH
-
-        super().__init__(registry)
-        self.profile = profile
-        self.max_length = (
-            DEFAULT_MAX_LENGTH if max_length is None else int(max_length)
-        )
-        self.min_slots = int(min_slots)
+    def __init__(self):
+        super().__init__()
         self._regions: Dict[int, Tuple[StackProgram, Any]] = {}
 
     def regions_for(self, program: StackProgram):
         """The :class:`~repro.backend.regions.RegionTable` for ``program``.
 
-        Derived once per program from the executor's construction-time
-        profile and cached; codegen and plan verification read it.
+        Derived once per program and cached; codegen and plan verification
+        read it.
         """
         from repro.backend.regions import select_regions
 
         entry = self._regions.get(id(program))
         if entry is None:
-            table = select_regions(
-                program,
-                profile=self.profile,
-                max_length=self.max_length,
-                min_slots=self.min_slots,
-            )
+            table = select_regions(program)
             self._regions[id(program)] = (program, table)
             return table
         return entry[1]
@@ -616,12 +592,6 @@ class SuperblockExecutor(FusedBlockExecutor):
     def device_dispatch_count(self, instr: Instrumentation) -> int:
         """Identical: the whole superblock is the launch unit."""
         return instr.host_dispatches
-
-    def __repr__(self) -> str:
-        return (
-            f"SuperblockExecutor(profiled={self.profile is not None}, "
-            f"max_length={self.max_length}, min_slots={self.min_slots})"
-        )
 
 
 register_executor(SuperblockExecutor.name, SuperblockExecutor)

@@ -12,17 +12,12 @@ superblock outputs stay bit-identical to the eager and fused executors no
 matter how regions are chosen.
 
 This module only picks the runs; the codegen lives in
-:mod:`repro.backend.fusion`.  Selection is seeded two ways:
-
-* **statically** — follow unconditional fall-through edges (``Jump`` and
-  the ``PushJump`` call edge).  ``Branch`` ends the run: without a
-  profile there is no evidence either side dominates.
-* **profile-guided** — with a :class:`~repro.observe.BlockProfile`
-  (collected from a ``trace="profile"`` serving run), a branch extends
-  the run into its *dominant* successor: the side whose block recorded
-  strictly more active lanes, provided that block cleared the profile's
-  ``min_slots`` floor (a block the profile barely saw is noise, not a
-  hot path).
+:mod:`repro.backend.fusion`.  Selection is static: a run follows
+unconditional fall-through edges (``Jump`` and the ``PushJump`` call
+edge), and ``Branch`` ends it.  Extending runs through branches into the
+side a traced warm-up saw more often bought only 1.06-1.07x over these
+static runs in serving, and no driver ran the warm-up it needed, so it
+was dropped.
 
 Every block fronts a run (its own suffix of some hot path), so a lane
 resuming at an arbitrary pc — after preemption, snapshot migration, or a
@@ -35,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.ir.instructions import Branch, Jump, PushJump, StackProgram
+from repro.ir.instructions import Jump, PushJump, StackProgram
 
-#: Default cap on member blocks per superblock.  Long runs amortize more
+#: Cap on member blocks per superblock.  Long runs amortize more
 #: dispatch overhead but each member adds a guard (one pc compare) that
 #: every dispatch through the region pays even after flow dies out.
 DEFAULT_MAX_LENGTH = 8
@@ -50,12 +45,11 @@ class RegionTable:
     ``chains[i]`` is the member-block run fronted by block ``i`` (always
     starting with ``i`` itself; a singleton when nothing follows it).
     ``next_block[i]`` is the continuation edge selection chose for ``i``,
-    or None where the run must end (Return, or an unresolved branch).
+    or None where the run must end (Branch or Return).
     """
 
     chains: Tuple[Tuple[int, ...], ...]
     next_block: Tuple[Optional[int], ...]
-    profiled: bool
 
     def chain(self, index: int) -> Tuple[int, ...]:
         return self.chains[index]
@@ -68,7 +62,6 @@ class RegionTable:
 
     def to_json(self) -> Dict[str, object]:
         return {
-            "profiled": self.profiled,
             "mean_length": round(self.mean_length(), 4),
             "chains": [list(c) for c in self.chains],
         }
@@ -76,47 +69,19 @@ class RegionTable:
     def __repr__(self) -> str:
         return (
             f"RegionTable(blocks={len(self.chains)}, "
-            f"mean_length={self.mean_length():.2f}, profiled={self.profiled})"
+            f"mean_length={self.mean_length():.2f})"
         )
 
 
-def _dominant_successor(
-    term: Branch, profile, min_slots: int
-) -> Optional[int]:
-    """The branch target whose block strictly dominates the other's traffic."""
-    true_row = profile.row(term.true_target)
-    false_row = profile.row(term.false_target)
-    true_active = 0 if true_row is None else true_row.active
-    false_active = 0 if false_row is None else false_row.active
-    if true_active == false_active:
-        return None
-    target, row = (
-        (term.true_target, true_row)
-        if true_active > false_active
-        else (term.false_target, false_row)
-    )
-    if row is None or row.slots < min_slots:
-        return None
-    return target
-
-
-def select_regions(
-    program: StackProgram,
-    profile=None,
-    max_length: int = DEFAULT_MAX_LENGTH,
-    min_slots: int = 0,
-) -> RegionTable:
+def select_regions(program: StackProgram) -> RegionTable:
     """Pick the superblock run fronted by every block of ``program``.
 
     Continuation edges: ``Jump`` and ``PushJump`` (the call edge) always
-    continue; ``Branch`` continues into its dominant successor when
-    ``profile`` provides one (see module docstring); ``Return`` never
-    continues (the return target is dynamic).  Runs stop at
-    ``max_length`` members or when they would revisit a member (a loop
-    re-enters through its own entry block's run instead).
+    continue; ``Branch`` and ``Return`` never do (the return target is
+    dynamic).  Runs stop at ``DEFAULT_MAX_LENGTH`` members or when they
+    would revisit a member (a loop re-enters through its own entry block's
+    run instead).
     """
-    if max_length < 1:
-        raise ValueError(f"max_length must be >= 1, got {max_length}")
     n = len(program.blocks)
     next_block: List[Optional[int]] = []
     for block in program.blocks:
@@ -125,8 +90,6 @@ def select_regions(
             next_block.append(term.target)
         elif isinstance(term, PushJump):
             next_block.append(term.jump_target)
-        elif isinstance(term, Branch) and profile is not None:
-            next_block.append(_dominant_successor(term, profile, min_slots))
         else:
             next_block.append(None)
     # An edge to the exit (or out of range) never extends a run.
@@ -137,15 +100,11 @@ def select_regions(
     for start in range(n):
         chain = [start]
         seen = {start}
-        while len(chain) < max_length:
+        while len(chain) < DEFAULT_MAX_LENGTH:
             nxt = next_block[chain[-1]]
             if nxt is None or nxt in seen:
                 break
             chain.append(nxt)
             seen.add(nxt)
         chains.append(tuple(chain))
-    return RegionTable(
-        chains=tuple(chains),
-        next_block=tuple(next_block),
-        profiled=profile is not None,
-    )
+    return RegionTable(chains=tuple(chains), next_block=tuple(next_block))

@@ -10,13 +10,14 @@ lowering optimizations; this harness measures each head-to-head:
 * **B. block-selection heuristic** (free choice 2) — ``earliest`` (the
   Algorithm 1/2 default), ``most_active``, ``round_robin``; all are correct,
   they differ in step count and batching quality.
-* **C. lowering optimizations** (Section 3's optimizations 2, 3, and 5,
+* **C. lowering optimizations** (Section 3's optimizations 2 and 3,
   swept individually via :class:`~repro.lowering.pipeline.LoweringOptions`
   plus the all-on/all-off extremes) — measured through stack traffic
   (pushes/pops and per-lane stack movement) and machine steps.
 
-Section 3's optimization 4 (top-of-stack caching) has no ablation: it was
-measured and dropped (see :mod:`repro.vm.stack`).
+Section 3's optimizations 4 (top-of-stack caching) and 5 (Pop;Push
+cancellation) have no ablation: both were measured and dropped (see
+:mod:`repro.vm.stack` and :class:`~repro.lowering.pipeline.LoweringOptions`).
 
 Run as ``python -m repro.bench.ablations``.
 """
@@ -82,26 +83,6 @@ def _fib_workload(config: AblationConfig):
     rng = np.random.RandomState(config.seed)
     inputs = rng.choice(config.fib_inputs, size=config.batch_size)
     return _fib, (np.asarray(inputs, dtype=np.int64),)
-
-
-@autobatch
-def _chain_calls(n):
-    # Adjacent recursive calls: the save/restore between them is the
-    # Pop;Push pair that optimization 5 cancels (fib's single-expression
-    # recursion never produces one, so it cannot exercise that toggle).
-    if n <= 0:
-        return 1
-    a = n - 1
-    b = n - 2
-    left = _chain_calls(a)
-    right = _chain_calls(b)
-    return left + right
-
-
-def _calls_workload(config: AblationConfig):
-    rng = np.random.RandomState(config.seed)
-    inputs = rng.choice(config.fib_inputs, size=config.batch_size)
-    return _chain_calls, (np.asarray(inputs, dtype=np.int64),)
 
 
 def _nuts_workload(config: AblationConfig):
@@ -196,18 +177,16 @@ OPTIMIZATION_VARIANTS: List = [
     ("optimized", True),
     ("no_temp_opt", LoweringOptions(temp_opt=False)),
     ("no_register_opt", LoweringOptions(register_opt=False)),
-    ("no_pop_push_opt", LoweringOptions(pop_push_opt=False)),
     ("unoptimized", False),
 ]
 
 
 def ablation_optimizations(config: AblationConfig = AblationConfig()) -> List[AblationRow]:
     """Lowering optimizations swept individually (stack traffic is the
-    headline): all-on, each of optimizations 2/3/5 disabled alone, all-off."""
+    headline): all-on, each of optimizations 2/3 disabled alone, all-off."""
     rows: List[AblationRow] = []
     for workload_name, (program, inputs) in (
         ("fib", _fib_workload(config)),
-        ("calls", _calls_workload(config)),
         ("nuts", _nuts_workload(config)),
     ):
         for variant, optimize in OPTIMIZATION_VARIANTS:

@@ -17,10 +17,12 @@ Stack IR (paper Figure 4)::
                    | Update [y] = f([x])      (PrimOp in this dialect)
     Terminator t ::= Jump i | Branch x i j | PushJump i j | Return
 
-The in-place ``Update`` the paper introduces via optimization 5 is what a
+The in-place ``Update`` the paper introduces for optimization 5 is what a
 :class:`PrimOp` *means* in the stack dialect: write the top of each output
 variable under the active mask.  :class:`PushOp` additionally advances the
-stack pointer.  Targets are block labels (strings) in builder-produced
+stack pointer.  The optimization itself (rewriting ``Pop v; Push v = f(x)``
+into an ``Update``) is not a pass here: fused blocks address stacked
+variables at static frame offsets, so such a pair is already one write.  Targets are block labels (strings) in builder-produced
 functions and are resolved to dense indices when a :class:`StackProgram` is
 assembled.
 """

@@ -9,8 +9,11 @@ language]".  Passes:
 2. :mod:`repro.analysis.storage` — liveness, save sets, storage classes.
 3. :mod:`repro.lowering.lower_calls` — replace every ``CallOp`` with the
    caller-saves push/pop protocol plus ``PushJump``/``Return`` control.
-4. :mod:`repro.lowering.pop_push` — cancel Pop-then-Push pairs into in-place
-   updates (paper optimization 5).
+
+The paper's optimization 5 (cancelling ``Pop v; Push v`` pairs into
+in-place updates) has no pass here: fused codegen's static frame offsets
+already turn such a pair into one ``put`` (see
+:class:`~repro.lowering.pipeline.LoweringOptions`).
 """
 
 from repro.lowering.pipeline import LoweringError, LoweringOptions, lower_program

@@ -19,7 +19,6 @@ from repro.ir.instructions import (
 )
 from repro.ir.validate import validate_program, validate_stack_program
 from repro.lowering.lower_calls import lower_calls
-from repro.lowering.pop_push import eliminate_pop_push
 from repro.lowering.rename import rename_program
 
 
@@ -33,17 +32,19 @@ class LoweringOptions:
 
     Optimization 1 (per-variable caller-saves stacks) is structural and
     always on; optimization 4 (top-of-stack caching) was measured and
-    dropped (see :mod:`repro.vm.stack`).
+    dropped (see :mod:`repro.vm.stack`), and so was optimization 5
+    (``Pop v; Push v = f(x)`` rewritten in place): fused blocks address
+    stacked variables at static frame offsets, so such a pair already
+    compiles to one ``put`` (see :mod:`repro.backend.fusion`).
     """
 
     temp_opt: bool = True       # optimization 2: block-local temporaries
     register_opt: bool = True   # optimization 3: stack-free variables
-    pop_push_opt: bool = True   # optimization 5: Pop;Push -> Update
 
     @classmethod
     def none(cls) -> "LoweringOptions":
         """All optimizations disabled (the ablation baseline)."""
-        return cls(temp_opt=False, register_opt=False, pop_push_opt=False)
+        return cls(temp_opt=False, register_opt=False)
 
 
 def normalize_lowering_options(
@@ -94,9 +95,6 @@ def lower_program(
         for blk in lowered.blocks_by_fn[name]:
             blocks.append(blk)
             block_sources.append(name)
-
-    if opts.pop_push_opt:
-        blocks, _ = eliminate_pop_push(blocks)
 
     index: Dict[str, int] = {}
     for i, blk in enumerate(blocks):

@@ -110,9 +110,7 @@ class ServeConfig:
         pre-compiled callable — same results, a fraction of the
         dispatches), ``"superblock"`` (hot block *runs* fused into one
         callable each — below one dispatch per executed block), or a
-        :class:`~repro.vm.executors.BlockExecutor` instance (e.g. a
-        :class:`~repro.backend.fusion.SuperblockExecutor` seeded from a
-        :class:`~repro.observe.BlockProfile`).  Lane recycling is
+        :class:`~repro.vm.executors.BlockExecutor` instance.  Lane recycling is
         executor-agnostic; a fleet compiles one plan for every shard.
     verify:
         Statically verify the program once at plan compile (the default;

@@ -135,6 +135,5 @@ OPTION_GRID = [
     LoweringOptions(),
     LoweringOptions(temp_opt=False),
     LoweringOptions(register_opt=False),
-    LoweringOptions(pop_push_opt=False),
     LoweringOptions.none(),
 ]

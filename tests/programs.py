@@ -66,7 +66,9 @@ def is_even(n):
 
 @autobatch
 def consecutive_calls(n):
-    """Two calls whose save/restore pairs are pop-push cancellable."""
+    """Two adjacent calls: between them one block pops ``n`` and pushes it
+    again, the pair the paper's optimization 5 rewrites in place and that
+    static frame offsets compile to one ``put``."""
     if n <= 0:
         return 1
     a = n - 1

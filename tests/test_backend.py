@@ -11,7 +11,7 @@ from repro.backend.device import CPU_DEVICE, GPU_DEVICE, DeviceModel
 from repro.backend.fusion import FusedBlockExecutor
 from repro.backend.kernels import KernelLibrary
 from repro.frontend.registry import PrimitiveRegistry, default_registry
-from repro.ir.instructions import Branch, ConstOp, PopOp, VarKind
+from repro.ir.instructions import Branch, ConstOp, PopOp, PushOp, VarKind
 from repro.vm.executors import ExecutionPlan
 from repro.vm.instrumentation import Instrumentation
 from repro.vm.program_counter import ProgramCounterVM
@@ -201,6 +201,67 @@ class TestCompactBlocks:
                 assert "np.maximum" not in source, where
                 rest = re.sub(r"vm\.addr_stack\.p(op|ush)_at", "", source)
                 assert "pop_at" not in rest and "push_at" not in rest, where
+
+    @pytest.mark.parametrize(
+        "name, label, moved",
+        [
+            ("consecutive_calls", "after_1.ret0", ("n",)),
+            ("ackermann", "after_3.ret1", ("m", "n")),
+        ],
+    )
+    def test_static_offsets_cover_pop_push_pairs(self, name, label, moved):
+        """The paper's optimization 5 rewrites ``Pop v; Push v = f(x)`` into
+        an in-place update.  Static frame offsets already compile such a
+        pair to one ``put`` at the frame's entry pointer: the pop and the
+        push cancel in the code generator, so the variable's pointers are
+        neither stored nor read one row down.  These two blocks hold the
+        only pairs in the corpus that optimization 5 would rewrite."""
+        fn, inputs = ALL_EXAMPLES[name]
+        plan = fn.execution_plan("fused")
+        program = plan.program
+        index = next(
+            i for i, b in enumerate(program.blocks)
+            if b.label == f"{name}.{label}"
+        )
+        compiled = plan.executor._compiled_blocks(program)[index]
+        source = compiled.source
+        storages = {
+            payload: sym for sym, kind, payload in compiled.spec
+            if kind == "storage"
+        }
+        offsets = {
+            sym: payload for sym, kind, payload in compiled.spec
+            if kind == "offset"
+        }
+        ops = program.blocks[index].ops
+        for short in moved:
+            var = f"{name}.{short}"
+            assert PopOp(var=var) in ops, var
+            assert any(
+                isinstance(op, PushOp) and op.output == var for op in ops
+            ), var
+            s = storages[var]
+            (base,) = re.findall(rf"(\w+) = {s}\.fp\[idx\]\n", source)
+            assert len(re.findall(rf"\b{s}\.put\(", source)) == 1, var
+            assert f"{s}.put({base}, " in source, var
+            assert f"{s}.fp[idx] = " not in source, var
+            below = {
+                addr for addr, z in re.findall(
+                    rf"(\w+) = {base} \+ (\w+)\n", source
+                )
+                if offsets[z] == -1
+            }
+            reads = re.findall(rf"\b{s}\.get\((\w+)\)", source)
+            assert not below & set(reads), var
+        expected = fn.run_reference(*inputs)
+        runs = {
+            f"eager/{mode}": dict(executor="eager", mode=mode)
+            for mode in ("mask", "gather")
+        }
+        runs.update({ex: dict(executor=ex) for ex in ("fused", "superblock")})
+        for where, options in runs.items():
+            out = fn.run_pc(*inputs, max_stack_depth=64, **options)
+            assert_results_equal(expected, out, context=f"{name} {where}")
 
     def test_matches_every_executor(self):
         expected = _descent.run_reference(self.X, self.N)

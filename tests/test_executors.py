@@ -78,7 +78,7 @@ class TestExecutionPlan:
     def test_lowering_options_instance_distinguished(self):
         """The regression the cache-key satellite fixes: per-optimization
         ablation configs must not collide with the all-on default."""
-        ablation = LoweringOptions(pop_push_opt=False)
+        ablation = LoweringOptions(register_opt=False)
         p_opt = fib.execution_plan(optimize=True)
         p_ablation = fib.execution_plan(optimize=ablation)
         assert p_opt is not p_ablation
@@ -204,31 +204,6 @@ class TestExecutionPlan:
         assert p1 is p2
         assert p1.name == "superblock"
         assert p1 is not fib.execution_plan(executor="fused")
-
-    def test_superblock_profile_instance_bypasses_cache(self):
-        """The stale-region guard: a profile-seeded executor instance must
-        yield a *fresh* plan — never the cached static-region one — so a
-        new profile can never run through stale compiled regions."""
-        from repro.observe.profile import BlockProfile, BlockRow
-
-        profile = BlockProfile({
-            i: BlockRow(
-                index=i, label=f"b{i}", source="", executions=1,
-                active=a, live=s, slots=s,
-            )
-            for i, (a, s) in {1: (10, 120), 2: (100, 120)}.items()
-        })
-        cached = fib.execution_plan(executor="superblock")
-        seeded = fib.execution_plan(executor=SuperblockExecutor(profile=profile))
-        assert seeded is not cached
-        assert seeded is not fib.execution_plan(
-            executor=SuperblockExecutor(profile=profile)
-        )
-        # The two plans really select different regions: the profile
-        # extends fib's entry branch into the dominant recursive side.
-        sp = fib.stack_program()
-        assert cached.executor.regions_for(sp).chain(0) == (0,)
-        assert seeded.executor.regions_for(sp).chain(0) == (0, 2)
 
     def test_superblock_compile_once_bind_many(self):
         """compile_count/bind_count regression: one superblock plan bound

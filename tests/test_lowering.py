@@ -1,27 +1,16 @@
-"""Unit tests for renaming, call lowering, pop-push elimination, pipeline."""
+"""Unit tests for renaming, call lowering and the lowering pipeline."""
 
 import numpy as np
 import pytest
 
 from repro.ir.builder import FunctionBuilder, ProgramBuilder
-from repro.ir.instructions import (
-    Block,
-    Jump,
-    PopOp,
-    PrimOp,
-    PushJump,
-    PushOp,
-    Return,
-    VarKind,
-)
+from repro.ir.instructions import PopOp, PushJump, PushOp, Return, VarKind
 from repro.ir.validate import validate_stack_program
 from repro.lowering.pipeline import LoweringError, LoweringOptions, lower_program
-from repro.lowering.pop_push import eliminate_pop_push
 from repro.lowering.rename import rename_function, rename_program
 from repro.vm.program_counter import run_program_counter
 
-from .helpers import assert_results_equal
-from .programs import consecutive_calls, fib, gcd, is_even, loop_calling, poly
+from .programs import fib, gcd, is_even, loop_calling, poly
 
 
 class TestRename:
@@ -124,114 +113,6 @@ class TestLowerCalls:
         sp = gcd.stack_program()
         assert sp.inputs == ("gcd.a", "gcd.b")
         assert sp.outputs == ("gcd.__ret0",)
-
-
-class TestPopPushElimination:
-    def _block(self, label, ops, terminator):
-        return Block(label=label, ops=list(ops), terminator=terminator)
-
-    def test_cancels_simple_pair(self):
-        blocks = [
-            self._block(
-                "b0",
-                [
-                    PopOp(var="v"),
-                    PrimOp(outputs=("t",), fn="id", inputs=("w",)),
-                    PushOp(output="v", fn="id", inputs=("t",)),
-                ],
-                Return(),
-            )
-        ]
-        blocks, n = eliminate_pop_push(blocks)
-        assert n == 1
-        kinds = [type(op).__name__ for op in blocks[0].ops]
-        assert kinds == ["PrimOp", "PrimOp"]  # pop gone, push -> update
-
-    def test_intervening_read_blocks_cancellation(self):
-        blocks = [
-            self._block(
-                "b0",
-                [
-                    PopOp(var="v"),
-                    PrimOp(outputs=("t",), fn="id", inputs=("v",)),  # reads v
-                    PushOp(output="v", fn="id", inputs=("t",)),
-                ],
-                Return(),
-            )
-        ]
-        _, n = eliminate_pop_push(blocks)
-        assert n == 0
-
-    def test_push_dup_never_cancels(self):
-        blocks = [
-            self._block(
-                "b0",
-                [PopOp(var="v"), PushOp(output="v", fn="id", inputs=("v",))],
-                Return(),
-            )
-        ]
-        _, n = eliminate_pop_push(blocks)
-        assert n == 0
-
-    def test_intervening_write_blocks_cancellation(self):
-        blocks = [
-            self._block(
-                "b0",
-                [
-                    PopOp(var="v"),
-                    PrimOp(outputs=("v",), fn="id", inputs=("w",)),  # writes v
-                    PushOp(output="v", fn="id", inputs=("w",)),
-                ],
-                Return(),
-            )
-        ]
-        _, n = eliminate_pop_push(blocks)
-        assert n == 0
-
-    def test_cancellation_across_jump_chain(self):
-        blocks = [
-            self._block("b0", [PopOp(var="v")], Jump(target="b1")),
-            self._block(
-                "b1", [PushOp(output="v", fn="id", inputs=("w",))], Return()
-            ),
-        ]
-        blocks, n = eliminate_pop_push(blocks)
-        assert n == 1
-        assert blocks[0].ops == []
-        assert isinstance(blocks[1].ops[0], PrimOp)
-
-    def test_no_chaining_into_multi_predecessor_block(self):
-        blocks = [
-            self._block("b0", [PopOp(var="v")], Jump(target="b1")),
-            self._block(
-                "b1", [PushOp(output="v", fn="id", inputs=("w",))], Return()
-            ),
-            self._block("b2", [], Jump(target="b1")),  # second predecessor
-        ]
-        _, n = eliminate_pop_push(blocks)
-        assert n == 0
-
-    def test_consecutive_calls_program_cancels_frames(self):
-        """The corpus program engineered to trigger optimization 5."""
-        with_opt = lower_program(consecutive_calls.program)
-        without = lower_program(
-            consecutive_calls.program,
-            optimize=LoweringOptions(pop_push_opt=False),
-        )
-
-        def stack_op_count(sp):
-            return sum(
-                isinstance(op, (PushOp, PopOp))
-                for blk in sp.blocks
-                for op in blk.ops
-            )
-
-        assert stack_op_count(with_opt) < stack_op_count(without)
-        batch = np.array([0, 4, 7])
-        assert_results_equal(
-            run_program_counter(without, [batch], max_stack_depth=64),
-            run_program_counter(with_opt, [batch], max_stack_depth=64),
-        )
 
 
 class TestPipeline:

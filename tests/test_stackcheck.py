@@ -373,7 +373,7 @@ class TestMutations:
 
 
 class TestRegionTables:
-    def test_static_and_profiled_tables_verify(self):
+    def test_static_tables_verify(self):
         sp = fib.stack_program()
         facts = verify_stack_program(sp)
         assert region_diagnostics(sp, select_regions(sp), facts) == []
@@ -384,7 +384,6 @@ class TestRegionTables:
         truncated = RegionTable(
             chains=table.chains[:-1],
             next_block=table.next_block[:-1],
-            profiled=False,
         )
         with pytest.raises(VerificationError, match="region-shape"):
             verify_region_table(sp, truncated)
@@ -399,9 +398,7 @@ class TestRegionTables:
         )
         chains = list(table.chains)
         chains[0] = (0, phantom)
-        bad = RegionTable(
-            chains=tuple(chains), next_block=table.next_block, profiled=True
-        )
+        bad = RegionTable(chains=tuple(chains), next_block=table.next_block)
         diags = region_diagnostics(sp, bad, verify_stack_program(sp))
         assert "region-bad-edge" in error_codes(diags)
 
@@ -413,9 +410,7 @@ class TestRegionTables:
         table = select_regions(sp)
         chains = list(table.chains)
         chains[ret_idx] = (ret_idx, 0)
-        bad = RegionTable(
-            chains=tuple(chains), next_block=table.next_block, profiled=True
-        )
+        bad = RegionTable(chains=tuple(chains), next_block=table.next_block)
         diags = region_diagnostics(sp, bad)
         assert "region-past-return" in error_codes(diags)
 
@@ -431,9 +426,7 @@ class TestRegionTables:
         chains[0] = (0, phantom)
         ex._regions[id(sp)] = (
             sp,
-            RegionTable(
-                chains=tuple(chains), next_block=good.next_block, profiled=True
-            ),
+            RegionTable(chains=tuple(chains), next_block=good.next_block),
         )
         plan = ExecutionPlan(program=sp, executor=ex)  # bypasses verify
         with pytest.raises(VerificationError, match="region-bad-edge"):
@@ -450,7 +443,6 @@ class TestRegionTables:
             RegionTable(
                 chains=tuple(chains[:-1]),
                 next_block=good.next_block[:-1],
-                profiled=True,
             ),
         )
         with pytest.raises(VerificationError, match="region"):
