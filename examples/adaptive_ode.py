@@ -79,9 +79,7 @@ def main():
     print("Integrating dy/dt = -k*y + sin(t) to t=4, adaptive RK2, "
           f"{z} members, stiffness k in [{k.min():.2f}, {k.max():.2f}]\n")
 
-    y_pc, attempts, rejects = integrate_adaptive.run_pc(
-        y0, k, t_end, tol, max_stack_depth=16
-    )
+    y_pc, attempts, rejects = integrate_adaptive.run_pc(y0, k, t_end, tol)
     y_ref, _, _ = integrate_adaptive.run_reference(y0, k, t_end, tol)
 
     rows = []

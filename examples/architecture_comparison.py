@@ -71,14 +71,13 @@ def main():
 
     instr2 = Instrumentation()
     timed("program counter (Alg 2)",
-          lambda: fib.run_pc(batch, instrumentation=instr2, max_stack_depth=32),
+          lambda: fib.run_pc(batch, instrumentation=instr2),
           kernel_calls=lambda: instr2.kernel_calls,
           note="flat machine; batches across stack depths")
 
     instr3 = Instrumentation()
     timed("program counter, fused (XLA analog)",
-          lambda: fib.run_pc(batch, executor="fused", instrumentation=instr3,
-                             max_stack_depth=32),
+          lambda: fib.run_pc(batch, executor="fused", instrumentation=instr3),
           kernel_calls=lambda: instr3.kernel_calls,
           note="one dispatch per block")
     rows[-1][-1] = (f"one dispatch per block "

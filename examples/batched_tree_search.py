@@ -63,9 +63,7 @@ def main():
           f"depths {depths.min()}..{depths.max()} (pruned)\n")
 
     instr = Instrumentation()
-    values = minimax.run_pc(
-        roots, depths, maximizing, max_stack_depth=16, instrumentation=instr
-    )
+    values = minimax.run_pc(roots, depths, maximizing, instrumentation=instr)
     reference = minimax.run_reference(roots, depths, maximizing)
     assert np.allclose(values, reference), "batched search disagrees!"
 

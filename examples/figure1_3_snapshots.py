@@ -98,7 +98,7 @@ def figure3(n_steps: int = 40):
     batch = np.array([6, 7, 8, 9])
     print(f"=== Figure 3: program counter autobatching on fib({batch.tolist()}) ===\n")
     program = fib.stack_program(optimize=True)
-    vm = ProgramCounterVM(program, batch_size=len(batch), max_stack_depth=16)
+    vm = ProgramCounterVM(program, batch_size=len(batch))
     vm.bind_inputs([batch])
     vm.scheduler.reset()
     for _ in range(n_steps):

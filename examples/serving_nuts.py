@@ -45,7 +45,6 @@ def main():
         """Drive the identical staggered stream through one engine."""
         engine = chain.serve(
             num_lanes=num_lanes,
-            max_stack_depth=max_depth + 8,
             max_queue_depth=2 * n_requests,
             executor=executor,
         )
@@ -82,8 +81,7 @@ def main():
     probe = [handles[1], handles[num_lanes]]
     static = chain.run_pc(
         *[np.stack([np.asarray(h.request.inputs[j]) for h in probe])
-          for j in range(7)],
-        max_stack_depth=max_depth + 8,
+          for j in range(7)]
     )
     served_q = np.stack([h.result()[0] for h in probe])
     assert np.array_equal(served_q, static[0]), "served chain diverged from static"

@@ -35,9 +35,9 @@ verifier computes the exact peak logical depth of every variable stack and
 of the return-address stack — ``max(peak within f, max over call sites of
 depth-at-call + callee peak)``, memoized over the call DAG — and exports
 them in :class:`ProgramFacts`.  ``required_stack_depth`` is the proven
-``max_stack_depth`` (the machine's D): batched stacks pre-size from it
-instead of guessing, and snapshot restores are admission-checked against
-it.  A recursive program gets the honest ``unbounded`` verdict
+depth (the machine's D): batched stacks start at it, so a bounded program
+never grows them, and snapshot restores are admission-checked against it.
+A recursive program gets the honest ``unbounded`` verdict
 (``required_stack_depth is None``) rather than a wrong number — its depth
 is input-dependent, which is the paper's headline capability, not an error.
 """
@@ -80,11 +80,9 @@ class ProgramFacts:
 
     Cached on the :class:`~repro.vm.executors.ExecutionPlan` (verify once
     per plan, zero steady-state overhead) and consumed by the machine layer:
-    stack pre-sizing from :attr:`required_stack_depth`, snapshot admission
-    via :meth:`check_snapshot_frames`, and region-table checking in
-    :mod:`repro.analysis.stackcheck.regions`.  This artifact is also the
-    seam for GPU-width device-buffer pre-sizing and snapshot-spilling
-    admission control (ROADMAP items 2 and 5).
+    stacks start at :attr:`required_stack_depth`, snapshots are admitted
+    via :meth:`check_snapshot_frames`, and region tables are checked in
+    :mod:`repro.analysis.stackcheck.regions`.
     """
 
     num_blocks: int
@@ -113,8 +111,8 @@ class ProgramFacts:
     #: Peak *logical* depth (saved frames + the live top) over every stack
     #: in the machine, exactly as instrumented high-water marks observe it.
     max_logical_depth: Optional[int] = None
-    #: The proven machine ``max_stack_depth`` (D): the smallest depth limit
-    #: no execution of this program can overflow.  None when unbounded.
+    #: The proven stack depth (D): the fewest saved frames per stack that no
+    #: execution of this program exceeds.  None when unbounded.
     required_stack_depth: Optional[int] = None
 
     @property
@@ -125,12 +123,12 @@ class ProgramFacts:
         """Was ``block`` verified (reachable from some function entry)?"""
         return self.function_entry[block] is not None
 
-    def check_snapshot_frames(self, saved_frames: int, available_depth: int) -> None:
-        """Admission check for restoring ``saved_frames`` into depth-D stacks.
+    def check_snapshot_frames(self, saved_frames: int) -> None:
+        """Admission check for restoring a snapshot of ``saved_frames``.
 
         Raises ``ValueError`` when the snapshot claims more frames than this
-        program can ever produce — a corrupt or foreign snapshot that the
-        depth check alone might admit on a deep machine.
+        program can ever produce — a corrupt or foreign snapshot that a
+        machine's stacks would otherwise grow to hold.
         """
         bound = self.required_stack_depth
         if bound is not None and saved_frames > bound:
@@ -400,7 +398,7 @@ def _abstract_interpret(program: StackProgram, diags: List[Diagnostic]) -> Progr
                 "depth-unbounded",
                 "recursive call graph: the stack depth is input-dependent, "
                 f"so no static bound exists (functions: {cycle_names}); "
-                "machines fall back to the configured max_stack_depth",
+                "machines start their stacks small and grow them",
                 block=0,
                 function=names[0],
             )

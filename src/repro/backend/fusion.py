@@ -75,9 +75,9 @@ once per program, or the plan's already-proven facts), and the verifier
 rules out any pop below the frames the lane's own activation pushed
 (``pop-underflow``).  A program that fails verification is refused with
 the verifier's error; it runs under the eager executor only, whose pops
-clamp.  A push past the stack's last row still raises
-:class:`~repro.vm.stack.StackOverflowError` from the bounds check of its
-scatter, before it writes.
+clamp.  A push past the stack's last row grows the stack from the bounds
+check of its scatter, before it writes (past a cap it raises
+:class:`~repro.vm.stack.StackOverflowError`).
 
 No block enters ``np.errstate``, and a machine bound to these executors
 enters none either (``live_lanes_only``): compact blocks compute no junk

@@ -138,7 +138,7 @@ def ablation_masking(config: AblationConfig = AblationConfig()) -> List[Ablation
                     kwargs = dict(mode=mode, instrumentation=instr)
                     if machine == "local":
                         return program.run_local(*inputs, **kwargs)
-                    return program.run_pc(*inputs, max_stack_depth=32, **kwargs)
+                    return program.run_pc(*inputs, **kwargs)
 
                 rows.append(
                     _run_variant(
@@ -158,10 +158,7 @@ def ablation_scheduler(config: AblationConfig = AblationConfig()) -> List[Ablati
         for scheduler in ("earliest", "most_active", "round_robin"):
             def run(instr, scheduler=scheduler):
                 return program.run_pc(
-                    *inputs,
-                    scheduler=scheduler,
-                    max_stack_depth=32,
-                    instrumentation=instr,
+                    *inputs, scheduler=scheduler, instrumentation=instr
                 )
 
             rows.append(
@@ -192,10 +189,7 @@ def ablation_optimizations(config: AblationConfig = AblationConfig()) -> List[Ab
         for variant, optimize in OPTIMIZATION_VARIANTS:
             def run(instr, optimize=optimize):
                 return program.run_pc(
-                    *inputs,
-                    optimize=optimize,
-                    max_stack_depth=64,
-                    instrumentation=instr,
+                    *inputs, optimize=optimize, instrumentation=instr
                 )
 
             rows.append(

@@ -7,7 +7,8 @@
 * ``results_ablations.md`` — ablations A (masking), B (scheduler),
   C (lowering optimizations).
 
-These archived files are the measured side of EXPERIMENTS.md.
+These archived files are the measured side of the paper's Figures 5 and 6
+and of the ablations; the wall-clock benchmark is ``benchmarks/e2e``.
 """
 
 from __future__ import annotations

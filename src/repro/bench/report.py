@@ -1,7 +1,7 @@
 """Plain-text rendering of benchmark results.
 
-Everything the harness prints — and everything EXPERIMENTS.md records — goes
-through these helpers, so the console output and the documented results stay
+Everything the harness prints — and every ``results_*.md`` file that
+:mod:`repro.bench.all` archives — goes through these helpers, so both stay
 in the same format: GitHub-flavored markdown tables and simple log-scale
 ASCII series charts (the offline stand-in for the paper's matplotlib
 figures).

@@ -139,8 +139,8 @@ class AutobatchFunction:
         The lowered program is verified once per lowering configuration —
         every executor's plan shares the same facts object — and the result
         (per-pc entry depths, the proven max stack depth or the ``unbounded``
-        verdict for recursive programs) is what machines pre-size their
-        stacks from.
+        verdict for recursive programs) is what machines start their stacks
+        at.
         """
         key = normalize_lowering_options(optimize)
         if key not in self._program_facts:

@@ -109,7 +109,6 @@ class NutsKernel:
         mode: str = "mask",
         scheduler: str = "earliest",
         instrument: bool = False,
-        max_stack_depth: Optional[int] = None,
         rng: Optional[np.ndarray] = None,
     ) -> NutsResult:
         """Run ``n_trajectories`` NUTS transitions from each row of ``q0``.
@@ -134,10 +133,6 @@ class NutsKernel:
         ng = np.zeros(z)
         ctr = self.initial_rng(z, seed) if rng is None else np.asarray(rng, dtype=np.uint64)
         inputs = (q0, eps, md, ns, nt, ng, ctr)
-        if max_stack_depth is None:
-            # nuts_chain -> nuts_step -> build_tree^(max_depth) -> leaf,
-            # plus headroom for the entry frame and caller saves.
-            max_stack_depth = max_depth + 8
 
         chain = self.functions.nuts_chain
         instrumentation = Instrumentation(batch_size=z) if instrument else None
@@ -160,7 +155,6 @@ class NutsKernel:
                 executor=PC_STRATEGY_EXECUTORS[strategy],
                 mode=mode,
                 scheduler=scheduler,
-                max_stack_depth=max_stack_depth,
                 instrumentation=instrumentation,
             )
         wall = time.perf_counter() - start

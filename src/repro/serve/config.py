@@ -93,6 +93,9 @@ class ServeConfig:
         resolve through (default: the served function's own).
     mode, max_stack_depth, max_steps, instrumentation:
         Passed to each :class:`~repro.vm.program_counter.ProgramCounterVM`.
+        ``max_stack_depth`` caps how far its stacks grow (None: no cap);
+        uncapped stacks keep ``num_lanes`` x the deepest request's frames
+        for life, and only a ``default_step_budget`` bounds a runaway.
         One ``instrumentation`` object cannot serve a fleet: N machines
         sharing a counter would overcount N-fold.
     scheduler:
@@ -115,9 +118,8 @@ class ServeConfig:
     verify:
         Statically verify the program once at plan compile (the default;
         :mod:`repro.analysis.stackcheck`).  Zero steady-state cost: the
-        proven facts are cached on the plan, and without an explicit
-        ``max_stack_depth`` the stacks pre-size from the proven bound
-        instead of the depth-32 guess.
+        proven facts are cached on the plan, and the stacks start at the
+        proven bound, so a bounded program never grows them.
     max_queue_depth:
         Per-engine queue bound, >= 0 (``None`` = unbounded).  An engine
         raises :class:`~repro.serve.queue.QueueFullError` beyond it; a

@@ -458,8 +458,8 @@ class Engine(Server):
     def _resume(self, handle: ResultHandle, lane: int) -> None:
         """Reinstall a preempted request's snapshot into a vacant lane.
 
-        A failed restore (snapshot migrated onto a machine with a smaller
-        ``max_stack_depth``, or a mismatched program) must fail *that
+        A failed restore (a snapshot deeper than the machine's
+        ``max_stack_depth`` cap, or a mismatched program) must fail *that
         handle* and vacate the lane — mirroring :meth:`_inject_one` — not
         leak a half-restored lane out of the pool.  The same discipline
         covers rehydration: a spilled snapshot whose bytes come back

@@ -292,8 +292,8 @@ class ExecutionPlan:
     stats: PlanStats = field(default_factory=PlanStats, compare=False, repr=False)
     #: :class:`~repro.analysis.stackcheck.ProgramFacts` from static
     #: verification (None until :meth:`verify` runs, or forever under
-    #: ``verify=False``).  Machines pre-size their batched stacks from
-    #: ``facts.required_stack_depth`` when no explicit depth is given.
+    #: ``verify=False``).  Machines start their batched stacks at
+    #: ``facts.required_stack_depth``, so a bounded program never grows them.
     facts: Optional[Any] = field(default=None, compare=False, repr=False)
     #: :meth:`types_for`'s inferred types, per registry and signature.
     types: Dict[tuple, Dict[str, TensorType]] = field(

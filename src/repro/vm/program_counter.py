@@ -31,21 +31,17 @@ from repro.vm.scheduler import make_scheduler
 from repro.vm.stack import BatchedStack, StackOverflowError
 from repro.vm.state import RegisterStorage, StackedStorage, TypeMismatchError, check_fits
 
-#: Stack depth used when nothing better is known: no explicit
-#: ``max_stack_depth`` was given and the plan carries no verified bound
-#: (unverified plan, or a recursive program whose depth is input-dependent).
-DEFAULT_MAX_STACK_DEPTH = 32
+#: Saved frames a stack starts with when the plan proves no bound (it is
+#: unverified, or recursive); stacks grow on overflow.
+INITIAL_STACK_DEPTH = 8
 
 
 class SnapshotIncompatibleError(StackOverflowError):
     """A :class:`LaneSnapshot` statically cannot restore into this machine.
 
     Raised by :meth:`ProgramCounterVM.restore_lane` *before* any machine
-    state is touched, naming the required vs available depth — replacing
-    the old mid-restore overflow that surfaced from inside a stack after
-    the lane had already been reset.  Subclasses
-    :class:`~repro.vm.stack.StackOverflowError`, so the serving engine's
-    fail-only-this-handle handling is unchanged.
+    state is touched, for frames past its ``max_stack_depth`` cap.  A
+    :class:`~repro.vm.stack.StackOverflowError`: the engine fails only that handle.
     """
 
 
@@ -176,21 +172,17 @@ class ProgramCounterVM:
                 raise ValueError("pass either an ExecutionPlan or executor=, not both")
         else:
             plan = ExecutionPlan(program=program, executor=resolve_executor(executor))
-        if max_stack_depth is None:
-            # Pre-size from the verifier's proven bound when the plan has
-            # one; recursive (depth-unbounded) or unverified programs fall
-            # back to the legacy default.  An explicit argument always wins.
-            facts = getattr(plan, "facts", None)
-            proven = None if facts is None else facts.required_stack_depth
-            max_stack_depth = (
-                DEFAULT_MAX_STACK_DEPTH if proven is None else proven
-            )
+        # Stacks start at the proven bound (a bounded program never grows
+        # them), never above the ``max_stack_depth`` cap (None: no cap).
+        proven = None if plan.facts is None else plan.facts.required_stack_depth
+        depth = INITIAL_STACK_DEPTH if proven is None else proven
+        self._depth = depth if max_stack_depth is None else min(depth, max_stack_depth)
         self.program = program
         self.batch_size = int(batch_size)
         self.registry = registry or default_registry
         self.mode = mode
         self.scheduler = make_scheduler(scheduler)
-        self.max_stack_depth = int(max_stack_depth)
+        self.max_stack_depth = max_stack_depth
         self.instr = instrumentation or Instrumentation()
         self.instr.batch_size = self.batch_size
         self.max_steps = max_steps
@@ -203,9 +195,9 @@ class ProgramCounterVM:
         self.pcreg = np.zeros(self.batch_size, dtype=np.int64)
         self.addr_stack = BatchedStack(
             batch_size=self.batch_size,
-            depth=self.max_stack_depth,
-            event_shape=(),
+            depth=self._depth,
             dtype="int64",
+            cap=max_stack_depth,
         )
         # The bottom of every member's pc stack is the exit index, so the
         # main function's Return halts that member (Algorithm 2's pc init).
@@ -231,7 +223,7 @@ class ProgramCounterVM:
         if st is None:
             kind = self.program.kind(name)
             if kind is VarKind.STACKED:
-                st = StackedStorage(name, self.batch_size, self.max_stack_depth)
+                st = StackedStorage(name, self.batch_size, self._depth, self.max_stack_depth)
             else:
                 st = RegisterStorage(name, self.batch_size)
             if self.types is not None:
@@ -487,10 +479,9 @@ class ProgramCounterVM:
         is touched*: ``ValueError`` on a program mismatch, an impossible
         pc or a stack without its base frame,
         :class:`SnapshotIncompatibleError` (a
-        :class:`~repro.vm.stack.StackOverflowError`) when this machine's
-        ``max_stack_depth`` cannot hold the captured frames — naming the
-        required vs available depth, instead of the old mid-restore
-        overflow that left the lane half-written; and a
+        :class:`~repro.vm.stack.StackOverflowError`) when the captured
+        frames exceed this machine's ``max_stack_depth`` cap (stacks grow
+        to any depth below it); and a
         :class:`~repro.vm.state.TypeMismatchError` for a payload of other types.
         """
         if snapshot.program is not self.program:
@@ -504,20 +495,19 @@ class ProgramCounterVM:
                 f"lane snapshot pc {snapshot.pc} is outside this program's "
                 f"pc range [0, {self.exit_index}]"
             )
-        required = snapshot.required_depth()
-        if required > self.max_stack_depth:
+        required, cap = snapshot.required_depth(), self.max_stack_depth
+        if cap is not None and required > cap:
             raise SnapshotIncompatibleError(
                 f"lane snapshot at pc={snapshot.pc} requires stack depth "
-                f"{required} but this machine has max_stack_depth="
-                f"{self.max_stack_depth}; restore it into a machine with "
-                f"max_stack_depth >= {required}"
+                f"{required} but this machine has max_stack_depth={cap}; "
+                f"restore it into a machine with max_stack_depth >= {required}"
             )
-        facts = getattr(self.plan, "facts", None)
+        facts = self.plan.facts
         if facts is not None:
             # A snapshot claiming more frames than the verified bound was
             # not produced by this program — reject it even on a machine
-            # deep enough to physically hold it.
-            facts.check_snapshot_frames(required, self.max_stack_depth)
+            # whose stacks could grow to hold it.
+            facts.check_snapshot_frames(required)
         kind = self.program.kind
         held = {  # each payload's dtype and event shape (a stack's are frames)
             name: (p.dtype, p.shape[1:] if kind(name) is VarKind.STACKED else p.shape)

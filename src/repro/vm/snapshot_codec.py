@@ -19,7 +19,7 @@ safe:
 * **Admission-checked before allocation** — :func:`decode_snapshot` parses
   array *headers* first, computes the snapshot's required stack depth from
   shapes alone, and runs the same static admission as
-  ``ProgramCounterVM.restore_lane`` (depth vs ``max_stack_depth``, frames
+  ``ProgramCounterVM.restore_lane`` (depth vs a ``max_stack_depth`` cap, frames
   vs the verifier's proven bound via
   :meth:`~repro.analysis.stackcheck.ProgramFacts.check_snapshot_frames`)
   *before materializing a single payload array*.  Corrupt, cross-program,
@@ -260,8 +260,8 @@ def decode_snapshot(
     1. magic / version / CRC32 — :class:`SnapshotDecodeError`;
     2. program fingerprint — :class:`SnapshotProgramMismatchError`;
     3. pc range and storage-name validity — :class:`SnapshotDecodeError`;
-    4. required depth (from array headers alone) vs ``max_stack_depth`` —
-       :class:`~repro.vm.program_counter.SnapshotIncompatibleError`;
+    4. required depth (from array headers alone) vs a ``max_stack_depth``
+       cap — :class:`~repro.vm.program_counter.SnapshotIncompatibleError`;
     5. required depth vs the verifier's proven bound via
        ``facts.check_snapshot_frames`` — ``ValueError`` (a forged-depth
        snapshot this program cannot have produced).
@@ -375,9 +375,7 @@ def decode_snapshot(
             f"max_stack_depth >= {required}"
         )
     if facts is not None:
-        facts.check_snapshot_frames(
-            required, max_stack_depth if max_stack_depth is not None else required
-        )
+        facts.check_snapshot_frames(required)
 
     # -- admission passed: materialize ----------------------------------------
     addr_frames = reader.materialize(addr_header)

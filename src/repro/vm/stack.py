@@ -31,8 +31,8 @@ only, and the boolean ``_reached`` table, one entry per flat address,
 marks every row a push reached: its last set entry, divided by ``Z``, is
 ``high_water``.  The pointer and ``_reached`` tables need no dtype, so
 they are made apart from the data (:func:`pointer_tables`) and may be
-handed in: a :class:`~repro.vm.state.StackedStorage` owns its tables
-before its machine's types are known and allocates the stack.
+an ``owner``'s: a :class:`~repro.vm.state.StackedStorage` owns its tables
+before its machine's types are known, and growth rebinds its ``reached``.
 
 The clamp serves the eager executor's pops and the return-address stack
 only.  Generated (fused and superblock) blocks never call :meth:`pop_at`
@@ -43,24 +43,24 @@ program goes below the frames its own activation pushed
 (``pop-underflow``).  The return-address stack keeps its clamped pop: the
 main function's ``Return`` pops its exit-index base frame.
 
-The bounds check *is* the overflow check.  ``_rows`` holds exactly the
-``(D + 1) * Z`` rows the lanes may occupy, so a push from a full lane
-addresses a row past the end — and numpy validates every index of a fancy
-assignment before it writes any element.  The ``IndexError`` of that
-scatter (:meth:`put`) is re-raised as :class:`StackOverflowError` with
-``_fp`` and ``data`` untouched, for the lanes of ``idx`` that had room
-too: free on the pushes that fit.
+The bounds check *is* the overflow check, and overflow grows the stack.
+``_rows`` holds the ``(D + 1) * Z`` rows allocated so far, and numpy
+validates every index of a fancy assignment before it writes, so the
+``IndexError`` of a push past the last row (:meth:`put`) grows the stack
+and retries: appended rows keep every address ``sp * Z + b`` valid, and a
+push that fits pays nothing.  Past a ``cap`` (the machine's
+``max_stack_depth``) it raises :class:`StackOverflowError`, writing nothing.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
 
 class StackOverflowError(RuntimeError):
-    """A batch member exceeded the static stack depth limit D."""
+    """A batch member needed more saved frames than the stack's cap."""
 
 
 class StackUnderflowError(RuntimeError):
@@ -90,12 +90,12 @@ def pointer_tables(batch_size: int, depth: int) -> Tuple[np.ndarray, np.ndarray]
 
 
 class BatchedStack:
-    """A batched stack: ``Z`` independent stacks of up to ``D + 1`` frames.
+    """A batched stack: ``Z`` independent stacks, ``D + 1`` frames allocated.
 
     ``sp[b]`` counts the *saved* frames of member ``b`` below its live top;
     the logical depth of the stack is ``sp[b] + 1`` (the implicit base
     frame).  ``data[0:sp[b] + 1, b]`` holds the frames bottom to top, and
-    ``_fp[b]`` addresses the top.
+    ``_fp[b]`` addresses the top.  ``depth`` (D) grows up to ``cap``.
     """
 
     def __init__(
@@ -105,20 +105,24 @@ class BatchedStack:
         event_shape: Tuple[int, ...] = (),
         dtype: str = "float64",
         strict: bool = False,
-        tables: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        cap: Optional[int] = None,
+        owner: Any = None,
     ):
         self.batch_size = int(batch_size)
         self.depth = int(depth)
         self.event_shape = tuple(event_shape)
         self.dtype = np.dtype(dtype)
         self.strict = strict
+        self.cap = cap
         self.data = np.zeros(
             (self.depth + 1, self.batch_size) + self.event_shape, self.dtype
         )
         self._rows = self.data.reshape((-1,) + self.event_shape)
-        if tables is None:
-            tables = pointer_tables(self.batch_size, self.depth)
-        self._fp, self._reached = tables
+        self._owner = owner
+        if owner is None:
+            self._fp, self._reached = pointer_tables(self.batch_size, self.depth)
+        else:
+            self._fp, self._reached = owner.fp, owner.reached
         # Z as a 0-d array: the scalar operand a ufunc takes fastest.
         self._z = np.array(self.batch_size)
 
@@ -134,6 +138,24 @@ class BatchedStack:
         ``high_water + 1``; the verifier's static bound is checked against
         this exact observable in the depth-equality tests."""
         return int(np.flatnonzero(self._reached)[-1]) // self.batch_size
+
+    def _grow(self, needed: int, what: str) -> None:
+        """Hold ``needed`` saved frames: double the depth (at least to
+        ``needed``, never past the cap), or raise past the cap."""
+        cap = self.cap
+        if cap is not None and needed > cap:
+            raise StackOverflowError(
+                f"{what} needs {needed} saved frames, past max_stack_depth={cap}"
+            )
+        depth = max(2 * self.depth, needed)
+        depth = depth if cap is None else min(depth, cap)
+        added = (depth - self.depth, self.batch_size)
+        data = np.concatenate([self.data, np.zeros(added + self.event_shape, self.dtype)])
+        reached = np.concatenate([self._reached, np.zeros(added, bool).ravel()])
+        self.depth, self.data, self._reached = depth, data, reached
+        self._rows = data.reshape((-1,) + self.event_shape)
+        if self._owner is not None:
+            self._owner.reached = reached
 
     def _lower(self, f: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """``f``, the flat pointers of ``idx``, moved one frame down in
@@ -187,15 +209,16 @@ class BatchedStack:
 
     def put(self, addr: np.ndarray, values: np.ndarray) -> None:
         """Scatter ``values`` to flat addresses ``addr``.  A pushed lane's
-        row past (D + 1) * Z raises :class:`StackOverflowError` before any
-        element is written."""
+        row past (D + 1) * Z grows the stack first; past the cap it raises
+        :class:`StackOverflowError` before any element is written."""
         try:
             self._rows[addr] = values
         except IndexError:
-            raise StackOverflowError(
-                f"stack depth limit D={self.depth} exceeded; "
-                "increase max_stack_depth"
-            ) from None
+            needed = int(np.max(addr)) // self.batch_size
+            if needed <= self.depth:
+                raise
+            self._grow(needed, "a push")
+            self._rows[addr] = values
 
     def push_at(self, idx: np.ndarray, values: np.ndarray) -> None:
         f = self._fp[idx]
@@ -238,15 +261,12 @@ class BatchedStack:
         row becomes the live top — lane checkpoint/resume for the serving
         engine's preemption.  Slots above the restored depth are zeroed, so
         the lane is observationally identical to one that pushed exactly
-        these frames.
+        these frames.  A stack too shallow for them grows first.
         """
         frames = np.asarray(frames, dtype=self.dtype)
         sp = frames.shape[0] - 1
         if sp > self.depth:
-            raise StackOverflowError(
-                f"lane snapshot holds {sp} saved frames but this stack's "
-                f"depth limit is D={self.depth}; increase max_stack_depth"
-            )
+            self._grow(sp, "a lane snapshot")
         self.data[:, lane] = 0
         self._fp[lane] = sp * self.batch_size + lane
         self._reached[self._fp[lane]] = True

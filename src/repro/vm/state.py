@@ -89,13 +89,14 @@ class StackedStorage:
     block loads a variable's pointers once (``fp[idx]``) and addresses
     ``get`` / ``put`` at static frame offsets from them.  :meth:`allocate`
     binds the storage's accessors to its stack's own methods, so an access
-    costs the one Python frame of the stack's method.
+    costs the one Python frame of the stack's method; growth rebinds ``reached``.
     """
 
-    def __init__(self, name: str, batch_size: int, depth: int):
+    def __init__(self, name: str, batch_size: int, depth: int, cap: Optional[int] = None):
         self.name = name
         self.batch_size = batch_size
         self.depth = depth
+        self.cap = cap
         self.fp, self.reached = pointer_tables(batch_size, depth)
         self.stack: Optional[BatchedStack] = None
 
@@ -103,13 +104,14 @@ class StackedStorage:
         """A zeroed stack at ``ttype`` over the storage's tables.  ``get`` /
         ``put`` address frames by flat address (a ``put`` above a lane's top
         is a push); ``write`` updates the top; ``capture_lane`` takes a
-        lane's logical frames, which restore into any machine deep enough."""
+        lane's logical frames, which restore into any machine under its cap."""
         self.stack = stack = BatchedStack(
             batch_size=self.batch_size,
-            depth=self.depth,
+            depth=self.depth if self.stack is None else self.stack.depth,
             event_shape=ttype.event_shape,
             dtype=ttype.np_dtype,
-            tables=(self.fp, self.reached),
+            cap=self.cap,
+            owner=self,
         )
         self.read, self.read_at = stack.read, stack.read_at
         self.get, self.put = stack.get, stack.put

@@ -205,6 +205,14 @@ def use_divmod(a, b):
 
 
 @autobatch
+def use_divmod_twice(a, b):
+    """Calls nested two deep, with no recursion: a proven stack depth of
+    two, so an unsound bound one frame short shows in the corpus."""
+    first = use_divmod(a, b)
+    return first * 3 - use_divmod(a + b, b + 1)
+
+
+@autobatch
 def swap_chain(a, b):
     a, b = b, a
     a, b = b, a + b
@@ -329,6 +337,7 @@ INT_BINARY = {
     "power": (power, np.array([2, 3, 5, 1]), np.array([0, 4, 3, 7])),
     "divmod_ab": (divmod_ab, np.array([17, 5, 100]), np.array([5, 17, 9])),
     "use_divmod": (use_divmod, np.array([17, 5, 100]), np.array([5, 17, 9])),
+    "use_divmod_twice": (use_divmod_twice, np.array([17, 5, 100]), np.array([5, 17, 9])),
     "swap_chain": (swap_chain, np.array([1, 10, -3]), np.array([2, 20, 4])),
     "logic_soup": (logic_soup, np.array([3, -2, 0, 12]), np.array([4, 5, -1, 12])),
 }

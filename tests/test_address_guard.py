@@ -2,9 +2,9 @@
 
 Fused and superblock code addresses a stacked variable at ``p + k·Z``, a
 flat pointer plus a static frame offset, and nothing at run time checks
-the result.  A put past the last row raises (numpy's ``IndexError`` is the
-overflow check), but a negative address wraps silently into another row,
-and a get past the last row raises a bare ``IndexError``.  The
+the result.  A put past the last row grows the stack (numpy's
+``IndexError`` triggers the growth), but a negative address wraps silently
+into another row, and a get past the last row raises a bare ``IndexError``.  The
 ``address_guard`` fixture wraps :meth:`BatchedStack.get` and
 :meth:`BatchedStack.put` and asserts, for every access a machine makes
 while it steps:
@@ -14,7 +14,8 @@ while it steps:
 * the lanes ``addr % Z`` are distinct and all sit at one pc.
 
 Every corpus program then runs under both generated-code executors with
-the guard armed and must still equal the plain-Python reference.
+the guard armed and must still equal the plain-Python reference, and so
+does one uncapped recursion hundreds of frames past the stacks' first size.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from repro.vm.program_counter import ProgramCounterVM
 from repro.vm.stack import BatchedStack
 
 from .helpers import assert_results_equal
-from .programs import ALL_EXAMPLES
+from .programs import ALL_EXAMPLES, sum_to
 
 
 @dataclass
@@ -95,6 +96,16 @@ def test_generated_blocks_stay_in_their_lanes(address_guard, name, executor):
     program = fn.stack_program()
     if any(kind is VarKind.STACKED for kind in program.var_kinds.values()):
         assert address_guard.checked > 0, "the guard saw no access"
+
+
+@pytest.mark.parametrize("executor", ["fused", "superblock"])
+def test_growing_stacks_stay_in_their_lanes(address_guard, executor):
+    """No cap: every stack starts small and grows while the guard checks
+    each access against the rows allocated at that moment."""
+    n = np.array([500, 4, 0, 170])
+    out = sum_to.run_pc(n, executor=executor)
+    np.testing.assert_array_equal(out, n * (n + 1) // 2)
+    assert address_guard.checked > 0
 
 
 def test_guard_refuses_a_wrapped_address(address_guard):

@@ -1,4 +1,5 @@
-"""Direct tests of the paper's specific prose claims (see EXPERIMENTS.md)."""
+"""Direct tests of the paper's specific prose claims, each under a comment
+quoting the section and sentence it checks."""
 
 import numpy as np
 import pytest

@@ -100,14 +100,14 @@ class TestBasicOps:
         np.testing.assert_array_equal(s.read(), v0)
 
     def test_overflow_raises(self, dtype):
-        s = BatchedStack(batch_size=1, depth=2, dtype=dtype)
+        s = BatchedStack(batch_size=1, depth=2, dtype=dtype, cap=2)
         s.push(full_mask(1), _vals(dtype, [1]))
         s.push(full_mask(1), _vals(dtype, [2]))
         with pytest.raises(StackOverflowError):
             s.push(full_mask(1), _vals(dtype, [3]))
 
     def test_masked_overflow_only_on_active_lanes(self, dtype):
-        s = BatchedStack(batch_size=2, depth=1, dtype=dtype)
+        s = BatchedStack(batch_size=2, depth=1, dtype=dtype, cap=1)
         s.push(np.array([True, False]), _vals(dtype, [1, 1]))
         # Lane 0 is full; pushing only on lane 1 must succeed.
         s.push(np.array([False, True]), _vals(dtype, [2, 2]))
@@ -115,7 +115,7 @@ class TestBasicOps:
             s.push(np.array([True, False]), _vals(dtype, [3, 3]))
 
     def test_indexed_overflow_only_on_active_lanes(self, dtype):
-        s = BatchedStack(batch_size=2, depth=1, dtype=dtype)
+        s = BatchedStack(batch_size=2, depth=1, dtype=dtype, cap=1)
         s.push_at(np.array([0]), _vals(dtype, [1]))
         # Lane 0 is full; pushing only on lane 1 must succeed.
         s.push_at(np.array([1]), _vals(dtype, [2]))
@@ -181,6 +181,86 @@ class TestBasicOps:
         masked.pop(mask)
         gathered.pop_at(idx)
         np.testing.assert_array_equal(masked.read(), gathered.read())
+
+
+class TestGrowth:
+    """A push or restore past the last row grows the stack; only a cap
+    raises."""
+
+    def test_growth_keeps_every_lanes_frames_and_high_water(self):
+        s = BatchedStack(batch_size=3, depth=1)
+        s.update(full_mask(3), np.array([1.0, 10.0, 100.0]))
+        s.push_at(np.array([0, 2]), np.array([2.0, 200.0]))  # lanes 0, 2 full
+        data = s.data
+        s.push_at(np.array([0, 1]), np.array([3.0, 20.0]))  # lane 0 overflows
+        assert s.data is not data and s.depth == 2  # doubled
+        s.push_at(np.array([0]), np.array([4.0]))
+        assert s.depth == 4  # doubled again, past the 3 frames needed
+        for lane, want in enumerate(([1, 2, 3, 4], [10, 20], [100, 200])):
+            np.testing.assert_array_equal(s.frames(lane), want)
+        np.testing.assert_array_equal(s.sp, [3, 1, 1])
+        assert s.high_water == 3
+        np.testing.assert_array_equal(s.pop_at(np.arange(3)), [4, 20, 200])
+        np.testing.assert_array_equal(s.read(), [3, 10, 100])
+        assert s.high_water == 3
+
+    def test_growth_reaches_the_frames_a_put_addresses(self):
+        """A generated block may push several frames at once: one growth
+        covers the highest address, at least doubling."""
+        s = BatchedStack(batch_size=2, depth=1, event_shape=(2,))
+        s.put(np.array([5 * 2 + 1]), np.array([[7.0, 8.0]]))
+        assert s.depth == 5
+        np.testing.assert_array_equal(s.get(np.array([11])), [[7.0, 8.0]])
+        s.put(np.array([6 * 2]), np.array([[1.0, 2.0]]))
+        assert s.depth == 10
+
+    def test_growth_rebinds_the_storages_tables(self):
+        storage = StackedStorage("v", 2, depth=1)
+        storage.allocate(TensorType("int64"))
+        fp, reached = storage.fp, storage.reached
+        storage.push_at(np.array([1]), np.array([5]))
+        storage.push_at(np.array([1]), np.array([6]))
+        assert storage.fp is fp and storage.reached is not reached
+        assert storage.reached is storage.stack._reached
+        assert storage.stack.depth == 2
+        assert storage.reached.size == (2 + 1) * 2
+        np.testing.assert_array_equal(storage.stack.frames(1), [0, 5, 6])
+        # A re-allocation (a machine re-fixing its types) keeps the grown
+        # depth, so the new stack fits the grown ``reached`` table.
+        storage.allocate(TensorType("float64"))
+        assert storage.stack.depth == 2
+        assert storage.stack._reached is storage.reached
+
+    def test_capped_growth_stops_at_the_cap_and_touches_nothing(self):
+        s = BatchedStack(batch_size=2, depth=1, cap=3)
+        for v in (1.0, 2.0, 3.0):
+            s.push_at(np.array([0, 1]), np.array([v, -v]))
+        assert s.depth == 3  # 1 -> 2 -> 3: doubling stops at the cap
+        fp, data = s._fp, s.data
+        before = (fp.copy(), data.copy(), s.high_water)
+        with pytest.raises(StackOverflowError, match="max_stack_depth=3"):
+            s.push_at(np.array([1]), np.array([-4.0]))
+        assert s._fp is fp and s.data is data and s.depth == 3
+        for was, now in zip(before, (s._fp, s.data, s.high_water)):
+            np.testing.assert_array_equal(now, was)
+        with pytest.raises(StackOverflowError, match="snapshot"):
+            s.restore_lane(0, np.zeros(5))
+        assert s.data is data
+
+    def test_other_index_errors_are_not_growth(self):
+        s = BatchedStack(batch_size=2, depth=1)
+        with pytest.raises(IndexError) as info:
+            s.put(np.array([-5]), np.zeros(1))
+        assert not isinstance(info.value, StackOverflowError)
+        assert s.depth == 1
+
+    def test_restore_grows_an_uncapped_stack(self):
+        s = BatchedStack(batch_size=2, depth=1, dtype="int64")
+        s.update(full_mask(2), np.array([7, 8]))
+        s.restore_lane(0, np.arange(6))
+        assert s.depth == 5 and s.high_water == 5
+        np.testing.assert_array_equal(s.frames(0), np.arange(6))
+        np.testing.assert_array_equal(s.frames(1), [8])
 
 
 def test_joined_type_keeps_saved_frames():
@@ -328,6 +408,9 @@ def _assert_untouched(s, before):
         np.testing.assert_array_equal(now, was)
 
 
+@pytest.mark.parametrize(
+    "depth, cap", [(MODEL_D, MODEL_D), (1, None)], ids=["capped", "growing"]
+)
 @settings(max_examples=150, deadline=None)
 @given(
     ops=_model_ops,
@@ -335,17 +418,19 @@ def _assert_untouched(s, before):
     dtype=st.sampled_from(["int64", "float64"]),
     strict=st.booleans(),
 )
-def test_indexed_ops_match_list_model(ops, vector, dtype, strict):
+def test_indexed_ops_match_list_model(depth, cap, ops, vector, dtype, strict):
     """Every indexed operation against Z plain Python lists of frames.
 
     ``frames(b)``, ``depths()`` and ``high_water`` agree after every
     operation; a push overflows exactly when a lane of ``idx`` already holds
-    D saved frames, a strict pop underflows exactly when one sits at the
-    base, and either raise leaves the stack bitwise as it was; a non-strict
-    pop at the base keeps depth 1 and the lane's top.
+    ``cap`` saved frames, a strict pop underflows exactly when one sits at
+    the base, and either raise leaves the stack bitwise as it was; a
+    non-strict pop at the base keeps depth 1 and the lane's top.  Without a
+    cap, a stack that starts one frame deep grows under every push and
+    restore that needs it, and its storage sees the grown tables.
     """
     event = (MODEL_E,) if vector else ()
-    storage = StackedStorage("v", MODEL_Z, MODEL_D)
+    storage = StackedStorage("v", MODEL_Z, depth, cap=cap)
     storage.allocate(TensorType(dtype, event))
     s = storage.stack
     assert type(s) is BatchedStack
@@ -361,7 +446,7 @@ def test_indexed_ops_match_list_model(ops, vector, dtype, strict):
         values = full[idx]
         before = _stack_state(s)
         if kind == "push_at":
-            if any(len(model[b]) - 1 == MODEL_D for b in lanes):
+            if cap is not None and any(len(model[b]) - 1 == cap for b in lanes):
                 with pytest.raises(StackOverflowError, match="max_stack_depth"):
                     s.push_at(idx, values)
                 _assert_untouched(s, before)
@@ -401,7 +486,7 @@ def test_indexed_ops_match_list_model(ops, vector, dtype, strict):
         else:  # restore_lane
             lane = n_frames % MODEL_Z
             frames = np.resize(full, (n_frames,) + event)
-            if n_frames - 1 > MODEL_D:
+            if cap is not None and n_frames - 1 > cap:
                 with pytest.raises(StackOverflowError, match="snapshot"):
                     s.restore_lane(lane, frames)
                 _assert_untouched(s, before)
@@ -411,6 +496,7 @@ def test_indexed_ops_match_list_model(ops, vector, dtype, strict):
 
         peak = max([peak] + [len(frames) - 1 for frames in model])
         assert s.high_water == peak
+        assert storage.reached is s._reached and s.depth >= peak
         np.testing.assert_array_equal(s.depths(), [len(f) for f in model])
         for b in range(MODEL_Z):
             got = s.frames(b)

@@ -5,9 +5,11 @@ bounds vs instrumented runtime high-water marks under every executor,
 mutation rejection), the shared structural checks behind
 ``validate_stack_program``, region-table validation, the snapshot
 admission pre-check, plan-compilation wiring (verify-once, ``verify=False``
-opt-out, stack pre-sizing from proven bounds), and the lint driver.
+opt-out, stacks that start at the proven bound and never grow), and the
+lint driver.
 """
 
+import contextlib
 import copy
 
 import numpy as np
@@ -43,9 +45,11 @@ from repro.vm import (
     ProgramCounterVM,
     SnapshotIncompatibleError,
 )
-from repro.vm.stack import StackOverflowError
+from repro.vm.program_counter import INITIAL_STACK_DEPTH
+from repro.vm.stack import BatchedStack, StackOverflowError
+from repro.vm.state import StackedStorage
 
-from tests.programs import ALL_EXAMPLES, fib, gcd, is_even, use_divmod
+from tests.programs import ALL_EXAMPLES, fib, gcd, is_even, use_divmod, use_divmod_twice
 from tests.test_random_programs import (
     compile_source,
     program_strategy,
@@ -54,6 +58,31 @@ from tests.test_random_programs import (
 )
 
 EXECUTORS = ("eager", "fused", "superblock")
+
+
+@contextlib.contextmanager
+def counting_growths():
+    """Record every stack growth (each reallocates ``data``) made inside."""
+    grown = []
+    grow = BatchedStack._grow
+
+    def counted(self, needed, what):
+        grown.append((self, needed))
+        return grow(self, needed, what)
+
+    BatchedStack._grow = counted
+    try:
+        yield grown
+    finally:
+        BatchedStack._grow = grow
+
+
+def stack_depths(vm):
+    """The allocated depth of the return-address stack and every variable
+    stack."""
+    return {vm.addr_stack.depth} | {
+        st.stack.depth for st in vm.storages.values() if isinstance(st, StackedStorage)
+    }
 
 
 def error_codes(diags):
@@ -115,23 +144,29 @@ class TestDepthEquality:
                 plan = fn.execution_plan(executor=executor)
                 facts = plan.facts
                 if facts.bounded:
-                    # Machines pre-size from the proven bound, and the
-                    # proven logical peak is *exactly* what the high-water
-                    # marks observed.
+                    # Stacks start at the proven bound and never grow (an
+                    # unsound bound would show as a growth), and the proven
+                    # logical peak is *exactly* what the high-water marks
+                    # observed.
                     vm = ProgramCounterVM(plan, batch_size=width)
-                    assert vm.max_stack_depth == facts.required_stack_depth
-                    vm.run([np.asarray(x) for x in inputs])
+                    with counting_growths() as grown:
+                        vm.run([np.asarray(x) for x in inputs])
+                    assert grown == [], (name, executor)
+                    assert stack_depths(vm) == {facts.required_stack_depth}
                     assert vm.observed_max_depth() == facts.max_logical_depth, (
                         name,
                         executor,
                     )
                 else:
-                    # Unbounded verdict: no proven bound, so the default
-                    # applies; run at the corpus-wide test depth instead.
-                    assert ProgramCounterVM(plan, width).max_stack_depth == 32
-                    vm = ProgramCounterVM(plan, width, max_stack_depth=64)
+                    # Unbounded verdict: no proven bound, so the stacks
+                    # start small and grow as deep as the inputs recurse.
+                    vm = ProgramCounterVM(plan, width)
+                    assert vm.addr_stack.depth == INITIAL_STACK_DEPTH
                     vm.run([np.asarray(x) for x in inputs])
-                    assert vm.observed_max_depth() <= 64 + 1, (name, executor)
+                    assert vm.observed_max_depth() <= max(stack_depths(vm)) + 1, (
+                        name,
+                        executor,
+                    )
 
     def test_every_high_water_mark_equals_eager(self):
         """Generated blocks mark one row per pushed variable per block (its
@@ -179,9 +214,11 @@ class TestDepthEquality:
         assert plan.facts.required_stack_depth == 2
         assert plan.facts.max_logical_depth == 3
         vm = ProgramCounterVM(plan, batch_size=3)
-        assert vm.max_stack_depth == 2  # pre-sized from the proven bound
-        (out,) = vm.run([np.array([4.0, -1.0, 9.5])])
+        assert vm.max_stack_depth is None
+        with counting_growths() as grown:
+            (out,) = vm.run([np.array([4.0, -1.0, 9.5])])
         np.testing.assert_array_equal(out, np.array([4.0, -1.0, 9.5]))
+        assert grown == [] and stack_depths(vm) == {2}  # the proven bound
         assert vm.observed_max_depth() == 3
 
     def test_static_offsets_record_the_higher_row_and_overflow(self):
@@ -269,9 +306,10 @@ class TestDepthEquality:
         assert facts.entry_depths[1] == {"x": 2}  # the return continuation
         plan = ExecutionPlan.compile(sp, executor="eager")
         vm = ProgramCounterVM(plan, batch_size=2)
-        assert vm.max_stack_depth == 3
-        (out,) = vm.run([np.array([7.0, 2.0])])
+        with counting_growths() as grown:
+            (out,) = vm.run([np.array([7.0, 2.0])])
         np.testing.assert_array_equal(out, np.array([7.0, 2.0]))
+        assert grown == [] and stack_depths(vm) == {3}
         assert vm.observed_max_depth() == 4
 
 
@@ -679,17 +717,46 @@ class TestPlanVerification:
         )
         assert plan.facts is None
         vm = ProgramCounterVM(plan, batch_size=1)
-        assert vm.max_stack_depth == 32
+        assert vm.max_stack_depth is None
+        assert vm.addr_stack.depth == INITIAL_STACK_DEPTH
 
-    def test_explicit_depth_always_wins(self):
+    def test_explicit_cap_is_kept_and_stacks_start_at_the_proven_bound(self):
         vm = ProgramCounterVM(
-            use_divmod.execution_plan("eager"), batch_size=1, max_stack_depth=7
+            use_divmod.execution_plan("eager"), batch_size=2, max_stack_depth=7
         )
         assert vm.max_stack_depth == 7
+        a, b = np.array([7, 9], dtype=np.int64), np.array([2, 4], dtype=np.int64)
+        with counting_growths() as grown:
+            (out,) = vm.run([a, b])
+        np.testing.assert_array_equal(out, use_divmod.run_reference(a, b))
+        assert stack_depths(vm) == {1} and not grown
+
+    def test_a_cap_below_the_starting_depth_sizes_the_stacks(self):
+        # Proven bound 2, capped at 1: the stacks start at the cap, and the
+        # program's second nested call overflows it.
+        a, b = np.array([7], dtype=np.int64), np.array([2], dtype=np.int64)
+        plan = use_divmod_twice.execution_plan("eager")
+        assert plan.facts.required_stack_depth == 2
+        vm = ProgramCounterVM(plan, batch_size=1, max_stack_depth=1)
+        assert vm.addr_stack.depth == 1
+        with pytest.raises(StackOverflowError, match="max_stack_depth=1"):
+            vm.run([a, b])
+        # Recursive, so no proven bound: the initial depth shrinks to the cap.
+        vm = ProgramCounterVM(fib.execution_plan("eager"), batch_size=1, max_stack_depth=3)
+        ns = np.array([2], dtype=np.int64)
+        (out,) = vm.run([ns])
+        np.testing.assert_array_equal(out, fib.run_reference(ns))
+        assert stack_depths(vm) == {3} and 3 < INITIAL_STACK_DEPTH
 
     def test_recursive_program_falls_back_to_default_depth(self):
         vm = ProgramCounterVM(fib.execution_plan("eager"), batch_size=1)
-        assert vm.max_stack_depth == 32
+        assert vm.max_stack_depth is None
+        assert stack_depths(vm) == {INITIAL_STACK_DEPTH}
+        ns = np.array([2 * INITIAL_STACK_DEPTH], dtype=np.int64)
+        with counting_growths() as grown:
+            (out,) = vm.run([ns])
+        np.testing.assert_array_equal(out, fib.run_reference(ns))
+        assert grown and min(stack_depths(vm)) > INITIAL_STACK_DEPTH
 
 
 # -- hypothesis: every frontend-lowered random program verifies clean ---------
@@ -710,14 +777,16 @@ class TestRandomPrograms:
             # The proven bound really is enough to execute on.
             plan = fn.execution_plan("eager")
             vm = ProgramCounterVM(plan, batch_size=2)
-            assert vm.max_stack_depth == facts.required_stack_depth
-            vm.run(
-                [
-                    np.array([3, 11], dtype=np.int64),
-                    np.array([7, 2], dtype=np.int64),
-                    np.array([1, 2], dtype=np.int64),
-                ]
-            )
+            with counting_growths() as grown:
+                vm.run(
+                    [
+                        np.array([3, 11], dtype=np.int64),
+                        np.array([7, 2], dtype=np.int64),
+                        np.array([1, 2], dtype=np.int64),
+                    ]
+                )
+            assert grown == []
+            assert stack_depths(vm) == {facts.required_stack_depth}
             assert vm.observed_max_depth() == facts.max_logical_depth
 
 

@@ -1,11 +1,18 @@
 """Unit tests for VM internals: schedulers, instrumentation, storage, errors."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.serve.queue import StepBudgetExceeded
 from repro.vm.instrumentation import Instrumentation
 from repro.vm.local_static import ExecutionLimitExceeded, run_local_static
-from repro.vm.program_counter import ProgramCounterVM, run_program_counter
+from repro.vm.program_counter import (
+    INITIAL_STACK_DEPTH,
+    ProgramCounterVM,
+    run_program_counter,
+)
 from repro.vm.scheduler import (
     EarliestBlockScheduler,
     MostActiveScheduler,
@@ -18,7 +25,7 @@ from repro.ir.types import TensorType
 from repro.vm.state import RegisterStorage, StackedStorage
 from repro.ir.builder import FunctionBuilder, ProgramBuilder
 
-from .programs import fib, gcd, mixed_paths, mixed_rec, rng_walk, vector_norm
+from .programs import fib, gcd, mixed_paths, mixed_rec, rng_walk, sum_to, vector_norm
 
 
 class TestSchedulers:
@@ -317,6 +324,94 @@ class TestVMErrors:
     def test_empty_batch_rejected_by_name(self, strategy, options):
         with pytest.raises(ValueError, match="input 0 has an empty batch"):
             getattr(fib, strategy)(np.array([], dtype=np.int64), **options)
+
+
+class TestGrowingStacks:
+    """Recursion depth is data: with no option set, stacks start small and
+    grow on overflow, so a request deeper than any guess is served."""
+
+    DEEP = 500
+
+    @staticmethod
+    def _reference(n):
+        # run_reference recurses in Python, two frames per level.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 4 * int(np.max(n)) + 200))
+        try:
+            return sum_to.run_reference(n)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @pytest.mark.parametrize(
+        "executor, mode",
+        [("eager", "mask"), ("eager", "gather"), ("fused", "mask"), ("superblock", "mask")],
+    )
+    def test_deep_recursion_runs_with_no_option_set(self, executor, mode):
+        n = np.array([self.DEEP, 3, 0, 41])
+        expected = self._reference(n)
+        assert int(expected[0]) == self.DEEP * (self.DEEP + 1) // 2
+        vm = ProgramCounterVM(sum_to.execution_plan(executor), batch_size=4, mode=mode)
+        assert vm.max_stack_depth is None
+        assert vm.addr_stack.depth == INITIAL_STACK_DEPTH < self.DEEP
+        (out,) = vm.run([n])
+        np.testing.assert_array_equal(out, expected)
+        assert vm.addr_stack.depth >= self.DEEP
+        assert vm.observed_max_depth() == self.DEEP + 1
+        np.testing.assert_array_equal(
+            sum_to.run_pc(n, executor=executor, mode=mode), expected
+        )
+
+    @pytest.mark.parametrize("executor", ["eager", "fused", "superblock"])
+    def test_a_cap_still_raises_and_names_max_stack_depth(self, executor):
+        with pytest.raises(StackOverflowError, match="max_stack_depth=32"):
+            sum_to.run_pc(np.array([self.DEEP, 3]), executor=executor, max_stack_depth=32)
+
+    def test_a_step_budget_bounds_a_runaway_request(self):
+        """With no cap, a step budget is what bounds the stacks: a runaway
+        recursion fails only its own handle, having grown the stacks no
+        further than the frames its budget let it push, and the engine
+        keeps serving."""
+        budget = 400
+        engine = sum_to.serve(num_lanes=2, default_step_budget=budget)
+        assert engine.vm.max_stack_depth is None
+        runaway = engine.submit(np.int64(10**8))
+        shallow = [engine.submit(np.int64(n)) for n in (3, 9, 17)]
+        engine.run_until_idle()
+        assert isinstance(runaway.exception(), StepBudgetExceeded)
+        assert INITIAL_STACK_DEPTH < engine.vm.addr_stack.depth <= budget
+        later = engine.submit(np.int64(40))
+        engine.run_until_idle()
+        for handle in shallow + [later]:
+            n = int(handle.request.inputs[0])
+            assert int(handle.result()) == n * (n + 1) // 2, n
+
+    def test_engine_serves_a_deep_request_and_its_snapshot_grows_a_fresh_machine(self):
+        """A preempted 500-deep request among shallow ones: its snapshot
+        moves to a fresh engine, whose machine grows its stacks to restore
+        it, and every request equals the reference."""
+        engine = sum_to.serve(num_lanes=2, preempt=True)
+        deep = engine.submit(np.int64(self.DEEP))
+        shallow = [engine.submit(np.int64(n)) for n in (3, 9, 0, 17)]
+        while deep.lane is None or engine.vm.addr_stack.sp[deep.lane] < 300:
+            engine.tick()
+        vips = []
+        while deep.state != "preempted":
+            vips.append(engine.submit(np.int64(40), priority=5))
+            engine.tick()
+        assert deep.snapshot.required_depth() >= 300
+        orphans = engine.export_queue()
+        assert deep in orphans
+
+        fresh = sum_to.serve(num_lanes=1)
+        assert fresh.vm.addr_stack.depth == INITIAL_STACK_DEPTH
+        fresh.requeue(orphans)
+        fresh.run_until_idle()
+        engine.run_until_idle()
+        assert fresh.vm.addr_stack.depth >= self.DEEP
+        for handle in [deep] + shallow + vips:
+            n = int(handle.request.inputs[0])
+            assert int(handle.result()) == n * (n + 1) // 2, n
+        assert int(deep.result()) == int(self._reference(np.array([self.DEEP]))[0])
 
 
 class TestSnapshots:
