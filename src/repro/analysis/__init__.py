@@ -14,7 +14,7 @@
   (``python -m repro.analysis.lint <example|all>``).
 """
 
-from repro.analysis.cfg import predecessors, successors, reverse_postorder
+from repro.analysis.cfg import successors, reverse_postorder
 from repro.analysis.liveness import (
     LivenessInfo,
     compute_liveness,
@@ -35,7 +35,6 @@ from repro.analysis.stackcheck import (
 )
 
 __all__ = [
-    "predecessors",
     "successors",
     "reverse_postorder",
     "LivenessInfo",

@@ -15,17 +15,6 @@ def successors(fn: Function) -> Dict[str, Tuple[str, ...]]:
     }
 
 
-def predecessors(fn: Function) -> Dict[str, Tuple[str, ...]]:
-    """Block label -> labels of predecessor blocks."""
-    preds: Dict[str, List[str]] = {b.label: [] for b in fn.blocks}
-    for b in fn.blocks:
-        if b.terminator is None:
-            continue
-        for t in b.terminator.targets():
-            preds[t].append(b.label)
-    return {k: tuple(v) for k, v in preds.items()}
-
-
 def reverse_postorder(fn: Function) -> List[str]:
     """Blocks in reverse postorder from the entry (good forward-flow order)."""
     succ = successors(fn)

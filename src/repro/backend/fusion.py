@@ -76,8 +76,8 @@ rules out any pop below the frames the lane's own activation pushed
 (``pop-underflow``).  A program that fails verification is refused with
 the verifier's error; it runs under the eager executor only, whose pops
 clamp.  A push past the stack's last row grows the stack from the bounds
-check of its scatter, before it writes (past a cap it raises
-:class:`~repro.vm.stack.StackOverflowError`).
+check of its scatter, before it writes; under a cap, the machine refuses
+a step that would push a lane past it before the block runs.
 
 No block enters ``np.errstate``, and a machine bound to these executors
 enters none either (``live_lanes_only``): compact blocks compute no junk
@@ -127,17 +127,6 @@ from repro.vm.local_static import _const_array
 
 class FusionUnsupported(ValueError):
     """Raised when a program/configuration cannot be fused."""
-
-
-#: Process-wide count of per-program fused codegen events, across every
-#: executor instance.  Snapshot before/after building a machine fleet to
-#: prove code-cache sharing: N same-plan machines must add exactly 1.
-_TOTAL_FUSED_COMPILES = [0]
-
-
-def total_fused_compiles() -> int:
-    """How many programs have been fused (codegen + compile) process-wide."""
-    return _TOTAL_FUSED_COMPILES[0]
 
 
 class _CompiledBlock:
@@ -493,7 +482,6 @@ class FusedBlockExecutor(BlockExecutor):
             blocks = self._compile(program)
             self._compiled[id(program)] = (program, blocks)
             self.compile_count += 1
-            _TOTAL_FUSED_COMPILES[0] += 1
             return blocks
         return entry[1]
 

@@ -1,12 +1,13 @@
-"""The two non-autobatched comparators of Figure 5.
+"""The non-autobatched comparator of Figure 5.
 
 * :mod:`repro.baselines.stan_like` — an optimized single-chain iterative
   NUTS loop standing in for Stan's custom C++ sampler.
-* :mod:`repro.baselines.eager_unbatched` — the same autobatched program run
-  one batch member at a time ("Eager mode without autobatching").
+
+Figure 5's "Eager mode without autobatching" line is
+``NutsKernel.run(strategy="reference")``: the same program run one batch
+member at a time.
 """
 
 from repro.baselines.stan_like import StanLikeSampler
-from repro.baselines.eager_unbatched import EagerUnbatchedSampler
 
-__all__ = ["StanLikeSampler", "EagerUnbatchedSampler"]
+__all__ = ["StanLikeSampler"]

@@ -24,11 +24,6 @@ class Timing:
     all_seconds: Tuple[float, ...]
     value: object
 
-    @property
-    def mean_seconds(self) -> float:
-        """Mean over the measured repeats."""
-        return sum(self.all_seconds) / len(self.all_seconds)
-
 
 def timed(fn: Callable[[], T]) -> Tuple[float, T]:
     """One timed call: (seconds, value)."""

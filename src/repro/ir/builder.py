@@ -64,11 +64,6 @@ class BlockHandle:
         self._block.ops.append(PushOp(output=output, fn=fn, inputs=tuple(inputs)))
         return self
 
-    def push_dup(self, var: str) -> "BlockHandle":
-        """Duplicate the top of ``var``'s stack (caller-saves save)."""
-        self._block.ops.append(PushOp(output=var, fn="id", inputs=(var,)))
-        return self
-
     def pop(self, var: str) -> "BlockHandle":
         """Append ``pop var`` (stack dialect)."""
         self._block.ops.append(PopOp(var=var))

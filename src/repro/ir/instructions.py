@@ -358,10 +358,6 @@ class StackProgram:
         """Storage class of variable ``name`` (TEMP/REGISTER/STACKED)."""
         return self.var_kinds.get(var, VarKind.STACKED)
 
-    def stacked_vars(self) -> Tuple[str, ...]:
-        """Names of variables backed by stacks."""
-        return tuple(v for v, k in self.var_kinds.items() if k is VarKind.STACKED)
-
     def variables(self) -> Tuple[str, ...]:
         """Every non-temporary variable name."""
         seen: Dict[str, None] = {}

@@ -41,21 +41,6 @@ class TensorType:
         """Shape of the batched storage for this type."""
         return (int(batch_size),) + self.event_shape
 
-    def stacked_shape(self, depth: int, batch_size: int) -> Tuple[int, ...]:
-        """Shape of stacked storage (program-counter machine)."""
-        return (int(depth), int(batch_size)) + self.event_shape
-
-    @classmethod
-    def of_value(cls, value: np.ndarray, batch_size: int) -> "TensorType":
-        """Infer the type of a batched value with leading dimension Z."""
-        arr = np.asarray(value)
-        if arr.ndim == 0 or arr.shape[0] != batch_size:
-            raise ValueError(
-                f"batched value must have leading batch dimension {batch_size}, "
-                f"got shape {arr.shape}"
-            )
-        return cls(dtype=arr.dtype.name, event_shape=arr.shape[1:])
-
     def __str__(self) -> str:
         if self.event_shape:
             return f"{self.dtype}{list(self.event_shape)}"

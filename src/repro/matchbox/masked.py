@@ -173,20 +173,6 @@ class MaskedBatch:
         np.copyto(out, other_data, where=_broadcast_mask(other.mask, out.ndim))
         return MaskedBatch(out, self.mask | other.mask)
 
-    def where_active(self) -> np.ndarray:
-        """Indices of active members."""
-        return np.flatnonzero(self.mask)
-
-    def any_active(self) -> bool:
-        """True if any member is active."""
-        return bool(self.mask.any())
-
-    # -- realization ------------------------------------------------------------------
-
-    def unwrap(self) -> np.ndarray:
-        """The underlying data; only meaningful where the mask is True."""
-        return self.data
-
     def __repr__(self) -> str:
         return f"MaskedBatch({self.data!r}, mask={self.mask.astype(int)!r})"
 

@@ -139,37 +139,6 @@ def run_nuts(
     )
 
 
-def find_reasonable_step_size(
-    target: Target, q0: np.ndarray, seed: int = 0
-) -> float:
-    """Heuristic initial step size (Hoffman & Gelman Algorithm 4).
-
-    Doubles/halves the step until the one-step acceptance probability
-    crosses 0.5.  Single-example, plain numpy — used by examples to pick a
-    sane ``step_size`` for unfamiliar targets.
-    """
-    from repro.nuts.leapfrog import leapfrog
-
-    rng = np.random.RandomState(seed)
-    q0 = np.asarray(q0, dtype=np.float64)
-    eps = 1.0
-    p0 = rng.randn(target.dim)
-    joint0 = float(target.log_prob(q0) - 0.5 * np.dot(p0, p0))
-
-    def log_accept(eps: float) -> float:
-        q1, p1 = leapfrog(q0, p0, eps, target.grad_log_prob, n_steps=1)
-        joint1 = float(target.log_prob(q1) - 0.5 * np.dot(p1, p1))
-        return joint1 - joint0
-
-    direction = 1.0 if log_accept(eps) > np.log(0.5) else -1.0
-    for _ in range(64):
-        eps_next = eps * (2.0 ** direction)
-        if direction * log_accept(eps_next) <= direction * np.log(0.5):
-            break
-        eps = eps_next
-    return eps
-
-
 @dataclass
 class DualAveragingAdapter:
     """Step-size adaptation via dual averaging (extension, off by default).

@@ -17,7 +17,7 @@ deterministic and comparable across runs.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 
 def nearest_rank(values: Iterable[float], q: float) -> float:
@@ -110,11 +110,6 @@ class MetricsRecorder:
     def values(self, name: str) -> List[float]:
         """Just the values of a series, oldest-first."""
         return [v for _, v in self.samples(name)]
-
-    def latest(self, name: str) -> Optional[float]:
-        """The most recent value of a series, or ``None`` if empty."""
-        samples = self.samples(name)
-        return samples[-1][1] if samples else None
 
     def dropped(self, name: str) -> int:
         """Samples evicted from a series' window so far."""

@@ -124,10 +124,6 @@ class Tracer:
         """One request's causal timeline, in emission order."""
         return list(self._by_request.get(request_id, ()))
 
-    def request_ids(self) -> List[int]:
-        """Every request id that produced at least one event, sorted."""
-        return sorted(self._by_request)
-
     def count(self, kind: str) -> int:
         """How many events of ``kind`` were recorded."""
         if kind not in EVENT_KINDS:

@@ -93,9 +93,12 @@ class ServeConfig:
         resolve through (default: the served function's own).
     mode, max_stack_depth, max_steps, instrumentation:
         Passed to each :class:`~repro.vm.program_counter.ProgramCounterVM`.
-        ``max_stack_depth`` caps how far its stacks grow (None: no cap);
-        uncapped stacks keep ``num_lanes`` x the deepest request's frames
-        for life, and only a ``default_step_budget`` bounds a runaway.
+        ``max_stack_depth`` caps how far its stacks grow (None: no cap); a
+        request whose next step would push past it fails with
+        :class:`~repro.vm.stack.StackOverflowError` and its neighbours
+        step on.  Stacks never shrink: uncapped ones keep ``num_lanes`` x
+        the deepest request's frames for life, and only the cap or a
+        ``default_step_budget`` bounds a runaway.
         One ``instrumentation`` object cannot serve a fleet: N machines
         sharing a counter would overcount N-fold.
     scheduler:

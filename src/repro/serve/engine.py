@@ -669,7 +669,7 @@ class Engine(Server):
             )
         self._tick += 1
         if busy:
-            stepped = self.vm.step_lanes()
+            stepped = self._step_machine()
             if stepped is not None:
                 self.vm.instr.record_occupancy(busy, self.pool.num_lanes)
             # A member halts by stepping, or by resuming at the exit.
@@ -678,6 +678,19 @@ class Engine(Server):
             if stepped is not None:
                 self._enforce_budgets(stepped)
         return bool(self.pool.busy_count() or len(self.queue))
+
+    def _step_machine(self) -> Optional[np.ndarray]:
+        """Step the machine once.  Under a ``max_stack_depth`` cap, the
+        lanes a step would push past it fail with that error before the
+        step writes anything, and the step is taken for the rest."""
+        while True:
+            try:
+                return self.vm.step_lanes()
+            except StackOverflowError as error:
+                if error.lanes is None:
+                    raise
+                for lane in error.lanes.tolist():
+                    self._fail_lane(self.pool.handles[lane], lane, error)
 
     def busy(self) -> bool:
         """True while the engine holds queued or in-flight work."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -73,9 +73,6 @@ class Target(abc.ABC):
         raise NotImplementedError
 
     # -- conveniences ----------------------------------------------------------
-
-    def log_prob_and_grad(self, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self.log_prob(q), self.grad_log_prob(q)
 
     def grad_log_prob_autodiff(self, q: np.ndarray) -> np.ndarray:
         """Gradient via the tape (reference implementation for tests)."""

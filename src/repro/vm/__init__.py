@@ -23,7 +23,6 @@ from repro.vm.executors import (
     BlockExecutor,
     EagerBlockExecutor,
     ExecutionPlan,
-    executor_names,
     register_executor,
     resolve_executor,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "BlockExecutor",
     "EagerBlockExecutor",
     "ExecutionPlan",
-    "executor_names",
     "register_executor",
     "resolve_executor",
 ]

@@ -28,7 +28,7 @@ implements :class:`BlockExecutor` and registers itself with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Type, Union
 
 import numpy as np
 
@@ -440,12 +440,6 @@ def register_executor(name: str, factory: Type[BlockExecutor]) -> None:
     if existing is not None and existing is not factory:
         raise ValueError(f"executor name {name!r} is already registered")
     _EXECUTOR_FACTORIES[name] = factory
-
-
-def executor_names() -> Sequence[str]:
-    """Currently registered executor selection names."""
-    _load_backend_executors()
-    return tuple(sorted(_EXECUTOR_FACTORIES))
 
 
 def _load_backend_executors() -> None:

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.frontend.registry import PrimitiveRegistry, default_registry
-from repro.ir.instructions import StackProgram, VarKind
+from repro.ir.instructions import PopOp, PushJump, PushOp, StackProgram, VarKind
 from repro.ir.types import TensorType
 from repro.vm.executors import ExecutionPlan, resolve_executor
 from repro.vm.instrumentation import Instrumentation
@@ -34,6 +34,28 @@ from repro.vm.state import RegisterStorage, StackedStorage, TypeMismatchError, c
 #: Saved frames a stack starts with when the plan proves no bound (it is
 #: unverified, or recursive); stacks grow on overflow.
 INITIAL_STACK_DEPTH = 8
+
+
+def _push_peaks(program: StackProgram, chain: Sequence[int]) -> Dict[Optional[str], int]:
+    """The most saved frames a lane running the blocks of ``chain`` adds
+    to each stack it raises: a stacked variable, by name, or the
+    return-address stack, under None.  Exact for a verified program, whose
+    pops never clamp; a chain runs every member in turn (it ends at the
+    first ``Branch`` or ``Return``)."""
+    offset: Dict[Optional[str], int] = {}
+    peaks: Dict[Optional[str], int] = {}
+    for b in chain:
+        block = program.blocks[b]
+        moves = [
+            (op.output, 1) if isinstance(op, PushOp) else (op.var, -1)
+            for op in block.ops if isinstance(op, (PushOp, PopOp))
+        ]
+        if isinstance(block.terminator, PushJump):
+            moves.append((None, 1))
+        for stack, by in moves:
+            offset[stack] = offset.get(stack, 0) + by
+            peaks[stack] = max(peaks.get(stack, 0), offset[stack])
+    return {stack: peak for stack, peak in peaks.items() if peak > 0}
 
 
 class SnapshotIncompatibleError(StackOverflowError):
@@ -214,6 +236,64 @@ class ProgramCounterVM:
         self._block_fns = plan.bind(self)
         self._live_lanes_only = plan.executor.live_lanes_only
         self._steps = 0
+        self._cap_checks = None if max_stack_depth is None else self._dispatch_peaks()
+        self._growths = -1  # BatchedStack.growths when _near_cap last looked
+
+    def _dispatch_peaks(self) -> List[List[tuple]]:
+        """Per block, what a capped dispatch from it checks: for each
+        member block the dispatch runs, the most frames a lane entering
+        there adds to each stack before the dispatch ends (members that
+        push nothing are left out)."""
+        regions_for = getattr(self.plan.executor, "regions_for", None)
+        program = self.program
+        checks = []
+        for i in range(len(program.blocks)):
+            chain = (i,) if regions_for is None else regions_for(program).chain(i)
+            peaks = [(member, _push_peaks(program, chain[j:])) for j, member in enumerate(chain)]
+            checks.append([(member, tuple(p.items())) for member, p in peaks if p])
+        return checks
+
+    def _near_cap(self) -> bool:
+        """Whether any stack has grown to within a dispatch's pushes of the
+        cap; below that no lane can pass it.  Looked at again only after a
+        stack grows, so a capped machine far from its cap pays O(1)."""
+        if self._growths != BatchedStack.growths:
+            self._growths = BatchedStack.growths
+            margin = max(
+                peak for checks in self._cap_checks
+                for _, peaks in checks for _, peak in peaks
+            )
+            stacks = [self.addr_stack] + [
+                st.stack for st in self.storages.values()
+                if isinstance(st, StackedStorage) and st.stack is not None
+            ]
+            self._near = max(s.depth for s in stacks) + margin > self.max_stack_depth
+        return self._near
+
+    def _check_cap(self, i: int, idx: np.ndarray) -> None:
+        """Raise :class:`StackOverflowError` naming the lanes a dispatch
+        from block ``i`` would push past ``max_stack_depth``, before it
+        writes anything: lanes at each member block, ``idx`` at the entry."""
+        cap, z = self.max_stack_depth, self.batch_size
+        over, needed = [], 0
+        for member, peaks in self._cap_checks[i]:
+            lanes = idx if member == i else (self.pcreg == member).nonzero()[0]
+            for stack, peak in peaks:
+                if stack is None:
+                    frames = self.addr_stack._fp[lanes] // z + peak
+                elif stack in self.storages:
+                    frames = self.storages[stack].fp[lanes] // z + peak
+                else:  # untouched so far: every lane is at its base row
+                    frames = np.full(lanes.size, peak)
+                hit = frames > cap
+                if hit.any():
+                    over.append(lanes[hit])
+                    needed = max(needed, int(frames.max()))
+        if over:
+            raise StackOverflowError(
+                f"a push needs {needed} saved frames, past max_stack_depth={cap}",
+                lanes=np.unique(np.concatenate(over)),
+            )
 
     # -- storage ----------------------------------------------------------------
 
@@ -347,13 +427,15 @@ class ProgramCounterVM:
         i = self.scheduler.select(self.pcreg, self.exit_index)
         if i is None:
             return None
+        idx = (self.pcreg == i).nonzero()[0]
+        if self._cap_checks is not None and self._cap_checks[i] and self._near_cap():
+            self._check_cap(i, idx)
         self._steps += 1
         if self._steps > self.max_steps:
             raise ExecutionLimitExceeded(f"exceeded max_steps={self.max_steps}")
         instr = self.instr
         instr.steps += 1
         instr.host_dispatches += 1
-        idx = (self.pcreg == i).nonzero()[0]
         if instr.track_blocks:
             self._record_block(i, idx)
         # A superblock returns the lanes of every member block it ran in
@@ -389,10 +471,6 @@ class ProgramCounterVM:
         """Block index where a freshly injected member begins (the entry block)."""
         return 0
 
-    def halted_mask(self) -> np.ndarray:
-        """Boolean (Z,) mask of lanes whose member has reached the exit."""
-        return self.pcreg >= self.exit_index
-
     def halt_lanes(self, idx: np.ndarray) -> None:
         """Force the lanes in ``idx`` to the exit (aborting their members)."""
         idx = np.asarray(idx, dtype=np.int64)
@@ -403,8 +481,9 @@ class ProgramCounterVM:
 
         Program counters go to the entry block, each lane's return-address
         stack is emptied down to the exit-index base frame (Algorithm 2's pc
-        init), and every allocated storage zeroes those lanes — bitwise the
-        state a fresh machine would give them.
+        init), and every allocated storage zeroes those lanes' base rows —
+        all a fresh machine's lanes expose.  Rows above are not written: no
+        read looks above a lane's top (see :mod:`repro.vm.stack`).
         """
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0:
@@ -469,9 +548,10 @@ class ProgramCounterVM:
         """Reinstall ``snapshot`` into lane ``lane``, resuming its thread.
 
         The lane is reset first, then the snapshot's pc, return-address
-        frames, and storage slices are written back; storages the snapshot
-        never saw stay zeroed (the thread never wrote them, so it must
-        write before reading them again).  Whatever occupied the lane is
+        frames, and storage slices are written back, each over its frames
+        only; storages the snapshot never saw keep a zero base row (the
+        thread never wrote them, so it must write before reading them
+        again).  Whatever occupied the lane is
         destroyed — the serving engine only restores into vacant lanes.
         An untyped machine takes its types from the snapshot's inputs.
 
@@ -535,20 +615,6 @@ class ProgramCounterVM:
         for name, payload in snapshot.storages.items():
             if payload is not None:
                 self.storage(name).restore_lane(lane, payload)
-
-    def observed_max_depth(self) -> int:
-        """Peak logical stack depth any lane reached on this machine.
-
-        The maximum over the return-address stack's and every variable
-        stack's high-water mark, plus the implicit base frame — the exact
-        runtime observable the verifier's static
-        ``ProgramFacts.max_logical_depth`` bounds (and, for bounded
-        programs whose deepest path executes, equals).
-        """
-        stacks = [self.addr_stack] + [
-            st.stack for st in self.storages.values() if isinstance(st, StackedStorage)
-        ]
-        return max(stack.high_water for stack in stacks) + 1
 
     # -- inspection (Figure 3 snapshots) ----------------------------------------
 

@@ -19,6 +19,10 @@ The stack has an *implicit base frame*: a freshly created stack has one
 writable top (row 0) at depth 0, so variables whose first write is an
 in-place update need no initial push.
 
+Rows above a lane's top are not defined and never read (eager reads the
+live top; verified generated code reads inside its own activation's
+frames), so recycling or restoring a lane costs O(its frames).
+
 A stack pointer is a flat address.  Each lane keeps ``_fp[b] = sp[b] * Z
 + b``, the index of its live top in ``_rows``, the row view
 ``data.reshape((-1,) + event)``, so a push or pop is a 1-D gather and
@@ -48,8 +52,9 @@ The bounds check *is* the overflow check, and overflow grows the stack.
 validates every index of a fancy assignment before it writes, so the
 ``IndexError`` of a push past the last row (:meth:`put`) grows the stack
 and retries: appended rows keep every address ``sp * Z + b`` valid, and a
-push that fits pays nothing.  Past a ``cap`` (the machine's
-``max_stack_depth``) it raises :class:`StackOverflowError`, writing nothing.
+push that fits pays nothing.  Past a ``cap`` it raises
+:class:`StackOverflowError`, writing nothing; a machine under a cap
+(``max_stack_depth``) checks each step against it first.
 """
 
 from __future__ import annotations
@@ -60,7 +65,12 @@ import numpy as np
 
 
 class StackOverflowError(RuntimeError):
-    """A batch member needed more saved frames than the stack's cap."""
+    """A batch member needed more saved frames than the stack's cap;
+    ``lanes``, when a machine's check found them, are the members past it."""
+
+    def __init__(self, message: str, lanes: Optional[np.ndarray] = None):
+        super().__init__(message)
+        self.lanes = lanes
 
 
 class StackUnderflowError(RuntimeError):
@@ -97,6 +107,10 @@ class BatchedStack:
     frame).  ``data[0:sp[b] + 1, b]`` holds the frames bottom to top, and
     ``_fp[b]`` addresses the top.  ``depth`` (D) grows up to ``cap``.
     """
+
+    #: Growths of any stack, process-wide: a machine under a cap looks at
+    #: how near its stacks are to the cap again only after this moves.
+    growths = 0
 
     def __init__(
         self,
@@ -153,6 +167,7 @@ class BatchedStack:
         data = np.concatenate([self.data, np.zeros(added + self.event_shape, self.dtype)])
         reached = np.concatenate([self._reached, np.zeros(added, bool).ravel()])
         self.depth, self.data, self._reached = depth, data, reached
+        BatchedStack.growths += 1
         self._rows = data.reshape((-1,) + self.event_shape)
         if self._owner is not None:
             self._owner.reached = reached
@@ -243,31 +258,28 @@ class BatchedStack:
     def reset_lanes(self, idx: np.ndarray, top: Optional[np.ndarray] = None) -> None:
         """Return the lanes in ``idx`` to the freshly-constructed state.
 
-        The lane's frames are zeroed, its stack pointer drops to the
-        implicit base frame, and its top becomes ``top`` (or zero).  Used
-        by the serving engine to recycle a lane for a new request.
+        Each lane's pointer drops to its base row, which becomes ``top``
+        (or zero); rows above are not written (none is read before a push
+        writes it).  Used by the serving engine to recycle a lane.
         """
         if idx.size == 0:
             return
         self._fp[idx] = idx
-        self.data[:, idx] = 0
-        if top is not None:
-            self._rows[idx] = top
+        self._rows[idx] = 0 if top is None else top
 
     def restore_lane(self, lane: int, frames: np.ndarray) -> None:
         """Reinstall one lane from its logical frames (see :meth:`frames`).
 
         ``frames`` is a ``(depth, *event)`` array, bottom to top; the last
         row becomes the live top — lane checkpoint/resume for the serving
-        engine's preemption.  Slots above the restored depth are zeroed, so
-        the lane is observationally identical to one that pushed exactly
-        these frames.  A stack too shallow for them grows first.
+        engine's preemption.  Only those frames are written, so the lane
+        is observationally identical to one that pushed exactly these
+        frames.  A stack too shallow for them grows first.
         """
         frames = np.asarray(frames, dtype=self.dtype)
         sp = frames.shape[0] - 1
         if sp > self.depth:
             self._grow(sp, "a lane snapshot")
-        self.data[:, lane] = 0
         self._fp[lane] = sp * self.batch_size + lane
         self._reached[self._fp[lane]] = True
         self.data[: sp + 1, lane] = frames

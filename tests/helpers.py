@@ -11,6 +11,17 @@ from repro.lowering.pipeline import LoweringOptions
 from repro.vm.state import RegisterStorage, StackedStorage
 
 
+def peak_logical_depth(vm):
+    """The deepest any lane's stack ever got on ``vm``: the highest
+    saved-frame count over the return-address stack and every variable
+    stack, plus the implicit base frame (what ``ProgramFacts.max_logical_depth``
+    bounds)."""
+    stacks = [vm.addr_stack] + [
+        st.stack for st in vm.storages.values() if isinstance(st, StackedStorage)
+    ]
+    return max(stack.high_water for stack in stacks) + 1
+
+
 def as_tuple(result):
     return result if isinstance(result, tuple) else (result,)
 

@@ -120,3 +120,36 @@ def test_guard_refuses_a_wrapped_address(address_guard):
         stack.get(np.array([16]))
     with pytest.raises(AssertionError, match="repeats a lane"):
         stack.put(np.array([1, 5]), np.zeros(2))
+
+
+@pytest.mark.parametrize("executor", ["eager", "fused", "superblock"])
+def test_shallow_requests_after_a_deep_one_match_a_fresh_engine(address_guard, executor):
+    """Recycling a lane writes only its base row, so the rows above a
+    shallow request's top still hold a deep request's frames.  Nothing may
+    read them: the shallow requests' results, and every busy lane's
+    snapshot bytes at every tick, equal those of an engine whose stacks
+    never grew."""
+    shallow = [3, 0, 7, 1, 5, 2, 6, 4, 7, 0, 2, 5]
+
+    def engine_after(first):
+        engine = sum_to.serve(num_lanes=4, executor=executor)
+        engine.submit(np.int64(first))
+        engine.run_until_idle()
+        return engine
+
+    deep, fresh = engine_after(2000), engine_after(3)
+    assert deep.vm.addr_stack.depth >= 2000 > fresh.vm.addr_stack.depth
+    handles = {
+        engine: [engine.submit(np.int64(n)) for n in shallow]
+        for engine in (deep, fresh)
+    }
+    while deep.tick() | fresh.tick():
+        for lane in deep.pool.busy_lanes().tolist():
+            assert (
+                deep.vm.snapshot_lane(lane).to_bytes()
+                == fresh.vm.snapshot_lane(lane).to_bytes()
+            ), f"lane {lane} at tick {deep.now}"
+    for engine in (deep, fresh):
+        results = [int(h.result()) for h in handles[engine]]
+        assert results == [n * (n + 1) // 2 for n in shallow]
+    assert address_guard.checked > 0

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.call_graph import analyze_call_graph
-from repro.analysis.cfg import predecessors, reverse_postorder, successors
+from repro.analysis.cfg import reverse_postorder, successors
 from repro.analysis.liveness import (
     call_save_sets,
     compute_liveness,
@@ -38,12 +38,6 @@ class TestCFG:
         succ = successors(fn)
         assert set(succ["entry"]) == {"left", "right"}
         assert succ["join"] == ()
-
-    def test_predecessors(self):
-        fn = diamond_function()
-        preds = predecessors(fn)
-        assert set(preds["join"]) == {"left", "right"}
-        assert preds["entry"] == ()
 
     def test_reverse_postorder_starts_at_entry(self):
         order = reverse_postorder(diamond_function())

@@ -1,10 +1,8 @@
-"""Tests for the Figure 5 baseline comparators."""
+"""Tests for the Figure 5 baseline comparator."""
 
-import numpy as np
 import pytest
 
-from repro.baselines import EagerUnbatchedSampler, StanLikeSampler
-from repro.nuts import NutsKernel
+from repro.baselines import StanLikeSampler
 from repro.targets import CorrelatedGaussian
 
 
@@ -42,20 +40,3 @@ class TestStanLike:
         with pytest.raises(ValueError):
             StanLikeSampler(target, step_size=0.1, speed_ratio=0.0)
 
-
-class TestEagerUnbatched:
-    def test_matches_batched_strategies_bitwise(self, target):
-        kernel = NutsKernel(target)
-        q0 = target.initial_state(4, seed=6)
-        eager = EagerUnbatchedSampler(target, step_size=0.15, max_depth=4, kernel=kernel)
-        run = eager.run(q0, n_trajectories=3, seed=7)
-        batched = kernel.run(
-            q0, step_size=0.15, n_trajectories=3, max_depth=4, seed=7, strategy="pc"
-        )
-        np.testing.assert_allclose(run.positions, batched.positions)
-        assert run.grad_evals == batched.total_grad_evals
-
-    def test_builds_own_kernel_when_not_given(self, target):
-        eager = EagerUnbatchedSampler(target, step_size=0.15)
-        run = eager.run(target.initial_state(2, seed=8), 2, seed=9)
-        assert run.positions.shape == (2, 3)

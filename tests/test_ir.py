@@ -1,6 +1,5 @@
 """Unit tests for the IR data model, builder, validators, and printers."""
 
-import numpy as np
 import pytest
 
 from repro.ir import (
@@ -45,18 +44,9 @@ class TestTensorType:
         t = vector(5)
         assert t.event_shape == (5,)
         assert t.batched_shape(3) == (3, 5)
-        assert t.stacked_shape(4, 3) == (4, 3, 5)
 
     def test_dtype_normalization(self):
         assert TensorType("float").dtype == TensorType("float64").dtype
-
-    def test_of_value(self):
-        t = TensorType.of_value(np.zeros((4, 7)), batch_size=4)
-        assert t.event_shape == (7,)
-
-    def test_of_value_rejects_wrong_batch(self):
-        with pytest.raises(ValueError):
-            TensorType.of_value(np.zeros((4, 7)), batch_size=5)
 
     def test_str(self):
         assert str(scalar()) == "float64"
@@ -128,7 +118,7 @@ class TestValidation:
 
     def test_stack_ops_rejected_in_callable_dialect(self):
         b = FunctionBuilder("f", params=("x",), outputs=("y",))
-        b.block("entry").push_dup("x").ret()
+        b.block("entry").push("x", "id", ("x",)).ret()
         with pytest.raises(IRValidationError, match="stack operation"):
             validate_function(b.build())
 

@@ -62,7 +62,7 @@ class TestMaskedBatch:
         mb = MaskedBatch(np.arange(4), np.array([1, 0, 1, 1], dtype=bool))
         assert mb.batch_size == 4
         assert mb.event_shape == ()
-        np.testing.assert_array_equal(mb.where_active(), [0, 2, 3])
+        np.testing.assert_array_equal(mb.mask, [True, False, True, True])
 
     def test_scalar_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.nuts import IterativeNuts, NutsKernel, run_nuts
 from repro.nuts.kernel import KERNEL_STRATEGIES
-from repro.nuts.sampler import STRATEGIES, DualAveragingAdapter, find_reasonable_step_size
+from repro.nuts.sampler import STRATEGIES, DualAveragingAdapter
 from repro.targets import CorrelatedGaussian, NealsFunnel, Rosenbrock
 from repro.vm.instrumentation import Instrumentation
 
@@ -221,10 +221,6 @@ class TestSamplerHelpers:
         assert set(STRATEGIES) == {
             "reference", "local", "hybrid", "pc", "pc_fused", "pc_noopt", "stan",
         }
-
-    def test_find_reasonable_step_size(self, gauss):
-        eps = find_reasonable_step_size(gauss, gauss.initial_state(1, seed=24)[0])
-        assert 1e-4 < eps < 10.0
 
     def test_dual_averaging_converges_to_target(self):
         adapter = DualAveragingAdapter(initial_step_size=1.0, target_accept=0.8)

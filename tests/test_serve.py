@@ -7,6 +7,8 @@ vacated by an unrelated request.  Everything else — admission control,
 step budgets, telemetry — is checked on top of that.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,9 +28,13 @@ from repro.serve import (
     StepBudgetExceeded,
     resolve_preempt_policy,
 )
+from repro.serve.durability import Journal, recover
 from repro.vm.program_counter import ProgramCounterVM
+from repro.vm.stack import StackOverflowError
+from repro.vm.state import StackedStorage
 
-from .programs import ALL_EXAMPLES, fib, gcd, poly, rng_walk, twice
+from .helpers import peak_logical_depth
+from .programs import ALL_EXAMPLES, fib, gcd, poly, rng_walk, sum_to, twice, use_divmod_twice
 
 # Programs spanning recursion, loops, floats, RNG, and multiple outputs.
 SERVE_CORPUS = ["fib", "gcd", "collatz_steps", "poly", "rng_walk", "swap_chain",
@@ -299,6 +305,84 @@ class TestStepBudgets:
         assert 0 < h.steps_used < 100_000
 
 
+class TestStackCap:
+    """Under ``max_stack_depth``, a request whose step would push past the
+    cap fails alone, on that tick, and its neighbours step on."""
+
+    @staticmethod
+    def _serve(executor, journal=None, cap=16):
+        engine = sum_to.serve(
+            num_lanes=2, max_stack_depth=cap, executor=executor, journal=journal
+        )
+        return engine, [engine.submit(np.int64(n)) for n in (100, 3)]
+
+    @staticmethod
+    def _first_tick_past(engine, cap):
+        """The tick whose step first takes a lane past ``cap`` saved
+        frames on an uncapped engine."""
+        engine.tick()
+        while peak_logical_depth(engine.vm) - 1 <= cap:
+            assert engine.tick()
+        return engine.now
+
+    @pytest.mark.parametrize("executor", ["eager", "fused", "superblock"])
+    def test_an_overflow_fails_only_its_own_request(self, executor):
+        overflow_tick = self._first_tick_past(self._serve(executor, cap=None)[0], 16)
+        engine, (deep, shallow) = self._serve(executor)
+        engine.run_until_idle()
+        assert deep.state == "failed"
+        assert isinstance(deep.exception(), StackOverflowError)
+        assert "past max_stack_depth=16" in str(deep.exception())
+        assert deep.finish_tick == overflow_tick
+        assert int(shallow.result()) == 6
+        assert engine.telemetry.failed == 1 and engine.telemetry.completed == 1
+
+    @pytest.mark.parametrize("executor", ["eager", "fused", "superblock"])
+    def test_a_capped_run_replays_byte_identically(self, executor):
+        journal = Journal()
+        engine, (deep, shallow) = self._serve(executor, journal)
+        engine.run_until_idle()
+        onward = Journal()
+        run = recover(journal, sum_to, journal=onward)
+        assert set(run.failures()) == {deep.request_id}
+        assert int(run.handles[shallow.request_id].result()) == 6
+        assert run.handles[deep.request_id].finish_tick == deep.finish_tick
+        assert json.dumps(onward.entries, sort_keys=True) == json.dumps(
+            journal.entries, sort_keys=True
+        )
+
+    @pytest.mark.parametrize("executor", ["eager", "fused", "superblock"])
+    def test_neighbours_at_the_same_block_step_on(self, executor):
+        """Four lanes recurse in step; only the two deepest pass the cap."""
+        engine = sum_to.serve(num_lanes=4, max_stack_depth=12, executor=executor)
+        ns = (40, 5, 30, 11)
+        handles = [engine.submit(np.int64(n)) for n in ns]
+        engine.run_until_idle()
+        assert [h.state for h in handles] == ["failed", "done", "failed", "done"]
+        assert int(handles[1].result()) == 15 and int(handles[3].result()) == 66
+        assert handles[0].finish_tick == handles[2].finish_tick
+
+    @pytest.mark.parametrize("executor", ["eager", "fused", "superblock"])
+    def test_the_check_covers_a_superblock_chain(self, executor):
+        """``use_divmod_twice``'s entry superblock makes both calls in one
+        dispatch, the second from a later member: under a one-frame cap
+        its requests fail, on the tick the uncapped run first holds two
+        return addresses, before any block of the dispatch runs."""
+        def serve(cap):
+            engine = use_divmod_twice.serve(
+                num_lanes=2, max_stack_depth=cap, executor=executor
+            )
+            return engine, [engine.submit(np.int64(a), np.int64(5)) for a in (17, 3)]
+
+        overflow_tick = self._first_tick_past(serve(None)[0], 1)
+        engine, handles = serve(1)
+        engine.run_until_idle()
+        for h in handles:
+            assert isinstance(h.exception(), StackOverflowError)
+            assert h.finish_tick == overflow_tick
+        assert engine.vm.instr.steps == overflow_tick - 1
+
+
 class TestTelemetry:
     def test_counters_consistent(self):
         ns = np.array([5, 9, 2, 12, 7, 3], dtype=np.int64)
@@ -348,11 +432,11 @@ class TestVmLaneHooks:
         program = fib.stack_program()
         vm = ProgramCounterVM(program, batch_size=4)
         vm.halt_lanes(np.arange(4))
-        assert bool(vm.halted_mask().all())
+        assert bool((vm.pcreg >= vm.exit_index).all())
         vm.inject_lanes(np.array([1, 3]), [np.array([7, 9], dtype=np.int64)])
-        assert list(vm.halted_mask()) == [True, False, True, False]
-        while not vm.halted_mask().all():
-            vm.step()
+        assert list(vm.pcreg >= vm.exit_index) == [True, False, True, False]
+        while vm.step():
+            pass
         (out,) = vm.retire_lanes(np.array([1, 3]))
         np.testing.assert_array_equal(
             out, fib.run_pc(np.array([7, 9], dtype=np.int64))
@@ -367,24 +451,37 @@ class TestVmLaneHooks:
             vm.inject_lanes(np.array([0]), [np.array([1, 2], dtype=np.int64)])
 
     def test_reset_lane_restores_initial_state(self):
-        """A recycled lane is bitwise a fresh lane: same outputs, same stacks."""
-        program = fib.stack_program()
-        vm = ProgramCounterVM(program, batch_size=2)
+        """A recycled lane exposes what a fresh lane does: its pointers, its
+        frames, and, step by step, the run of its next occupant.  Rows above
+        its top still hold the old occupant's frames; nothing reads them."""
+        plan = fib.execution_plan("fused")
+        vm = ProgramCounterVM(plan, batch_size=2)
         vm.halt_lanes(np.arange(2))
-        # First occupant: deep recursion dirties lane 0's stacks.
+        # First occupant: deep recursion fills lane 0's stacks.
         vm.inject_lanes(np.array([0]), [np.array([11], dtype=np.int64)])
-        while not vm.halted_mask().all():
-            vm.step()
+        while vm.step():
+            pass
         vm.reset_lanes(np.array([0]))
         assert vm.pcreg[0] == vm.entry_index
         assert vm.addr_stack.sp[0] == 0
-        assert vm.addr_stack.read()[0] == vm.exit_index
+        np.testing.assert_array_equal(vm.addr_stack.frames(0), [vm.exit_index])
         for st in vm.storages.values():
-            if getattr(st, "array", None) is not None:
-                assert not np.any(st.array[0])
-            if getattr(st, "stack", None) is not None:
+            if isinstance(st, StackedStorage):
                 assert st.stack.sp[0] == 0
-                assert not np.any(st.stack.data[:, 0])
+                np.testing.assert_array_equal(st.stack.frames(0), [0])
+            else:
+                assert not np.any(st.array[0])
+        fresh = ProgramCounterVM(plan, batch_size=2)
+        fresh.halt_lanes(np.arange(2))
+        for machine in (vm, fresh):
+            machine.inject_lanes(np.array([0]), [np.array([7], dtype=np.int64)])
+        stepped = True
+        while stepped:
+            assert vm.snapshot_lane(0).to_bytes() == fresh.snapshot_lane(0).to_bytes()
+            stepped = vm.step()
+            assert fresh.step() == stepped
+        (out,) = vm.retire_lanes(np.array([0]))
+        np.testing.assert_array_equal(out, fib.run_reference(np.array([7])))
 
     def test_lane_pool_deterministic_and_guarded(self):
         pool = LanePool(2)

@@ -49,6 +49,7 @@ from repro.vm.program_counter import INITIAL_STACK_DEPTH
 from repro.vm.stack import BatchedStack, StackOverflowError
 from repro.vm.state import StackedStorage
 
+from tests.helpers import peak_logical_depth
 from tests.programs import ALL_EXAMPLES, fib, gcd, is_even, use_divmod, use_divmod_twice
 from tests.test_random_programs import (
     compile_source,
@@ -153,7 +154,7 @@ class TestDepthEquality:
                         vm.run([np.asarray(x) for x in inputs])
                     assert grown == [], (name, executor)
                     assert stack_depths(vm) == {facts.required_stack_depth}
-                    assert vm.observed_max_depth() == facts.max_logical_depth, (
+                    assert peak_logical_depth(vm) == facts.max_logical_depth, (
                         name,
                         executor,
                     )
@@ -163,7 +164,7 @@ class TestDepthEquality:
                     vm = ProgramCounterVM(plan, width)
                     assert vm.addr_stack.depth == INITIAL_STACK_DEPTH
                     vm.run([np.asarray(x) for x in inputs])
-                    assert vm.observed_max_depth() <= max(stack_depths(vm)) + 1, (
+                    assert peak_logical_depth(vm) <= max(stack_depths(vm)) + 1, (
                         name,
                         executor,
                     )
@@ -180,7 +181,7 @@ class TestDepthEquality:
                     fn.execution_plan(executor=executor), width, max_stack_depth=64
                 )
                 vm.run([np.asarray(x) for x in inputs])
-                marks[executor] = (vm.observed_max_depth(), stack_high_waters(vm))
+                marks[executor] = stack_high_waters(vm)
             assert marks["fused"] == marks["eager"], name
             assert marks["superblock"] == marks["eager"], name
 
@@ -219,7 +220,7 @@ class TestDepthEquality:
             (out,) = vm.run([np.array([4.0, -1.0, 9.5])])
         np.testing.assert_array_equal(out, np.array([4.0, -1.0, 9.5]))
         assert grown == [] and stack_depths(vm) == {2}  # the proven bound
-        assert vm.observed_max_depth() == 3
+        assert peak_logical_depth(vm) == 3
 
     def test_static_offsets_record_the_higher_row_and_overflow(self):
         """One block pushes, pushes and pops ``x``: a generated block moves
@@ -258,7 +259,7 @@ class TestDepthEquality:
             (out,) = vm.run([xs])
             np.testing.assert_array_equal(out, xs)
             assert vm.storage("x").stack.high_water == 2, executor
-            assert vm.observed_max_depth() == 3, executor
+            assert peak_logical_depth(vm) == 3, executor
             shallow = ProgramCounterVM(plan, batch_size=3, max_stack_depth=1)
             with pytest.raises(StackOverflowError):
                 shallow.run([xs])
@@ -310,7 +311,7 @@ class TestDepthEquality:
             (out,) = vm.run([np.array([7.0, 2.0])])
         np.testing.assert_array_equal(out, np.array([7.0, 2.0]))
         assert grown == [] and stack_depths(vm) == {3}
-        assert vm.observed_max_depth() == 4
+        assert peak_logical_depth(vm) == 4
 
 
 # -- mutation tests: corrupted programs are rejected with the right code ------
@@ -770,24 +771,23 @@ class TestRandomPrograms:
         result = analyze_stack_program(fn.stack_program())
         assert result.ok, result.diagnostics
         facts = result.facts
-        recursive = spec[1]
+        recursive = spec[1] is not None
         assert facts.recursive == recursive
-        if not recursive:
-            assert facts.required_stack_depth is not None
-            # The proven bound really is enough to execute on.
-            plan = fn.execution_plan("eager")
-            vm = ProgramCounterVM(plan, batch_size=2)
-            with counting_growths() as grown:
-                vm.run(
-                    [
-                        np.array([3, 11], dtype=np.int64),
-                        np.array([7, 2], dtype=np.int64),
-                        np.array([1, 2], dtype=np.int64),
-                    ]
-                )
-            assert grown == []
+        if recursive:
+            return
+        # The proven bound is what the stacks start at, enough to run on
+        # (none grows), and reached: every input runs the generator's
+        # longest call chain.
+        assert facts.required_stack_depth is not None
+        inputs = [np.array([3, 11]), np.array([7, 2]), np.array([1, 2])]
+        for executor in EXECUTORS:
+            vm = ProgramCounterVM(fn.execution_plan(executor), batch_size=2)
             assert stack_depths(vm) == {facts.required_stack_depth}
-            assert vm.observed_max_depth() == facts.max_logical_depth
+            with counting_growths() as grown:
+                vm.run(inputs)
+            assert grown == [], executor
+            assert stack_depths(vm) == {facts.required_stack_depth}
+            assert peak_logical_depth(vm) == facts.max_logical_depth, executor
 
 
 # -- the lint driver ----------------------------------------------------------

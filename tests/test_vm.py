@@ -25,6 +25,7 @@ from repro.ir.types import TensorType
 from repro.vm.state import RegisterStorage, StackedStorage
 from repro.ir.builder import FunctionBuilder, ProgramBuilder
 
+from .helpers import peak_logical_depth
 from .programs import fib, gcd, mixed_paths, mixed_rec, rng_walk, sum_to, vector_norm
 
 
@@ -356,7 +357,7 @@ class TestGrowingStacks:
         (out,) = vm.run([n])
         np.testing.assert_array_equal(out, expected)
         assert vm.addr_stack.depth >= self.DEEP
-        assert vm.observed_max_depth() == self.DEEP + 1
+        assert peak_logical_depth(vm) == self.DEEP + 1
         np.testing.assert_array_equal(
             sum_to.run_pc(n, executor=executor, mode=mode), expected
         )
