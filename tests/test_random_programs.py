@@ -25,7 +25,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from .helpers import (
@@ -43,15 +43,22 @@ _COMPILED = {}
 
 NAMES = ("a", "b", "n")
 
-expr_strategy = st.deferred(
-    lambda: st.one_of(
+# Expressions are capped at a few leaves: a program has up to four function
+# bodies, and unbounded expression trees in all of them nest draws past
+# Hypothesis's depth limit, which rejects most programs ("max depth
+# exceeded") and fails the filter-too-much health check at random.
+expr_strategy = st.recursive(
+    st.one_of(
         st.sampled_from(NAMES).map(lambda v: ("var", v)),
         st.integers(-3, 3).map(lambda c: ("const", c)),
-        st.tuples(
-            st.sampled_from(("+", "-", "*")), expr_strategy, expr_strategy
-        ).map(lambda t: ("binop", *t)),
-        st.tuples(expr_strategy, expr_strategy).map(lambda t: ("min", *t)),
-    )
+    ),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(("+", "-", "*")), sub, sub).map(
+            lambda t: ("binop", *t)
+        ),
+        st.tuples(sub, sub).map(lambda t: ("min", *t)),
+    ),
+    max_leaves=6,
 )
 
 
@@ -268,12 +275,19 @@ def test_generated_program_eager_vs_fused_executors(spec, a_vals, b_vals, depth)
 
 
 def stack_high_waters(vm):
-    """The return-address stack's and every variable stack's high-water
-    mark, by name."""
+    """The return-address stack's and every stacked variable's high-water
+    mark, by name.  Eager allocates a storage on its first write and fused
+    binds every one up front, so a variable of a function no lane entered
+    (``genpeer`` when ``n`` starts at 0) has no stack under eager: it held
+    no frame, and its mark is 0."""
+    from repro.ir.instructions import VarKind
+
     marks = {"<return address>": vm.addr_stack.high_water}
-    for name, st in vm.storages.items():
-        if getattr(st, "stack", None) is not None:
-            marks[name] = st.stack.high_water
+    for name in vm.program.variables():
+        if vm.program.kind(name) is VarKind.STACKED:
+            st = vm.storages.get(name)
+            stack = None if st is None else st.stack
+            marks[name] = 0 if stack is None else stack.high_water
     return marks
 
 
@@ -284,6 +298,9 @@ def stack_high_waters(vm):
     st.lists(st.integers(-5, 20), min_size=1, max_size=6),
     st.integers(0, 4),
 )
+# A mutual-recursive program whose lanes all start at n = 0 never enters
+# ``genpeer``, so eager never allocates its stacks.
+@example(([("assign", "a", ("var", "a"))], "mutual", ("var", "a"), ()), [0], [0], 0)
 def test_generated_program_high_water_marks_equal_eager(spec, a_vals, b_vals, depth):
     """Generated blocks move stacked variables by static frame offsets and
     mark one row per pushed variable per block, where eager marks one per
